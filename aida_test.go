@@ -47,7 +47,7 @@ func demoKB() *KB {
 
 func TestSystemAnnotate(t *testing.T) {
 	sys := New(demoKB())
-	anns := sys.Annotate("They performed Kashmir, written by Page and Plant. Page played unusual chords on his Gibson.")
+	anns := annotateDoc(t, sys, "They performed Kashmir, written by Page and Plant. Page played unusual chords on his Gibson.")
 	if len(anns) < 4 {
 		t.Fatalf("want at least 4 annotations, got %d", len(anns))
 	}
@@ -177,7 +177,7 @@ func TestKBSaveLoadThroughFacade(t *testing.T) {
 func TestSaveEngineFile(t *testing.T) {
 	k := demoKB()
 	sys := New(k)
-	sys.Annotate("They performed Kashmir, written by Page and Plant.")
+	annotateDoc(t, sys, "They performed Kashmir, written by Page and Plant.")
 	t.Chdir(t.TempDir())
 	n, err := sys.SaveEngineFile("engine.snap") // no directory component
 	if err != nil {

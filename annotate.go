@@ -273,8 +273,7 @@ func rankedCandidates(p *disambig.Problem, out *disambig.Output) [][]RankedCandi
 // on one document. ctx cancels in-flight scoring promptly (the coherence
 // workers observe it); options select the method, candidate cap, surface
 // expansion, coherence parallelism and opt-in extras for this request
-// only. The annotations are byte-identical to the deprecated Annotate at
-// any parallelism.
+// only. The annotations are byte-identical at any parallelism.
 func (s *System) AnnotateDoc(ctx context.Context, text string, opts ...AnnotateOption) (*Document, error) {
 	o, err := s.requestOptions(opts)
 	if err != nil {
@@ -288,8 +287,7 @@ func (s *System) AnnotateDoc(ctx context.Context, text string, opts ...AnnotateO
 // the documents in input order. On cancellation it stops handing out
 // documents, waits for in-flight workers, and returns ctx.Err(); no
 // partial result is returned. The annotations are byte-identical to a
-// sequential AnnotateDoc loop — and to the deprecated AnnotateBatch — at
-// any parallelism, because the shared engine memoizes only pure functions
+// sequential AnnotateDoc loop at any parallelism, because the shared engine memoizes only pure functions
 // of the KB.
 func (s *System) AnnotateCorpus(ctx context.Context, docs []string, opts ...AnnotateOption) ([]*Document, error) {
 	o, err := s.requestOptions(opts)
@@ -345,7 +343,7 @@ func (s *System) AnnotateCorpus(ctx context.Context, docs []string, opts ...Anno
 // pulling input, drains its workers, and ends by yielding (nil,
 // ctx.Err()) — a nil error on every yielded pair therefore means the
 // sequence was annotated completely. The yielded annotations are
-// byte-identical to the deprecated AnnotateAll at any parallelism.
+// byte-identical to AnnotateCorpus at any parallelism.
 func (s *System) AnnotateStream(ctx context.Context, docs iter.Seq[string], opts ...AnnotateOption) iter.Seq2[*Document, error] {
 	return func(yield func(*Document, error) bool) {
 		o, err := s.requestOptions(opts)
@@ -468,68 +466,4 @@ func batchWorkers(parallelism, n int) int {
 		w = n
 	}
 	return w
-}
-
-// Annotate runs the full pipeline: recognition plus disambiguation.
-//
-// Deprecated: use AnnotateDoc, which adds cancellation and per-request
-// options. Annotate(text) is exactly AnnotateDoc(context.Background(),
-// text) — the annotations are byte-identical.
-func (s *System) Annotate(text string) []Annotation {
-	doc, err := s.AnnotateDoc(context.Background(), text)
-	if err != nil {
-		return nil // unreachable: background context, no options
-	}
-	return doc.Annotations
-}
-
-// AnnotateBounded is Annotate with an explicit concurrency budget: at most
-// parallelism goroutines score the document's coherence edges (parallelism
-// ≤ 0 keeps the method's own default, GOMAXPROCS). The bound changes
-// scheduling only, never results.
-//
-// Deprecated: use AnnotateDoc with WithParallelism, which is byte-identical.
-func (s *System) AnnotateBounded(text string, parallelism int) []Annotation {
-	doc, err := s.AnnotateDoc(context.Background(), text, WithParallelism(max(parallelism, 0)))
-	if err != nil {
-		return nil // unreachable: background context, valid options
-	}
-	return doc.Annotations
-}
-
-// AnnotateBatch annotates documents concurrently with a bounded worker
-// pool (parallelism ≤ 0 means GOMAXPROCS) and returns the annotations in
-// input order.
-//
-// Deprecated: use AnnotateCorpus with WithParallelism, which adds
-// cancellation and per-request options and is byte-identical.
-func (s *System) AnnotateBatch(docs []string, parallelism int) [][]Annotation {
-	docsOut, err := s.AnnotateCorpus(context.Background(), docs, WithParallelism(max(parallelism, 0)))
-	if err != nil {
-		return nil // unreachable: background context, valid options
-	}
-	out := make([][]Annotation, len(docsOut))
-	for i, d := range docsOut {
-		out[i] = d.Annotations
-	}
-	return out
-}
-
-// AnnotateAll streams annotations for an arbitrary document sequence,
-// yielding (index, annotations) pairs strictly in input order.
-//
-// Deprecated: use AnnotateStream with WithParallelism, which adds
-// cancellation, error reporting and per-request options; the yielded
-// annotations are byte-identical.
-func (s *System) AnnotateAll(docs iter.Seq[string], parallelism int) iter.Seq2[int, []Annotation] {
-	return func(yield func(int, []Annotation) bool) {
-		for doc, err := range s.AnnotateStream(context.Background(), docs, WithParallelism(max(parallelism, 0))) {
-			if err != nil {
-				return // unreachable: background context, valid options
-			}
-			if !yield(doc.Index, doc.Annotations) {
-				return
-			}
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package aida
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"slices"
@@ -22,25 +23,55 @@ func batchWorld(t testing.TB, docs int) (*KB, []string) {
 	return w.KB, texts
 }
 
+// annotateDoc is AnnotateDoc under a background context, failing the test
+// on error, reduced to the annotations.
+func annotateDoc(t testing.TB, sys *System, text string, opts ...AnnotateOption) []Annotation {
+	t.Helper()
+	doc, err := sys.AnnotateDoc(context.Background(), text, opts...)
+	if err != nil {
+		t.Fatalf("AnnotateDoc: %v", err)
+	}
+	return doc.Annotations
+}
+
+// annotateCorpus is AnnotateCorpus under a background context, failing the
+// test on error or on a document out of place, reduced to the annotations.
+func annotateCorpus(t testing.TB, sys *System, docs []string, opts ...AnnotateOption) [][]Annotation {
+	t.Helper()
+	got, err := sys.AnnotateCorpus(context.Background(), docs, opts...)
+	if err != nil {
+		t.Fatalf("AnnotateCorpus: %v", err)
+	}
+	out := make([][]Annotation, len(got))
+	for i, d := range got {
+		if d.Index != i {
+			t.Fatalf("AnnotateCorpus: document at position %d has index %d", i, d.Index)
+		}
+		out[i] = d.Annotations
+	}
+	return out
+}
+
 // TestAnnotateBatchMatchesSequential is the headline determinism check:
-// AnnotateBatch at full parallelism must produce byte-identical annotations
-// to the one-document-at-a-time loop, on both a cold and a warm engine.
+// AnnotateCorpus at full parallelism must produce byte-identical
+// annotations to the one-document-at-a-time loop, on both a cold and a warm
+// engine.
 func TestAnnotateBatchMatchesSequential(t *testing.T) {
 	k, docs := batchWorld(t, 12)
 
 	seq := New(k, WithMaxCandidates(10))
 	want := make([][]Annotation, len(docs))
 	for i, d := range docs {
-		want[i] = seq.Annotate(d)
+		want[i] = annotateDoc(t, seq, d)
 	}
 
-	for _, parallelism := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+	for _, parallelism := range []int{0, 1, 2, runtime.GOMAXPROCS(0)} {
 		sys := New(k, WithMaxCandidates(10))
-		cold := sys.AnnotateBatch(docs, parallelism)
+		cold := annotateCorpus(t, sys, docs, WithParallelism(parallelism))
 		if !reflect.DeepEqual(want, cold) {
 			t.Fatalf("parallelism=%d: cold batch diverges from sequential", parallelism)
 		}
-		warm := sys.AnnotateBatch(docs, parallelism)
+		warm := annotateCorpus(t, sys, docs, WithParallelism(parallelism))
 		if !reflect.DeepEqual(want, warm) {
 			t.Fatalf("parallelism=%d: warm batch diverges from sequential", parallelism)
 		}
@@ -52,12 +83,12 @@ func TestAnnotateBatchMatchesSequential(t *testing.T) {
 func TestAnnotateBatchWarmsEngine(t *testing.T) {
 	k, docs := batchWorld(t, 8)
 	sys := New(k, WithMaxCandidates(10))
-	sys.AnnotateBatch(docs, 4)
+	annotateCorpus(t, sys, docs, WithParallelism(4))
 	_, misses1 := sys.Scorer().CacheStats()
 	if misses1 == 0 {
 		t.Fatal("expected the engine to compute pair values during batch annotation")
 	}
-	sys.AnnotateBatch(docs, 4)
+	annotateCorpus(t, sys, docs, WithParallelism(4))
 	hits2, misses2 := sys.Scorer().CacheStats()
 	if misses2 != misses1 {
 		t.Errorf("second pass over the same docs recomputed %d pairs", misses2-misses1)
@@ -68,15 +99,15 @@ func TestAnnotateBatchWarmsEngine(t *testing.T) {
 }
 
 // TestAnnotateBoundedMatchesAnnotate pins the concurrency-budgeted
-// variant to the default pipeline: the bound changes scheduling only.
+// request to the default pipeline: the bound changes scheduling only.
 func TestAnnotateBoundedMatchesAnnotate(t *testing.T) {
 	k, docs := batchWorld(t, 4)
 	sys := New(k, WithMaxCandidates(10))
 	for _, d := range docs {
-		want := sys.Annotate(d)
-		for _, bound := range []int{-1, 0, 1, 2, runtime.GOMAXPROCS(0)} {
-			if got := sys.AnnotateBounded(d, bound); !reflect.DeepEqual(want, got) {
-				t.Fatalf("bound=%d: AnnotateBounded diverges from Annotate", bound)
+		want := annotateDoc(t, sys, d)
+		for _, bound := range []int{0, 1, 2, runtime.GOMAXPROCS(0)} {
+			if got := annotateDoc(t, sys, d, WithParallelism(bound)); !reflect.DeepEqual(want, got) {
+				t.Fatalf("bound=%d: bounded AnnotateDoc diverges from the default", bound)
 			}
 		}
 	}
@@ -87,19 +118,19 @@ func TestAnnotateBoundedMatchesAnnotate(t *testing.T) {
 func TestAnnotateAllMatchesBatch(t *testing.T) {
 	k, docs := batchWorld(t, 10)
 	sys := New(k, WithMaxCandidates(10))
-	want := sys.AnnotateBatch(docs, 0)
+	want := annotateCorpus(t, sys, docs)
+	ctx := context.Background()
 
-	for _, parallelism := range []int{1, 4} {
+	for _, parallelism := range []int{0, 1, 4} {
 		var got [][]Annotation
-		var order []int
-		for i, anns := range sys.AnnotateAll(slices.Values(docs), parallelism) {
-			order = append(order, i)
-			got = append(got, anns)
-		}
-		for i := range order {
-			if order[i] != i {
-				t.Fatalf("parallelism=%d: out-of-order yield %v", parallelism, order)
+		for doc, err := range sys.AnnotateStream(ctx, slices.Values(docs), WithParallelism(parallelism)) {
+			if err != nil {
+				t.Fatalf("parallelism=%d: %v", parallelism, err)
 			}
+			if doc.Index != len(got) {
+				t.Fatalf("parallelism=%d: yielded index %d at position %d", parallelism, doc.Index, len(got))
+			}
+			got = append(got, doc.Annotations)
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("parallelism=%d: streaming output diverges from batch", parallelism)
@@ -108,7 +139,7 @@ func TestAnnotateAllMatchesBatch(t *testing.T) {
 
 	// Early break must not deadlock or leak; we only check it stops.
 	n := 0
-	for range sys.AnnotateAll(slices.Values(docs), 4) {
+	for range sys.AnnotateStream(ctx, slices.Values(docs), WithParallelism(4)) {
 		n++
 		if n == 3 {
 			break

@@ -212,7 +212,7 @@ func BenchmarkAnnotateThroughput(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sys.Annotate(text)
+		annotateDoc(b, sys, text)
 	}
 }
 
@@ -261,17 +261,17 @@ func BenchmarkAnnotateBatch(b *testing.B) {
 			b.ReportAllocs()
 			sys := New(s.World.KB, WithMaxCandidates(10))
 			if bc.warm {
-				sys.AnnotateBatch(docs, bc.workers) // fill the engine caches
+				annotateCorpus(b, sys, docs, WithParallelism(bc.workers)) // fill the engine caches
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sys.AnnotateBatch(docs, bc.workers)
+					annotateCorpus(b, sys, docs, WithParallelism(bc.workers))
 				}
 			} else {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					sys = New(s.World.KB, WithMaxCandidates(10)) // fresh engine
 					b.StartTimer()
-					sys.AnnotateBatch(docs, bc.workers)
+					annotateCorpus(b, sys, docs, WithParallelism(bc.workers))
 				}
 			}
 			b.ReportMetric(float64(len(docs))*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
@@ -316,7 +316,7 @@ func BenchmarkWarmStart(b *testing.B) {
 	}
 	// One donor run prepares the snapshot all warm iterations load.
 	donor := New(s.World.KB, WithMaxCandidates(10))
-	donor.AnnotateBatch(docs, 1)
+	annotateCorpus(b, donor, docs, WithParallelism(1))
 	var snap bytes.Buffer
 	if err := donor.SaveEngine(&snap); err != nil {
 		b.Fatal(err)
@@ -326,7 +326,7 @@ func BenchmarkWarmStart(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sys := New(s.World.KB, WithMaxCandidates(10))
-			sys.AnnotateBatch(docs, 1)
+			annotateCorpus(b, sys, docs, WithParallelism(1))
 		}
 	})
 	b.Run("warm-boot", func(b *testing.B) {
@@ -336,7 +336,7 @@ func BenchmarkWarmStart(b *testing.B) {
 			if err := sys.LoadEngine(bytes.NewReader(snap.Bytes())); err != nil {
 				b.Fatal(err)
 			}
-			sys.AnnotateBatch(docs, 1)
+			annotateCorpus(b, sys, docs, WithParallelism(1))
 		}
 	})
 	b.Run("snapshot-save", func(b *testing.B) {

@@ -49,9 +49,6 @@
 //	docs, err := sys.AnnotateCorpus(ctx, texts, aida.WithParallelism(8))
 //	for doc, err := range sys.AnnotateStream(ctx, feed, aida.UseMethodNamed("prior")) { ... }
 //
-// The original Annotate, AnnotateBounded, AnnotateBatch and AnnotateAll
-// remain as deprecated wrappers with byte-identical output.
-//
 // # Scoring engine and deterministic concurrency
 //
 // Every System holds a Scorer: a long-lived, sharded, concurrency-safe

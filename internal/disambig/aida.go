@@ -2,8 +2,8 @@ package disambig
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
+	"slices"
 
 	"aida/internal/graph"
 	"aida/internal/kb"
@@ -38,11 +38,6 @@ type Config struct {
 	PriorWeight float64 // default 0.566
 	Gamma       float64 // default 0.40
 
-	// Workers bounds the worker pool that scores coherence edges
-	// (0 = GOMAXPROCS, 1 = sequential). Scores, assignments and
-	// Stats.Comparisons are identical at every setting.
-	Workers int
-
 	Graph graph.Options
 }
 
@@ -72,13 +67,6 @@ func (c Config) gamma() float64 {
 		return 0.40
 	}
 	return c.Gamma
-}
-
-func (c Config) workers() int {
-	if c.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
 }
 
 // AIDA is the dissertation's disambiguation method. Depending on the
@@ -220,8 +208,8 @@ func (a *AIDA) Disambiguate(p *Problem) *Output {
 		}
 	}
 
-	scorer := newCohScorer(a.Config.Measure, p)
-	g, candOf := a.buildGraph(p, weights, fixed, scorer)
+	scorer := newCohScorer(a.Config.Measure, p, fixed)
+	g := a.buildGraph(p, weights, fixed, scorer)
 	if p.Ctx().Err() != nil {
 		// Canceled while scoring coherence edges: stop promptly. The
 		// output is incomplete and the caller must discard it after
@@ -242,10 +230,9 @@ func (a *AIDA) Disambiguate(p *Problem) *Output {
 			return out
 		}
 		m := &p.Mentions[i]
-		chosen := -1
-		if res.Assignment[i] >= 0 {
-			chosen = candOf[i][res.Assignment[i]]
-		}
+		// The assignment names a graph node, which is a candidate id (-1,
+		// for a mention without candidates, matches none).
+		chosen := slices.Index(scorer.ids[i], res.Assignment[i])
 		// Per-candidate final scores: the weighted degree the candidate
 		// would have in the solution (Sec. 5.4.1 "weighted-degree" score).
 		scores := make([]float64, len(m.Candidates))
@@ -255,8 +242,7 @@ func (a *AIDA) Disambiguate(p *Problem) *Output {
 				if i2 == i || res.Assignment[i2] < 0 {
 					continue
 				}
-				other := &p.Mentions[i2].Candidates[candOf[i2][res.Assignment[i2]]]
-				s += gamma * scorer.score(&m.Candidates[j], other)
+				s += gamma * scorer.score(scorer.ids[i][j], res.Assignment[i2])
 			}
 			scores[j] = s
 		}
@@ -269,152 +255,74 @@ func (a *AIDA) Disambiguate(p *Problem) *Output {
 	return out
 }
 
-// buildGraph constructs the weighted mention–entity graph (Sec. 3.4.1):
-// mention–entity weights scaled by (1−γ), entity–entity coherence weights
-// rescaled so their average matches the mention-edge average and then
-// scaled by γ. It returns the graph and, per mention, the mapping from
-// graph entity index back to candidate index.
-func (a *AIDA) buildGraph(p *Problem, weights [][]float64, fixed []int, scorer *cohScorer) (*graph.Graph, [][]int) {
-	// Graph entity nodes = distinct candidates (shared across mentions).
-	total := 0
-	for i := range p.Mentions {
-		total += len(p.Mentions[i].Candidates)
-	}
-	nodeOf := make(map[string]int, total)
-	nodeCand := make([]*Candidate, 0, total)
-	candOf := make([][]int, len(p.Mentions)) // graph node → candidate index per mention
-	type meEdge struct{ m, node, cand int }
-	meEdges := make([]meEdge, 0, total)
-	// meStart[i] marks where mention i's edges begin in meEdges (the outer
-	// loop visits mentions in order, so edges are already grouped).
-	meStart := make([]int, len(p.Mentions)+1)
-	for i := range p.Mentions {
-		meStart[i] = len(meEdges)
-		m := &p.Mentions[i]
-		for j := range m.Candidates {
-			if fixed[i] >= 0 && j != fixed[i] {
-				continue
-			}
-			c := &m.Candidates[j]
-			node, ok := nodeOf[c.Label]
-			if !ok {
-				node = len(nodeCand)
-				nodeOf[c.Label] = node
-				nodeCand = append(nodeCand, c)
-			}
-			meEdges = append(meEdges, meEdge{m: i, node: node, cand: j})
+// buildGraph constructs the weighted mention–entity graph (Sec. 3.4.1) over
+// the scorer's ids below graphN: mention–entity weights scaled by (1−γ),
+// entity–entity coherence weights rescaled so their average matches the
+// mention-edge average and then scaled by γ. The scorer's triangle keeps
+// the raw coherence values, the graph's the scaled ones.
+func (a *AIDA) buildGraph(p *Problem, weights [][]float64, fixed []int, scorer *cohScorer) *graph.Graph {
+	// nodes returns mention i's graph nodes and the candidate index of the
+	// first: all of its candidates, or only the one the coherence test
+	// fixed.
+	nodes := func(i int) ([]int, int) {
+		if f := fixed[i]; f >= 0 {
+			return scorer.ids[i][f : f+1], f
 		}
+		return scorer.ids[i], 0
 	}
-	meStart[len(p.Mentions)] = len(meEdges)
-	nNodes := len(nodeCand)
-	// candOf rows share one flat backing array (full-capacity sub-slices,
-	// so a row can never grow into its neighbor).
-	flat := make([]int, len(p.Mentions)*nNodes)
-	for i := range flat {
-		flat[i] = -1
-	}
-	for i := range candOf {
-		candOf[i] = flat[i*nNodes : (i+1)*nNodes : (i+1)*nNodes]
-	}
-
-	g := graph.New(len(p.Mentions), nNodes)
+	gamma := a.Config.gamma()
+	g := graph.New(len(p.Mentions), scorer.graphN)
 	var meSum float64
 	var meCount int
-	for _, e := range meEdges {
-		w := weights[e.m][e.cand]
-		meSum += w
-		meCount++
-		candOf[e.m][e.node] = e.cand
+	for i := range p.Mentions {
+		ids, first := nodes(i)
+		for k, id := range ids {
+			w := weights[i][first+k]
+			meSum += w
+			meCount++
+			g.AddMentionEdge(i, id, (1-gamma)*w)
+		}
+		// Coherence edges between candidates of different mentions only
+		// (candidates sharing a single mention are mutually exclusive).
+		for j := i + 1; j < len(p.Mentions); j++ {
+			others, _ := nodes(j)
+			for _, id := range ids {
+				for _, other := range others {
+					if id != other {
+						scorer.need(id, other)
+					}
+				}
+			}
+		}
 	}
 	meAvg := 0.0
 	if meCount > 0 {
 		meAvg = meSum / float64(meCount)
 	}
 
-	// Coherence edges between candidates of different mentions only
-	// (candidates sharing a single mention are mutually exclusive). The
-	// needed-pair set is a bitset over node pairs — index lo*nNodes+hi —
-	// instead of a map, so the quadratic mark phase allocates nothing and
-	// reading the set bits in index order IS ascending (lo,hi) order: the
-	// sorted enumeration the bit-for-bit-reproducible rescaling below
-	// requires, with no sort at all.
-	pairBits := make([]uint64, (nNodes*nNodes+63)/64)
-	npairs := 0
-	for i := 0; i < len(p.Mentions); i++ {
-		for j := i + 1; j < len(p.Mentions); j++ {
-			for _, ei := range meEdges[meStart[i]:meStart[i+1]] {
-				for _, ej := range meEdges[meStart[j]:meStart[j+1]] {
-					if ei.node == ej.node {
-						continue
-					}
-					lo, hi := ei.node, ej.node
-					if lo > hi {
-						lo, hi = hi, lo
-					}
-					idx := lo*nNodes + hi
-					w, mask := idx>>6, uint64(1)<<(idx&63)
-					if pairBits[w]&mask == 0 {
-						pairBits[w] |= mask
-						npairs++
-					}
-				}
-			}
-		}
-	}
-	pairs := make([][2]int, 0, npairs)
-	for w, word := range pairBits {
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			word &^= 1 << bit
-			idx := w<<6 + bit
-			pairs = append(pairs, [2]int{idx / nNodes, idx % nNodes})
-		}
-	}
-	candPairs := make([][2]*Candidate, len(pairs))
-	for i, k := range pairs {
-		candPairs[i] = [2]*Candidate{nodeCand[k[0]], nodeCand[k[1]]}
-	}
-	workers := a.Config.workers()
+	workers := runtime.GOMAXPROCS(0)
 	if p.CoherenceWorkers > 0 {
 		workers = p.CoherenceWorkers
 	}
-	if err := scorer.scoreAll(p.Ctx(), candPairs, workers); err != nil {
-		// Canceled: return the graph without entity edges instead of
-		// recomputing the missing pairs sequentially below. The caller
+	if err := scorer.scoreAll(p.Ctx(), workers); err != nil {
+		// Canceled: return the graph without entity edges. The caller
 		// (Disambiguate) bails out before solving.
-		return g, candOf
+		return g
 	}
 	var eeSum float64
 	var eeCount int
-	type eeEdge struct {
-		a, b int
-		w    float64
-	}
-	eeEdges := make([]eeEdge, 0, len(pairs))
-	for _, k := range pairs {
-		w := scorer.score(nodeCand[k[0]], nodeCand[k[1]])
-		if w <= 0 {
-			continue
-		}
-		eeEdges = append(eeEdges, eeEdge{a: k[0], b: k[1], w: w})
+	scorer.eachEdge(func(_, _ int, w float64) {
 		eeSum += w
 		eeCount++
-	}
+	})
 	// Rescale coherence so its average matches the mention-edge average,
 	// then apply the γ balance.
 	scale := 1.0
 	if eeCount > 0 && eeSum > 0 && meAvg > 0 {
 		scale = meAvg / (eeSum / float64(eeCount))
 	}
-	gamma := a.Config.gamma()
-	for _, e := range eeEdges {
-		g.AddEntityEdge(e.a, e.b, gamma*scale*e.w)
-	}
-	for i := range p.Mentions {
-		g.ReserveMentionEdges(i, meStart[i+1]-meStart[i])
-	}
-	for _, e := range meEdges {
-		g.AddMentionEdge(e.m, e.node, (1-gamma)*weights[e.m][e.cand])
-	}
-	return g, candOf
+	scorer.eachEdge(func(lo, hi int, w float64) {
+		g.AddEntityEdge(lo, hi, gamma*scale*w)
+	})
+	return g
 }

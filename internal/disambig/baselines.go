@@ -185,7 +185,7 @@ func (k *Kulkarni) Disambiguate(p *Problem) *Output {
 		return out
 	}
 
-	scorer := newCohScorer(relatedness.KindMW, p)
+	scorer := newCohScorer(relatedness.KindMW, p, nil)
 	assign := make([]int, len(p.Mentions))
 	for i := range p.Mentions {
 		assign[i] = argmax(local[i])
@@ -201,7 +201,7 @@ func (k *Kulkarni) Disambiguate(p *Problem) *Output {
 				if a[j] < 0 {
 					continue
 				}
-				total += scorer.score(&p.Mentions[i].Candidates[c], &p.Mentions[j].Candidates[a[j]])
+				total += scorer.score(scorer.ids[i][c], scorer.ids[j][a[j]])
 			}
 		}
 		return total
@@ -244,7 +244,7 @@ func (TagMe) Name() string { return "TagMe" }
 
 // Disambiguate implements Method.
 func (t TagMe) Disambiguate(p *Problem) *Output {
-	scorer := newCohScorer(relatedness.KindMW, p)
+	scorer := newCohScorer(relatedness.KindMW, p, nil)
 	out := &Output{Results: make([]Result, len(p.Mentions))}
 	for i := range p.Mentions {
 		m := &p.Mentions[i]
@@ -259,8 +259,7 @@ func (t TagMe) Disambiguate(p *Problem) *Output {
 				}
 				best := 0.0
 				for j2 := range p.Mentions[i2].Candidates {
-					c2 := &p.Mentions[i2].Candidates[j2]
-					v := scorer.score(c, c2) * c2.Prior
+					v := scorer.score(scorer.ids[i][j], scorer.ids[i2][j2]) * p.Mentions[i2].Candidates[j2].Prior
 					if v > best {
 						best = v
 					}
@@ -297,10 +296,10 @@ func (Wikifier) Name() string { return "IW" }
 
 // Disambiguate implements Method.
 func (Wikifier) Disambiguate(p *Problem) *Output {
-	scorer := newCohScorer(relatedness.KindMW, p)
+	scorer := newCohScorer(relatedness.KindMW, p, nil)
 	// Stage 1: local disambiguation by prior + context similarity.
 	sims := simScores(p)
-	tops := make([]*Candidate, 0, len(p.Mentions))
+	tops := make([]int, 0, len(p.Mentions)) // candidate ids
 	for i := range p.Mentions {
 		m := &p.Mentions[i]
 		if len(m.Candidates) == 0 {
@@ -311,7 +310,7 @@ func (Wikifier) Disambiguate(p *Problem) *Output {
 		for j := range m.Candidates {
 			local[j] = 0.5*m.Candidates[j].Prior + 0.5*norm[j]
 		}
-		tops = append(tops, &m.Candidates[argmax(local)])
+		tops = append(tops, scorer.ids[i][argmax(local)])
 	}
 	// Stage 2: re-rank with relatedness to the other mentions' top picks.
 	out := &Output{Results: make([]Result, len(p.Mentions))}
@@ -323,10 +322,7 @@ func (Wikifier) Disambiguate(p *Problem) *Output {
 			c := &m.Candidates[j]
 			var coh float64
 			for _, t := range tops {
-				if t.Label == c.Label {
-					continue
-				}
-				coh += scorer.score(c, t)
+				coh += scorer.score(scorer.ids[i][j], t) // 0 for c itself
 			}
 			if len(tops) > 1 {
 				coh /= float64(len(tops) - 1)

@@ -21,90 +21,122 @@ import (
 // values are memoized across documents; candidates with per-problem
 // features (placeholders, enriched entities) keep the local path.
 //
-// score and scoreAll are safe for concurrent use; Stats.Comparisons counts
-// each distinct allowed pair of the problem exactly once, so counts and
-// scores are identical at any parallelism and any engine-cache temperature.
+// Every distinct candidate (by Label) gets one dense id at construction;
+// ids[i][j] is the id of candidate j of mention i, and everything after
+// construction — the pair cache here, the graph's nodes, the solver —
+// addresses candidates by that id. Ids below graphN are the graph's entity
+// nodes.
+//
+// Only scoreAll runs concurrently, and it gives each pair slot to one
+// goroutine; score is for the single-threaded phases after it.
+// Stats.Comparisons counts each distinct allowed pair of the problem
+// exactly once, so counts and scores are identical at any parallelism and
+// any engine-cache temperature.
 type cohScorer struct {
-	kind  relatedness.Kind
-	cands []*Candidate // distinct candidates, indexed by cid
-	byKey map[string]int
-	n     int // |E| for MW
+	kind   relatedness.Kind
+	cands  []*Candidate // distinct candidates, indexed by id
+	ids    [][]int
+	graphN int
+	n      int // |E| for MW
 
 	// engine is the shared cross-document scorer (nil = per-problem only);
-	// engineID[cid] is the delegable KB id, or kb.NoEntity for candidates
+	// engineID[id] is the delegable KB id, or kb.NoEntity for candidates
 	// that must be scored locally.
 	engine   *relatedness.Scorer
 	engineID []kb.EntityID
 
 	weight relatedness.Weighter
 
-	allowed map[[2]int]bool // LSH-filtered pairs; nil = all allowed
-
+	// pmu guards the lazily built KORE profiles, which scoreAll's workers
+	// share across slots.
 	pmu      sync.Mutex
 	profiles []*relatedness.Profile
 
-	mu sync.Mutex
-	// The pair cache is a dense upper-triangle array over the candidates
-	// interned at construction time (nc of them): one allocation per
-	// problem instead of a per-pair-growing map, which was the single
-	// largest per-document heap cost. pairIdx maps (lo,hi) to a slot.
-	nc   int
-	vals []float64
-	have []bool
+	// The pair cache is a dense upper triangle over the ids: vals holds the
+	// raw (unscaled by γ) coherence of a slot once its slotHave flag is set.
+	// Pairs the LSH filter rejects start out as slotHave with value 0.
+	// slotNeeded marks the pairs scoreAll has to fill; pending counts them.
+	vals    []float64
+	flags   []uint8
+	pending int
 	// comparisons counts exact pairwise relatedness computations: one per
 	// distinct allowed pair requested in this problem (engine cache hits
 	// included, so the count matches the engine-free path).
 	comparisons int
 }
 
-// newCohScorer registers all distinct candidates of the problem.
-func newCohScorer(kind relatedness.Kind, p *Problem) *cohScorer {
+const (
+	slotHave uint8 = 1 << iota
+	slotNeeded
+)
+
+// newCohScorer interns the distinct candidates of the problem. fixed[i],
+// when >= 0, is the only candidate of mention i that enters the graph (nil
+// = every candidate does). Graph candidates are numbered first, in mention
+// then candidate order, so ids below graphN are exactly the graph's nodes
+// and ascending (lo, hi) slot order is the order coherence edges are
+// enumerated in; candidates that appear only as excluded ones follow.
+func newCohScorer(kind relatedness.Kind, p *Problem, fixed []int) *cohScorer {
 	s := &cohScorer{
 		kind:   kind,
-		byKey:  make(map[string]int),
+		ids:    make([][]int, len(p.Mentions)),
 		n:      p.TotalEntities,
 		engine: p.Scorer,
 		weight: func(w string) float64 {
 			return p.wordIDF(w)
 		},
 	}
+	total := 0
 	for i := range p.Mentions {
-		m := &p.Mentions[i]
-		for j := range m.Candidates {
-			s.cid(&m.Candidates[j])
+		total += len(p.Mentions[i].Candidates)
+	}
+	s.cands = make([]*Candidate, 0, total)
+	flat := make([]int, total)
+	for i := range p.Mentions {
+		n := len(p.Mentions[i].Candidates)
+		s.ids[i], flat = flat[:n:n], flat[n:]
+	}
+	byLabel := make(map[string]int, total)
+	intern := func(inGraph bool) {
+		for i := range p.Mentions {
+			m := &p.Mentions[i]
+			for j := range m.Candidates {
+				if (fixed == nil || fixed[i] < 0 || fixed[i] == j) != inGraph {
+					continue
+				}
+				c := &m.Candidates[j]
+				id, ok := byLabel[c.Label]
+				if !ok {
+					id = len(s.cands)
+					byLabel[c.Label] = id
+					s.cands = append(s.cands, c)
+				}
+				s.ids[i][j] = id
+			}
 		}
 	}
-	s.nc = len(s.cands)
-	npairs := s.nc * (s.nc - 1) / 2
-	s.vals = make([]float64, npairs)
-	s.have = make([]bool, npairs)
+	intern(true)
+	s.graphN = len(s.cands)
+	intern(false)
+
+	nc := len(s.cands)
+	s.profiles = make([]*relatedness.Profile, nc)
+	s.engineID = make([]kb.EntityID, nc)
+	for id, c := range s.cands {
+		s.engineID[id] = s.delegableID(c)
+	}
+	s.vals = make([]float64, nc*(nc-1)/2)
+	s.flags = make([]uint8, len(s.vals))
 	if kind.IsLSH() {
 		s.buildFilter()
 	}
 	return s
 }
 
-// pairIdx maps an unordered interned pair (lo < hi, both < nc) to its
-// upper-triangle cache slot.
-func (s *cohScorer) pairIdx(lo, hi int) int {
-	return lo*s.nc - lo*(lo+1)/2 + (hi - lo - 1)
-}
-
-// cid interns a candidate and returns its dense id. All candidates are
-// interned during construction — score is only ever called with candidates
-// of the problem the scorer was built from, so ids stay below nc and the
-// dense pair cache covers every pair; concurrent score calls only take the
-// read-only fast path.
-func (s *cohScorer) cid(c *Candidate) int {
-	if id, ok := s.byKey[c.Label]; ok {
-		return id
-	}
-	id := len(s.cands)
-	s.byKey[c.Label] = id
-	s.cands = append(s.cands, c)
-	s.profiles = append(s.profiles, nil)
-	s.engineID = append(s.engineID, s.delegableID(c))
-	return id
+// slot maps an unordered pair of ids (lo < hi) to its upper-triangle index;
+// slots ascend with (lo, hi).
+func (s *cohScorer) slot(lo, hi int) int {
+	return lo*len(s.cands) - lo*(lo+1)/2 + (hi - lo - 1)
 }
 
 // delegableID returns the KB entity id the shared engine may score this
@@ -166,10 +198,11 @@ func (s *cohScorer) buildFilter() {
 	for i, c := range s.cands {
 		sets[i] = c.Keyphrases
 	}
-	f := newStandaloneFilter(variant)
-	s.allowed = make(map[[2]int]bool)
-	for _, pr := range f.PairsOfSets(sets) {
-		s.allowed[pr] = true
+	for i := range s.flags {
+		s.flags[i] = slotHave
+	}
+	for _, pr := range newStandaloneFilter(variant).PairsOfSets(sets) {
+		s.flags[s.slot(pr[0], pr[1])] = 0
 	}
 }
 
@@ -179,45 +212,29 @@ func newStandaloneFilter(kind relatedness.Kind) *relatedness.LSHFilter {
 	return relatedness.NewLSHFilter(nil, kind)
 }
 
-// score returns the coherence between two candidates, caching pair values
-// and honoring the LSH filter. Safe for concurrent use.
-func (s *cohScorer) score(a, b *Candidate) float64 {
-	ia, ib := s.cid(a), s.cid(b)
-	if ia == ib {
-		return 0 // mutually exclusive candidates of the same entity
-	}
-	lo, hi := ia, ib
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	idx := s.pairIdx(lo, hi)
-	s.mu.Lock()
-	if s.have[idx] {
-		v := s.vals[idx]
-		s.mu.Unlock()
-		return v
-	}
-	s.mu.Unlock()
-	if s.allowed != nil && !s.allowed[[2]int{lo, hi}] {
-		s.mu.Lock()
-		s.vals[idx] = 0
-		s.have[idx] = true
-		s.mu.Unlock()
+// score returns the coherence between the candidates with ids a and b (0 for
+// a == b: one entity does not cohere with itself), computing and caching
+// the pair on first use. Not safe for concurrent use.
+func (s *cohScorer) score(a, b int) float64 {
+	if a == b {
 		return 0
 	}
-	v := s.relatedness(ia, ib, a, b) * a.edgeScale() * b.edgeScale()
-	// First writer wins: the value is a pure function of the pair, so
-	// concurrent computations agree; the counter advances once per pair.
-	s.mu.Lock()
-	if s.have[idx] {
-		v = s.vals[idx]
-	} else {
-		s.vals[idx] = v
-		s.have[idx] = true
+	idx := s.slot(min(a, b), max(a, b))
+	if s.flags[idx]&slotHave == 0 {
+		s.fill(idx, a, b)
 		s.comparisons++
 	}
-	s.mu.Unlock()
-	return v
+	return s.vals[idx]
+}
+
+// fill computes the pair into its slot, with the measure's arguments in the
+// order given (the measures are symmetric, but not all to the last bit). It
+// touches nothing else the scorer owns except the locked profile table, so
+// distinct slots may be filled concurrently.
+func (s *cohScorer) fill(idx, ia, ib int) {
+	a, b := s.cands[ia], s.cands[ib]
+	s.vals[idx] = s.relatedness(ia, ib, a, b) * a.edgeScale() * b.edgeScale()
+	s.flags[idx] |= slotHave
 }
 
 // relatedness computes the raw measure value for an interned pair,
@@ -239,22 +256,59 @@ func (s *cohScorer) relatedness(ia, ib int, a, b *Candidate) float64 {
 	}
 }
 
+// need marks the pair of graph nodes a != b for scoreAll.
+func (s *cohScorer) need(a, b int) {
+	if a > b {
+		a, b = b, a
+	}
+	if idx := s.slot(a, b); s.flags[idx] == 0 {
+		s.flags[idx] = slotNeeded
+		s.pending++
+	}
+}
+
+// eachEdge calls fn with every pair marked by need whose coherence w is
+// positive, in ascending (lo, hi) order — the fixed order float accumulation
+// over the graph's edges relies on.
+func (s *cohScorer) eachEdge(fn func(lo, hi int, w float64)) {
+	for lo := 0; lo < s.graphN; lo++ {
+		idx := s.slot(lo, lo+1)
+		for hi := lo + 1; hi < s.graphN; hi, idx = hi+1, idx+1 {
+			if s.flags[idx]&slotNeeded != 0 && s.vals[idx] > 0 {
+				fn(lo, hi, s.vals[idx])
+			}
+		}
+	}
+}
+
 // minParallelPairs is the smallest pair batch worth fanning out; below it
 // the goroutine overhead exceeds the scoring work.
 const minParallelPairs = 32
 
-// scoreAll warms the pair cache for the given candidate pairs with up to
-// workers goroutines. Because score memoizes pure per-pair values and the
-// comparison counter advances once per distinct pair, the resulting cache
-// and stats are identical to evaluating the pairs sequentially. When ctx
-// is canceled the workers stop handing out pairs promptly and ctx.Err()
-// is returned; the partially warmed cache is still consistent.
-func (s *cohScorer) scoreAll(ctx context.Context, pairs [][2]*Candidate, workers int) error {
-	if len(pairs) < minParallelPairs {
+// scoreAll fills the slots marked by need with up to workers goroutines,
+// one triangle row per hand-out, so every slot has a single writer. Values
+// are pure per-pair functions and the comparison counter advances by the
+// number of marked pairs, so cache and stats are identical to evaluating
+// the pairs sequentially. When ctx is canceled the workers stop taking rows
+// promptly and ctx.Err() is returned; the caller must then discard the
+// scorer.
+func (s *cohScorer) scoreAll(ctx context.Context, workers int) error {
+	if s.pending < minParallelPairs {
 		workers = 1
 	}
-	return pool.ForEachCtx(ctx, len(pairs), workers, func(i int) error {
-		s.score(pairs[i][0], pairs[i][1])
+	err := pool.ForEachCtx(ctx, s.graphN, workers, func(lo int) error {
+		idx := s.slot(lo, lo+1)
+		for hi := lo + 1; hi < s.graphN; hi, idx = hi+1, idx+1 {
+			if s.flags[idx] == slotNeeded {
+				s.fill(idx, lo, hi)
+			}
+		}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	s.comparisons += s.pending
+	s.pending = 0
+	return nil
 }

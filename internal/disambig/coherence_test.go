@@ -1,11 +1,13 @@
 package disambig
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"aida/internal/kb"
 	"aida/internal/relatedness"
+	"aida/internal/wiki"
 )
 
 // outputsEqual compares two disambiguation outputs bit-for-bit, including
@@ -47,23 +49,31 @@ func TestCoherenceEngineMatchesLocal(t *testing.T) {
 }
 
 // TestCoherenceWorkersDeterministic pins the parallel coherence-edge pool
-// to the sequential path at several worker counts.
+// to the sequential path at several worker counts, for a measure that
+// scores every pair and one whose LSH filter pre-empties some slots. The
+// document comes from a generated world because the running example has
+// fewer pairs than minParallelPairs and would never fan out.
 func TestCoherenceWorkersDeterministic(t *testing.T) {
-	k := buildTestKB()
-	engine := relatedness.NewScorer(k)
-	base := Config{UsePrior: true, PriorTest: true, UseCoherence: true, Measure: relatedness.KindKORE, Workers: 1}
-	seq := NewAIDAVariant("seq", base).Disambiguate(NewProblem(k, exampleText, exampleMentions, 0))
-	for _, workers := range []int{2, 4, 8, 0} {
-		cfg := base
-		cfg.Workers = workers
-		for _, withEngine := range []bool{false, true} {
-			p := NewProblem(k, exampleText, exampleMentions, 0)
-			if withEngine {
-				p.Scorer = engine
-			}
-			got := NewAIDAVariant("par", cfg).Disambiguate(p)
-			if !outputsEqual(seq, got) {
-				t.Errorf("workers=%d engine=%v: output diverges from sequential", workers, withEngine)
+	world := wiki.Generate(wiki.Config{Seed: 17, Entities: 300})
+	doc := world.GenerateCorpus(wiki.CoNLLSpec(1, 23))[0]
+	engine := relatedness.NewScorer(world.KB)
+	problem := func(workers int, engine *relatedness.Scorer) *Problem {
+		p := NewProblem(world.KB, doc.Text, doc.Surfaces(), 10)
+		p.CoherenceWorkers = workers
+		p.Scorer = engine
+		return p
+	}
+	for _, kind := range []relatedness.Kind{relatedness.KindKORE, relatedness.KindKORELSHG} {
+		m := NewAIDAVariant("t", Config{UsePrior: true, PriorTest: true, UseCoherence: true, Measure: kind})
+		seq := m.Disambiguate(problem(1, nil))
+		if seq.Stats.Comparisons < minParallelPairs {
+			t.Fatalf("%v: %d comparisons, too few to fan out", kind, seq.Stats.Comparisons)
+		}
+		for _, workers := range []int{1, 2, 4, 8, 0} {
+			for _, e := range []*relatedness.Scorer{nil, engine} {
+				if got := m.Disambiguate(problem(workers, e)); !outputsEqual(seq, got) {
+					t.Errorf("%v workers=%d engine=%v: output diverges from sequential", kind, workers, e != nil)
+				}
 			}
 		}
 	}
@@ -81,18 +91,19 @@ func TestCohScorerSkipsModifiedCandidates(t *testing.T) {
 	// fresh keyphrase slice (same content, different backing array).
 	c := &p.Mentions[0].Candidates[0]
 	c.Keyphrases = append([]kb.Keyphrase(nil), c.Keyphrases...)
-	s := newCohScorer(relatedness.KindKORE, p)
-	if id := s.engineID[s.cid(c)]; id != kb.NoEntity {
+	last := len(p.Mentions[0].Candidates)
+	p.Mentions[0].Candidates = append(p.Mentions[0].Candidates, Candidate{Entity: kb.NoEntity, Label: "X_EE"})
+	s := newCohScorer(relatedness.KindKORE, p, nil)
+	if id := s.engineID[s.ids[0][0]]; id != kb.NoEntity {
 		t.Fatalf("modified candidate should not be delegable, got engine id %d", id)
 	}
 	// An untouched candidate of the same problem stays delegable.
 	other := &p.Mentions[1].Candidates[0]
-	if id := s.engineID[s.cid(other)]; id != other.Entity {
+	if id := s.engineID[s.ids[1][0]]; id != other.Entity {
 		t.Fatalf("untouched candidate should delegate as %d, got %d", other.Entity, id)
 	}
 	// Placeholders (out-of-KB) are never delegated.
-	ee := &Candidate{Entity: kb.NoEntity, Label: "X_EE"}
-	if id := s.engineID[s.cid(ee)]; id != kb.NoEntity {
+	if id := s.engineID[s.ids[0][last]]; id != kb.NoEntity {
 		t.Fatal("placeholder must not be delegable")
 	}
 }
@@ -115,5 +126,63 @@ func TestComparisonsStableAcrossEngineTemperature(t *testing.T) {
 	}
 	if counts[1] != counts[0] || counts[2] != counts[0] {
 		t.Fatalf("comparisons drift across engine temperature: %v", counts)
+	}
+}
+
+// TestCandidateNumberingPinned covers the one case where numbering graph
+// nodes first differs from interning in plain scan order. Mention 0 lists
+// [B, A, F] and the coherence robustness test fixes it to A, so B and F are
+// excluded there; mention 1 lists [C, B] and stays open, so B is a graph
+// node after all: ids are A=0 C=1 B=2 D=3 E=4 and, outside the graph, F=5.
+// The constants were recorded at the commit before the single id space
+// existed; the order coherence edges are enumerated in feeds float sums, so
+// any other numbering may move the low bits.
+func TestCandidateNumberingPinned(t *testing.T) {
+	kp := func(words ...string) kb.Keyphrase { return kb.Keyphrase{Words: words, MI: 1, IDF: 1} }
+	a := Candidate{Entity: 1, Label: "A", Prior: 0.85, Keyphrases: []kb.Keyphrase{kp("alpha", "river"), kp("delta")}, InLinks: []kb.EntityID{10, 11, 12, 13}}
+	b := Candidate{Entity: 2, Label: "B", Prior: 0.1, Keyphrases: []kb.Keyphrase{kp("alpha", "bridge")}, InLinks: []kb.EntityID{11, 12, 14}}
+	b2 := b
+	b2.Prior = 0.05
+	c := Candidate{Entity: 3, Label: "C", Prior: 0.95, Keyphrases: []kb.Keyphrase{kp("gamma")}, InLinks: []kb.EntityID{10, 14, 15}}
+	d := Candidate{Entity: 4, Label: "D", Prior: 0.5, Keyphrases: []kb.Keyphrase{kp("bridge")}, InLinks: []kb.EntityID{11, 12, 13, 14}}
+	e := Candidate{Entity: 5, Label: "E", Prior: 0.5, Keyphrases: []kb.Keyphrase{kp("gamma", "ray")}, InLinks: []kb.EntityID{10, 15}}
+	f := Candidate{Entity: 6, Label: "F", Prior: 0.05, Keyphrases: []kb.Keyphrase{kp("old", "bridge")}, InLinks: []kb.EntityID{12, 13, 14, 16}}
+	p := &Problem{
+		ContextWords:  []string{"alpha", "river", "delta", "bridge", "old"},
+		TotalEntities: 100,
+		Mentions: []Mention{
+			{Surface: "m0", Candidates: []Candidate{b, a, f}},
+			{Surface: "m1", Candidates: []Candidate{c, b2}},
+			{Surface: "m2", Candidates: []Candidate{d, e}},
+		},
+	}
+
+	s := newCohScorer(relatedness.KindMW, p, []int{1, -1, -1})
+	if want := [][]int{{2, 0, 5}, {1, 2}, {3, 4}}; !reflect.DeepEqual(s.ids, want) || s.graphN != 5 {
+		t.Fatalf("ids = %v, graphN = %d; want %v, 5", s.ids, s.graphN, want)
+	}
+
+	out := NewAIDA().Disambiguate(p)
+	if out.Stats.GraphEntities != 5 || out.Stats.Comparisons != 8 {
+		t.Errorf("stats = %+v, want 5 graph entities and 8 comparisons", out.Stats)
+	}
+	wantChosen := []int{1, 1, 0}
+	wantScores := [][]uint64{
+		{0x3fdcfc4725cab6d9, 0x3ff072d91d48b3fe, 0x3feb695a75151038},
+		{0x3fe9cd94b17ebd7e, 0x3feee5557d170cca},
+		{0x3ff54d8de5caa714, 0x3fd087375b07095b},
+	}
+	for i, r := range out.Results {
+		if r.CandidateIndex != wantChosen[i] {
+			t.Errorf("mention %d: candidate %d, want %d", i, r.CandidateIndex, wantChosen[i])
+		}
+		for j, v := range r.Scores {
+			if got := math.Float64bits(v); got != wantScores[i][j] {
+				t.Errorf("mention %d candidate %d: score bits %#x (%v), want %#x", i, j, got, v, wantScores[i][j])
+			}
+		}
+		if r.Score != r.Scores[r.CandidateIndex] {
+			t.Errorf("mention %d: score %v is not the chosen candidate's %v", i, r.Score, r.Scores[r.CandidateIndex])
+		}
 	}
 }

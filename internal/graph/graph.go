@@ -30,23 +30,47 @@ type Graph struct {
 	entities int
 	// mentionEdges[m] lists the candidate edges of mention m.
 	mentionEdges [][]Edge
-	// entityAdj[e] maps neighbor entity → coherence weight.
-	entityAdj []map[int]float64
+	// coh is the symmetric coherence matrix as a flat upper triangle:
+	// slot(a, b) holds the weight between a and b, 0 when there is no edge.
+	coh []float64
 }
 
 // New creates a graph with the given node counts.
 func New(mentions, entities int) *Graph {
-	g := &Graph{
+	return &Graph{
 		mentions:     mentions,
 		entities:     entities,
 		mentionEdges: make([][]Edge, mentions),
-		entityAdj:    make([]map[int]float64, entities),
+		coh:          make([]float64, entities*(entities-1)/2),
 	}
-	return g
 }
 
-// Mentions returns the number of mention nodes.
-func (g *Graph) Mentions() int { return g.mentions }
+// slot maps the unordered pair a != b to its index in coh; slots ascend
+// with (lo, hi).
+func (g *Graph) slot(a, b int) int {
+	if a > b {
+		a, b = b, a
+	}
+	return a*g.entities - a*(a+1)/2 + b - a - 1
+}
+
+// eachNeighbor calls fn for every entity nb that shares a coherence edge of
+// weight w with e, in ascending order of nb — the fixed order the solver's
+// float sums over an entity's edges rely on.
+func (g *Graph) eachNeighbor(e int, fn func(nb int, w float64)) {
+	idx := e - 1 // slot(0, e); the slots (nb, e) are a column, not contiguous
+	for nb := 0; nb < e; nb++ {
+		if w := g.coh[idx]; w != 0 {
+			fn(nb, w)
+		}
+		idx += g.entities - nb - 2
+	}
+	for nb, w := range g.coh[idx+1 : idx+g.entities-e] { // the row (e, e+1…)
+		if w != 0 {
+			fn(e+1+nb, w)
+		}
+	}
+}
 
 // Entities returns the number of entity nodes.
 func (g *Graph) Entities() int { return g.entities }
@@ -56,29 +80,13 @@ func (g *Graph) AddMentionEdge(m, e int, w float64) {
 	g.mentionEdges[m] = append(g.mentionEdges[m], Edge{Entity: e, Weight: w})
 }
 
-// ReserveMentionEdges pre-sizes mention m's edge list for n AddMentionEdge
-// calls, so a caller that knows its edge counts builds the graph with one
-// allocation per mention instead of append doublings.
-func (g *Graph) ReserveMentionEdges(m, n int) {
-	if cap(g.mentionEdges[m]) < n {
-		g.mentionEdges[m] = make([]Edge, len(g.mentionEdges[m]), n)
-	}
-}
-
 // AddEntityEdge adds (or overwrites) the coherence edge between entities a
 // and b. Zero-weight edges are dropped.
 func (g *Graph) AddEntityEdge(a, b int, w float64) {
 	if a == b || w == 0 {
 		return
 	}
-	if g.entityAdj[a] == nil {
-		g.entityAdj[a] = make(map[int]float64)
-	}
-	if g.entityAdj[b] == nil {
-		g.entityAdj[b] = make(map[int]float64)
-	}
-	g.entityAdj[a][b] = w
-	g.entityAdj[b][a] = w
+	g.coh[g.slot(a, b)] = w
 }
 
 // MentionEdge returns the weight of the m→e edge (0 if absent).
@@ -93,10 +101,10 @@ func (g *Graph) MentionEdge(m, e int) float64 {
 
 // EntityEdge returns the coherence weight between a and b (0 if absent).
 func (g *Graph) EntityEdge(a, b int) float64 {
-	if g.entityAdj[a] == nil {
+	if a == b {
 		return 0
 	}
-	return g.entityAdj[a][b]
+	return g.coh[g.slot(a, b)]
 }
 
 // Options tunes the solver. The zero value uses the dissertation defaults.
@@ -145,8 +153,6 @@ type Result struct {
 	Objective float64
 	// TotalWeight is the edge weight of the final assignment.
 	TotalWeight float64
-	// Kept[e] reports whether entity e survived into the best subgraph.
-	Kept []bool
 }
 
 // Solve runs Algorithm 1 on the graph.
@@ -157,11 +163,7 @@ func Solve(g *Graph, opts Options) Result {
 	s.restoreTo(removalOrder, bestStep)
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
 	assignment, total := s.finalAssignment(opts.maxEnumerate(), opts.localSearchIters(), rng)
-	kept := make([]bool, g.entities)
-	for e := 0; e < g.entities; e++ {
-		kept[e] = s.present[e]
-	}
-	return Result{Assignment: assignment, Objective: s.bestObjective, TotalWeight: total, Kept: kept}
+	return Result{Assignment: assignment, Objective: s.bestObjective, TotalWeight: total}
 }
 
 // solverState tracks the mutable subgraph during peeling.
@@ -208,11 +210,11 @@ func newSolverState(g *Graph) *solverState {
 		if !s.present[e] {
 			continue
 		}
-		for nb, w := range g.entityAdj[e] {
+		g.eachNeighbor(e, func(nb int, w float64) {
 			if s.present[nb] {
 				s.degree[e] += w
 			}
-		}
+		})
 	}
 	return s
 }
@@ -266,7 +268,7 @@ func (s *solverState) prune(factor int) {
 		return order[i].e < order[j].e
 	})
 	// Protect the best candidate edge of each mention.
-	protected := make(map[int]bool, s.g.mentions)
+	protected := make([]bool, s.g.entities)
 	for m := 0; m < s.g.mentions; m++ {
 		best, bestW := -1, math.Inf(-1)
 		for _, e := range s.g.mentionEdges[m] {
@@ -327,11 +329,11 @@ func (s *solverState) removeEntity(e int) {
 	for _, me := range s.mentionsOf[e] {
 		s.candCount[me.Entity]--
 	}
-	for nb, w := range s.g.entityAdj[e] {
+	s.g.eachNeighbor(e, func(nb int, w float64) {
 		if s.present[nb] {
 			s.degree[nb] -= w
 		}
-	}
+	})
 }
 
 // taboo reports whether e is the last remaining candidate of any mention.
@@ -407,12 +409,12 @@ func (s *solverState) restoreTo(removal []int, bestStep int) {
 		for _, me := range s.mentionsOf[e] {
 			d += me.Weight
 		}
-		for nb, w := range s.g.entityAdj[e] {
-			if s.present[nb] && nb != e {
+		s.g.eachNeighbor(e, func(nb int, w float64) {
+			if s.present[nb] {
 				d += w
 				s.degree[nb] += w
 			}
-		}
+		})
 		s.degree[e] = d
 	}
 }

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -185,6 +187,106 @@ func TestEntityEdgeSymmetric(t *testing.T) {
 	g.AddEntityEdge(1, 1, 0.9)
 	if g.EntityEdge(1, 1) != 0 {
 		t.Fatal("self edges must be ignored")
+	}
+}
+
+// TestEntityEdgeStorage pins the edge-store contract on the flat triangle:
+// a second AddEntityEdge overwrites, a zero weight is dropped without
+// clearing an existing edge, and graphs too small to hold a pair accept
+// (and ignore) self edges and solve.
+func TestEntityEdgeStorage(t *testing.T) {
+	g := New(1, 4)
+	g.AddEntityEdge(3, 1, 0.25)
+	g.AddEntityEdge(1, 3, 0.5)
+	if g.EntityEdge(1, 3) != 0.5 || g.EntityEdge(3, 1) != 0.5 {
+		t.Fatalf("overwrite: got %v / %v, want 0.5", g.EntityEdge(1, 3), g.EntityEdge(3, 1))
+	}
+	g.AddEntityEdge(1, 3, 0)
+	if g.EntityEdge(1, 3) != 0.5 {
+		t.Fatalf("zero weight must be dropped, edge now %v", g.EntityEdge(1, 3))
+	}
+	g.AddEntityEdge(0, 1, 0.125)
+	g.AddEntityEdge(2, 3, 0.75)
+	for a := 0; a < 4; a++ {
+		for b := 0; b < 4; b++ {
+			want := 0.0
+			switch [2]int{min(a, b), max(a, b)} {
+			case [2]int{0, 1}:
+				want = 0.125
+			case [2]int{1, 3}:
+				want = 0.5
+			case [2]int{2, 3}:
+				want = 0.75
+			}
+			if got := g.EntityEdge(a, b); got != want {
+				t.Errorf("EntityEdge(%d,%d) = %v, want %v", a, b, got, want)
+			}
+		}
+	}
+	// The solver's neighbour walk must agree with EntityEdge, in ascending
+	// order, for every entity including the first and the last.
+	for e := 0; e < 4; e++ {
+		var got, want []Edge
+		g.eachNeighbor(e, func(nb int, w float64) { got = append(got, Edge{nb, w}) })
+		for nb := 0; nb < 4; nb++ {
+			if w := g.EntityEdge(e, nb); w != 0 {
+				want = append(want, Edge{nb, w})
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("eachNeighbor(%d) = %v, want %v", e, got, want)
+		}
+	}
+	for _, entities := range []int{0, 1} {
+		g := New(2, entities)
+		if entities == 1 {
+			g.AddMentionEdge(0, 0, 0.5)
+			g.AddEntityEdge(0, 0, 0.9)
+			if g.EntityEdge(0, 0) != 0 {
+				t.Fatal("self edge stored on a one-entity graph")
+			}
+		}
+		res := Solve(g, Options{})
+		want := []int{entities - 1, -1}
+		if !slices.Equal(res.Assignment, want) {
+			t.Errorf("New(2,%d): assignment %v, want %v", entities, res.Assignment, want)
+		}
+	}
+}
+
+// TestSolveBitIdenticalAcrossRuns rebuilds one random graph many times:
+// weighted degrees are float sums over an entity's neighbours, so the
+// result is reproducible to the last bit only if the solver visits them in
+// a fixed order.
+func TestSolveBitIdenticalAcrossRuns(t *testing.T) {
+	build := func() *Graph {
+		rng := rand.New(rand.NewSource(11))
+		m, c := 10, 4
+		g := New(m, m*c)
+		for i := 0; i < m; i++ {
+			for j := 0; j < c; j++ {
+				g.AddMentionEdge(i, i*c+j, rng.Float64())
+			}
+		}
+		for a := 0; a < m*c; a++ {
+			for b := a + 1; b < m*c; b++ {
+				if rng.Float64() < 0.6 {
+					g.AddEntityEdge(a, b, rng.Float64())
+				}
+			}
+		}
+		return g
+	}
+	first := Solve(build(), Options{Seed: 5})
+	for run := 1; run < 200; run++ {
+		res := Solve(build(), Options{Seed: 5})
+		if math.Float64bits(res.Objective) != math.Float64bits(first.Objective) ||
+			math.Float64bits(res.TotalWeight) != math.Float64bits(first.TotalWeight) ||
+			!slices.Equal(res.Assignment, first.Assignment) {
+			t.Fatalf("run %d: objective %v total %v assignment %v; first run: %v %v %v",
+				run, res.Objective, res.TotalWeight, res.Assignment,
+				first.Objective, first.TotalWeight, first.Assignment)
+		}
 	}
 }
 

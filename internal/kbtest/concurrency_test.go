@@ -120,26 +120,34 @@ func TestWarmParallelNotSlowerThanSequential(t *testing.T) {
 		}
 	}
 	warm(workers) // fill the engine caches before timing anything
-	// Best-of-3 on each side absorbs scheduler noise; the bar is "not
+	pass := func(par int) time.Duration {
+		start := time.Now()
+		warm(par)
+		return time.Since(start)
+	}
+	// One corpus pass is a few milliseconds — too short a window to compare
+	// while other packages' tests share the cores — so a round alternates
+	// sequential and parallel passes, which spreads any outside load over
+	// both sides, until each side has run for 100 ms. The bar is "not
 	// slower" with a small tolerance, not a speedup target — the ≥2×
-	// scaling claim lives in BenchmarkAnnotateBatch where it belongs.
-	best := func(par int) time.Duration {
-		bestD := time.Duration(1<<63 - 1)
-		for range 3 {
-			start := time.Now()
-			warm(par)
-			if d := time.Since(start); d < bestD {
-				bestD = d
-			}
-		}
-		return bestD
-	}
-	seq := best(1)
-	par := best(workers)
+	// scaling claim lives in BenchmarkAnnotateBatch where it belongs — and
+	// only parallel losing all three rounds counts as a regression.
 	const tolerance = 1.15
-	if float64(par) > float64(seq)*tolerance {
-		t.Errorf("warm parallel regressed: workers=%d took %v, workers=1 took %v (>%.0f%% slower)",
-			workers, par, seq, (tolerance-1)*100)
+	lost := 0
+	var seq, par time.Duration
+	for range 3 {
+		seq, par = 0, 0
+		for seq < 100*time.Millisecond || par < 100*time.Millisecond {
+			seq += pass(1)
+			par += pass(workers)
+		}
+		if float64(par) > float64(seq)*tolerance {
+			lost++
+			t.Logf("round lost: workers=%d took %v, workers=1 took %v", workers, par, seq)
+		}
 	}
-	t.Logf("warm corpus: workers=1 %v, workers=%d %v", seq, workers, par)
+	if lost == 3 {
+		t.Errorf("warm parallel regressed: workers=%d lost all 3 rounds by more than %.0f%%", workers, (tolerance-1)*100)
+	}
+	t.Logf("last round, same number of corpus passes: workers=1 %v, workers=%d %v", seq, workers, par)
 }

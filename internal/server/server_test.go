@@ -76,7 +76,11 @@ func readAll(t testing.TB, resp *http.Response) []byte {
 // as the server encodes them.
 func expectedWire(t testing.TB, sys *aida.System, doc string) []byte {
 	t.Helper()
-	b, err := json.Marshal(wireAnnotations(sys.Annotate(doc)))
+	d, err := sys.AnnotateDoc(context.Background(), doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(wireAnnotations(d.Annotations))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,69 +12,6 @@ import (
 	"time"
 )
 
-// TestDeprecatedWrappersByteIdentical pins the compatibility contract of
-// the API redesign: Annotate, AnnotateBounded, AnnotateBatch and
-// AnnotateAll must produce exactly the annotations of the context-aware
-// AnnotateDoc/AnnotateCorpus/AnnotateStream they now wrap, at any
-// parallelism.
-func TestDeprecatedWrappersByteIdentical(t *testing.T) {
-	k, docs := batchWorld(t, 8)
-	ctx := context.Background()
-
-	for _, parallelism := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		sys := New(k, WithMaxCandidates(10))
-
-		corpus, err := sys.AnnotateCorpus(ctx, docs, WithParallelism(parallelism))
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := sys.AnnotateBatch(docs, parallelism)
-		for i := range docs {
-			if corpus[i].Index != i {
-				t.Fatalf("parallelism=%d: corpus doc %d has index %d", parallelism, i, corpus[i].Index)
-			}
-			if !reflect.DeepEqual(corpus[i].Annotations, batch[i]) {
-				t.Fatalf("parallelism=%d doc %d: AnnotateCorpus diverges from AnnotateBatch", parallelism, i)
-			}
-		}
-
-		single := sys.Annotate(docs[0])
-		doc, err := sys.AnnotateDoc(ctx, docs[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(single, doc.Annotations) {
-			t.Fatalf("AnnotateDoc diverges from Annotate")
-		}
-		bounded := sys.AnnotateBounded(docs[0], parallelism)
-		bdoc, err := sys.AnnotateDoc(ctx, docs[0], WithParallelism(parallelism))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(bounded, bdoc.Annotations) {
-			t.Fatalf("parallelism=%d: AnnotateDoc diverges from AnnotateBounded", parallelism)
-		}
-
-		var streamed [][]Annotation
-		for d, err := range sys.AnnotateStream(ctx, slices.Values(docs), WithParallelism(parallelism)) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d.Index != len(streamed) {
-				t.Fatalf("parallelism=%d: stream yielded index %d at position %d", parallelism, d.Index, len(streamed))
-			}
-			streamed = append(streamed, d.Annotations)
-		}
-		var all [][]Annotation
-		for _, anns := range sys.AnnotateAll(slices.Values(docs), parallelism) {
-			all = append(all, anns)
-		}
-		if !reflect.DeepEqual(streamed, all) {
-			t.Fatalf("parallelism=%d: AnnotateStream diverges from AnnotateAll", parallelism)
-		}
-	}
-}
-
 // TestAnnotateCanceledBeforeStart checks that an already-canceled context
 // annotates nothing: every entry point returns ctx.Err() and the engine
 // shows no scoring work.
@@ -205,7 +142,7 @@ func TestAnnotateOptionsPerRequest(t *testing.T) {
 
 	// Per-request method matches a System constructed with that method.
 	prior, _ := MethodByName("prior")
-	want := New(k, WithMethod(prior), WithMaxCandidates(10)).Annotate(docs[0])
+	want := annotateDoc(t, New(k, WithMethod(prior), WithMaxCandidates(10)), docs[0])
 	got, err := sys.AnnotateDoc(ctx, docs[0], UseMethodNamed("prior"))
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +169,7 @@ func TestAnnotateOptionsPerRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := New(k, WithMaxCandidates(1)).Annotate(docs[0]); !reflect.DeepEqual(capped.Annotations, want) {
+	if want := annotateDoc(t, New(k, WithMaxCandidates(1)), docs[0]); !reflect.DeepEqual(capped.Annotations, want) {
 		t.Fatal("CapCandidates(1) diverges from a MaxCandidates(1) System")
 	}
 

@@ -7,9 +7,9 @@
 // recorded per PR:
 //
 //	go test -run '^$' -bench 'BenchmarkAnnotate|BenchmarkWarmStart' \
-//	    -benchmem -benchtime 1x -count=5 . > bench.txt
+//	    -benchmem -benchtime 1s -count=5 . > bench.txt
 //	go test -run '^$' -bench BenchmarkServerAnnotate \
-//	    -benchmem -benchtime 1x -count=5 ./internal/server >> bench.txt
+//	    -benchmem -benchtime 1s -count=5 ./internal/server >> bench.txt
 //	go run ./scripts -prev BENCH_5.json < bench.txt > BENCH_6.json
 //
 // With -prev the fresh reduction is compared against a previously

@@ -28,12 +28,13 @@ type (
 	// graph and keyphrase features.
 	KB = kb.KB
 	// Store is the read interface every knowledge-base implementation
-	// satisfies: the single-process *KB and the sharded router. Systems
-	// are built over a Store, so the whole pipeline runs unchanged — and
-	// byte-identically — against either.
+	// satisfies: the single-process *KB, the copy-on-write Overlay and
+	// the RemoteStore fleet client. Systems are built over a Store, so
+	// the whole pipeline runs unchanged — and byte-identically — against
+	// any of them.
 	Store = kb.Store
-	// ShardedKB is a knowledge base split into N shards behind a
-	// deterministic routing layer; build one with ShardKB.
+	// ShardedKB is a KB viewed under an N-shard placement: every read is
+	// the KB's own, only NumShards differs; build one with ShardKB.
 	ShardedKB = kb.ShardedKB
 	// RemoteStore is a Store served by a fleet of remote shard hosts,
 	// dialed with DialFleet. Annotation over it is byte-identical to a
@@ -79,10 +80,6 @@ type (
 	// DomainRow is one surface→entity count assertion of a
 	// DomainDictionary.
 	DomainRow = kb.DomainRow
-	// DomainLayer is a Store with one domain dictionary composed over it
-	// copy-on-write; build one with NewDomainLayer, or let RegisterDomain
-	// do it.
-	DomainLayer = kb.DomainLayer
 	// KBBuilder assembles a KB.
 	KBBuilder = kb.Builder
 	// EntityID identifies a KB entity; NoEntity marks out-of-KB.
@@ -181,10 +178,10 @@ func RebuildKB(k *KB, d *Delta) (*KB, error) { return kb.Rebuild(k, d) }
 // LoadKB reads a KB snapshot written with (*KB).Save.
 func LoadKB(r io.Reader) (*KB, error) { return kb.Load(r) }
 
-// ShardKB splits a built KB into n shards behind a routing layer
-// (entities by id mod n, dictionary rows by normalized-surface hash).
-// Annotation over the returned store is byte-identical to annotation over
-// k at any shard count; n must be ≥ 1.
+// ShardKB returns k viewed under an n-shard placement (entities by id mod
+// n, dictionary rows by normalized-surface hash — the layout a fleet of
+// shard hosts serves). Every read of the returned store is k's own, so
+// annotation over it is byte-identical at any shard count; n must be ≥ 1.
 func ShardKB(k *KB, n int) *ShardedKB { return kb.Shard(k, n) }
 
 // LoadShardMap reads and validates a shard-fleet topology file (the
@@ -194,9 +191,9 @@ func LoadShardMap(path string) (ShardMap, error) { return kb.LoadShardMap(path) 
 
 // NewDomainLayer composes a domain dictionary over a base store as a
 // copy-on-write layer (see kb.NewDomainLayer). Most callers want
-// (*System).RegisterDomain, which also clones the scoring engine and
-// makes the layer selectable with WithDomain.
-func NewDomainLayer(base Store, dict DomainDictionary) (*DomainLayer, error) {
+// (*System).RegisterDomain, which also makes the layer selectable with
+// WithDomain and keeps it on the serving generation across ApplyDelta.
+func NewDomainLayer(base Store, dict DomainDictionary) (*Overlay, error) {
 	return kb.NewDomainLayer(base, dict)
 }
 
@@ -298,15 +295,16 @@ type Annotation struct {
 }
 
 // System bundles the full pipeline: recognition, candidate generation and
-// disambiguation against one knowledge base store (a single KB, a sharded
-// router or a remote fleet — the annotations are byte-identical either
-// way).
+// disambiguation against one knowledge base store (a single KB, a
+// placement view of it or a remote fleet — the annotations are
+// byte-identical either way).
 //
 // A System serves one KB *generation* at a time. ApplyDelta installs a new
-// generation (a copy-on-write overlay plus a warm-cloned scoring engine)
-// with one atomic swap; every annotation request reads the generation
-// pointer exactly once, so a document is always scored against one
-// consistent (store, engine) pair even while an apply races it.
+// generation (a copy-on-write overlay, a warm-cloned scoring engine and
+// the registered domain layers rebuilt over the overlay) with one atomic
+// swap; every annotation request reads the generation pointer exactly
+// once, so a document is always scored against one consistent (store,
+// engine) pair even while an apply races it.
 type System struct {
 	// KB is the store the System was constructed over — generation 0.
 	// After ApplyDelta it is NOT the serving store; use Store() for the
@@ -321,24 +319,37 @@ type System struct {
 
 	recognizer ner.Recognizer
 
-	// live is the serving generation; swapped atomically by ApplyDelta,
-	// loaded once per request. applyMu serializes appliers.
+	// live is the serving generation; swapped atomically by ApplyDelta
+	// and RegisterDomain, loaded once per request. applyMu serializes the
+	// writers.
 	live    atomic.Pointer[liveKB]
 	applyMu sync.Mutex
-
-	// domains holds the registered per-domain dictionary layers, each a
-	// full (store, engine) pair selectable with WithDomain. Registration
-	// is rare; requests take the read lock once during option resolution.
-	domainsMu sync.RWMutex
-	domains   map[string]*liveKB
 }
 
 // liveKB is one immutable serving generation: the store, the engine bound
-// to it, and the update counters as of its installation.
+// to it, the update counters as of its installation, and the registered
+// domain layers composed over that store.
 type liveKB struct {
 	store  kb.Store
 	engine *relatedness.Scorer
 	stats  KBLiveStats
+	// domains are the per-domain dictionary layers over this generation's
+	// store, by name, each selectable with WithDomain. A layer is rows-only
+	// — it adds and touches no entity — so it shares the generation's
+	// engine. Empty until RegisterDomain; nil on a layer itself.
+	domains map[string]*liveKB
+	// dict is the dictionary a layer was built from (zero on a base
+	// generation); the next generation rebuilds the layer from it.
+	dict DomainDictionary
+}
+
+// withDomain returns the layer of dict over this generation.
+func (lv *liveKB) withDomain(dict DomainDictionary) (*liveKB, error) {
+	layer, err := kb.NewDomainLayer(lv.store, dict)
+	if err != nil {
+		return nil, err
+	}
+	return &liveKB{store: layer, engine: lv.engine, stats: lv.stats, dict: dict}, nil
 }
 
 // KBLiveStats are a System's live-update counters: the current KB
@@ -401,10 +412,11 @@ type DeltaReceipt struct {
 // into a copy-on-write Overlay, the scoring engine is warm-cloned with
 // every value the update invalidates dropped (profiles and memoized pairs
 // of link-touched entities; all MW values when the entity count changed —
-// see relatedness.CloneFor), and the new (store, engine) generation is
-// swapped in atomically. In-flight documents finish on the generation they
-// started with; the next request sees the new one — a graduated entity is
-// linkable by name immediately.
+// see relatedness.CloneFor), every registered domain layer is rebuilt over
+// the overlay, and the new generation — base and layers — is swapped in
+// atomically. In-flight documents finish on the generation they started
+// with; the next request sees the new one — a graduated entity is linkable
+// by name immediately, inside a domain or not.
 //
 // The overlay's fingerprint differs from the old generation's whenever the
 // delta changes logical content, so derived state bound to the old
@@ -412,8 +424,9 @@ type DeltaReceipt struct {
 // rather than mixing generations.
 //
 // Appliers are serialized; a delta validated against a generation that is
-// no longer serving (its BaseEntities mismatches) is rejected with an
-// error and changes nothing.
+// no longer serving (its BaseEntities mismatches), or over which a
+// registered domain layer cannot be rebuilt, is rejected with an error and
+// changes nothing.
 func (s *System) ApplyDelta(d *kb.Delta) (DeltaReceipt, error) {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
@@ -422,13 +435,23 @@ func (s *System) ApplyDelta(d *kb.Delta) (DeltaReceipt, error) {
 	if err != nil {
 		return DeltaReceipt{}, err
 	}
-	engine := cur.engine.CloneFor(ov, ov.Touched(), ov.Added() > 0)
 	st := cur.stats
 	st.Generation++
 	st.DeltaApplies++
 	st.DeltaEntities += uint64(ov.Added())
 	st.DeltaRows += uint64(len(d.Rows))
-	s.live.Store(&liveKB{store: ov, engine: engine, stats: st})
+	next := &liveKB{
+		store:   ov,
+		engine:  cur.engine.CloneFor(ov, ov.Touched(), ov.Added() > 0),
+		stats:   st,
+		domains: make(map[string]*liveKB, len(cur.domains)),
+	}
+	for name, layer := range cur.domains {
+		if next.domains[name], err = next.withDomain(layer.dict); err != nil {
+			return DeltaReceipt{}, err
+		}
+	}
+	s.live.Store(next)
 	return DeltaReceipt{
 		Generation: st.Generation,
 		Entities:   ov.Added(),
@@ -448,41 +471,37 @@ func (s *System) ApplyDelta(d *kb.Delta) (DeltaReceipt, error) {
 // name again replaces the layer; requests already routed keep the layer
 // they resolved.
 //
-// Layers bind to the serving generation at registration time: a later
-// ApplyDelta does not rebase them. Servers that apply deltas should
-// re-register their domains afterwards.
+// A registered domain belongs to the serving generation: every later
+// ApplyDelta rebuilds its layer over the new store, so a domain request
+// sees the same entities a base request does.
 func (s *System) RegisterDomain(dict DomainDictionary) error {
-	lv := s.live.Load()
-	layer, err := kb.NewDomainLayer(lv.store, dict)
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	cur := s.live.Load()
+	layer, err := cur.withDomain(dict)
 	if err != nil {
 		return err
 	}
-	engine := lv.engine.CloneFor(layer, layer.Touched(), layer.Added() > 0)
-	s.domainsMu.Lock()
-	defer s.domainsMu.Unlock()
-	if s.domains == nil {
-		s.domains = make(map[string]*liveKB)
-	}
-	s.domains[dict.Name] = &liveKB{store: layer, engine: engine, stats: lv.stats}
+	next := *cur
+	next.domains = maps.Clone(cur.domains)
+	next.domains[dict.Name] = layer
+	s.live.Store(&next)
 	return nil
 }
 
 // DomainNames lists the registered domain names, sorted.
 func (s *System) DomainNames() []string {
-	s.domainsMu.RLock()
-	defer s.domainsMu.RUnlock()
-	return slices.Sorted(maps.Keys(s.domains))
+	return slices.Sorted(maps.Keys(s.live.Load().domains))
 }
 
-// domainLive resolves a WithDomain selector to its registered layer.
+// domainLive resolves a WithDomain selector to its layer over the serving
+// generation.
 func (s *System) domainLive(name string) (*liveKB, error) {
-	s.domainsMu.RLock()
-	lv := s.domains[name]
-	s.domainsMu.RUnlock()
-	if lv != nil {
+	domains := s.live.Load().domains
+	if lv := domains[name]; lv != nil {
 		return lv, nil
 	}
-	names := s.DomainNames()
+	names := slices.Sorted(maps.Keys(domains))
 	if len(names) == 0 {
 		return nil, invalidRequestf("unknown domain %q (no domains registered)", name)
 	}
@@ -517,7 +536,7 @@ func WithMaxProfileBytes(n int64) Option {
 func New(k Store, opts ...Option) *System {
 	s := &System{KB: k, Method: disambig.NewAIDA()}
 	s.recognizer.Lexicon = k
-	s.live.Store(&liveKB{store: k, engine: relatedness.NewScorer(k)})
+	s.live.Store(&liveKB{store: k, engine: relatedness.NewScorer(k), domains: map[string]*liveKB{}})
 	for _, o := range opts {
 		o(s)
 	}

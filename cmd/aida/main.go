@@ -64,7 +64,7 @@ func main() {
 		batch    = flag.Bool("batch", false, "treat input as blank-line-separated documents")
 		inPath   = flag.String("in", "", "read input from this file instead of args/stdin")
 		workers  = flag.Int("j", 0, "annotation parallelism for -batch (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 1, "split the KB into this many shards behind a router (output is byte-identical at any count)")
+		shards   = flag.Int("shards", 1, "report N-shard placement; reads are the KB's own (output is byte-identical at any count)")
 		shardMap = flag.String("shard-map", "", "path to a shard-fleet topology file (JSON): annotate over remote shard hosts instead of a local KB; -kb/-gen are not required")
 		hedge    = flag.Duration("hedge-after", 50*time.Millisecond, "with -shard-map, race a fetch against the next replica after this latency (negative disables hedging)")
 		snapshot = flag.String("engine-snapshot", "", "engine snapshot path: loaded before annotating if present (warm start), rewritten after a successful run")
@@ -279,7 +279,7 @@ func loadKB(path string, gen int, seed int64) (*aida.KB, error) {
 }
 
 // openStore resolves the KB source: a remote shard fleet when -shard-map
-// is given, otherwise a locally loaded (and optionally router-sharded) KB.
+// is given, otherwise a locally loaded KB (under -shards, its placement view).
 // Output is byte-identical across all of them.
 func openStore(kbPath string, gen int, seed int64, shards int, shardMap string, hedge time.Duration) (aida.Store, error) {
 	if shardMap != "" {

@@ -117,7 +117,7 @@ func main() {
 		gen       = flag.Int("gen", 0, "generate a synthetic KB with this many entities")
 		seed      = flag.Int64("seed", 42, "seed for -gen")
 		method    = flag.String("method", "aida", "method: aida, prior, sim, cuc, kul-ci, tagme, iw")
-		shards    = flag.Int("shards", 1, "split the KB into this many shards behind a router (responses are byte-identical at any count)")
+		shards    = flag.Int("shards", 1, "report N-shard placement; reads are the KB's own (responses are byte-identical at any count)")
 		maxCand   = flag.Int("max-candidates", 20, "candidates per mention (0 = no cap)")
 		defPar    = flag.Int("j", 0, "default per-request parallelism (0 = GOMAXPROCS)")
 		maxPar    = flag.Int("jmax", 0, "per-request parallelism cap (0 = GOMAXPROCS)")

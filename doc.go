@@ -69,11 +69,13 @@
 //
 // # Sharded knowledge bases
 //
-// Systems are built over a Store, the read interface both knowledge-base
-// implementations satisfy: the single in-memory KB and the ShardedKB
-// router returned by ShardKB(k, n), which splits entities by id and
-// dictionary rows by surface hash across n shards. Annotation output is
-// byte-identical at any shard count — candidate priors included — a
+// Systems are built over a Store, the read interface every knowledge-base
+// implementation satisfies: the in-memory KB, the copy-on-write Overlay
+// and the RemoteStore client of a shard fleet. Sharding is a placement
+// rule — entities by id, dictionary rows by surface hash — that a fleet
+// lays its data out by; in one process ShardKB(k, n) returns a view whose
+// every read is the KB's own. Annotation output is byte-identical at any
+// shard count and across every Store — candidate priors included — a
 // contract pinned by a golden-corpus conformance suite, so sharded
 // deployments can be rolled out without output drift.
 //

@@ -118,8 +118,8 @@ func (p *Problem) wordIDF(w string) float64 {
 // NewProblem builds a Problem from raw text and pre-recognized mention
 // surfaces, materializing up to maxCandidates candidates per mention from
 // the KB dictionary (sorted by prior). maxCandidates ≤ 0 means no limit.
-// The store may be a single KB or a sharded router; candidate lists are
-// byte-identical either way.
+// The store may be any kb.Store; candidate lists are byte-identical for
+// the same repository content.
 func NewProblem(k kb.Store, text string, surfaces []string, maxCandidates int) *Problem {
 	return NewProblemFromWords(k, tokenizer.ContentWords(text), surfaces, maxCandidates)
 }

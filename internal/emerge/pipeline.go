@@ -21,8 +21,8 @@ type ChunkDoc struct {
 // keyphrase enrichment from high-confidence disambiguations, placeholder
 // model construction by model difference, and discovery via Algorithm 3.
 type Pipeline struct {
-	// KB is the knowledge base store the pipeline harvests against: a
-	// single *kb.KB or a sharded router, with identical results.
+	// KB is the knowledge base store the pipeline harvests against: any
+	// kb.Store, with identical results for the same content.
 	KB kb.Store
 	// Method disambiguates the extended problems (default: r-prior sim-k).
 	Method disambig.Method

@@ -163,11 +163,6 @@ func assertStoresEqual(t *testing.T, a, b Store) {
 		if !reflect.DeepEqual(ca, cb) {
 			t.Errorf("Candidates(%q) differ:\n  overlay: %+v\n  rebuild: %+v", name, ca, cb)
 		}
-		for _, c := range ca {
-			if pa, pb := a.Prior(name, c.Entity), b.Prior(name, c.Entity); pa != pb {
-				t.Errorf("Prior(%q, %d): %g != %g", name, c.Entity, pa, pb)
-			}
-		}
 		if !a.HasName(name) || !b.HasName(name) {
 			t.Errorf("HasName(%q) false on a store that lists it", name)
 		}

@@ -6,15 +6,15 @@ import (
 	"os"
 )
 
-// Per-domain dictionary layers (ProtagonistTagger-style, ROADMAP item 1):
-// a DomainLayer composes a domain-specific surface→entity dictionary over
-// any base Store, so a request annotated "in" a domain (literary texts,
-// sports wires, a tenant's vertical) sees domain-appropriate priors — "The
-// Bulls" meaning the team, not the animal — without rebuilding or forking
-// the knowledge base. The layer reuses the copy-on-write Overlay machinery:
-// a dictionary is lowered to a rows-only Delta, so every conformance
-// guarantee the live-update suite pins (priors rematerialized through
-// candidatesFrom, byte-identical to a full rebuild) carries over for free.
+// Per-domain dictionary layers (ProtagonistTagger-style): NewDomainLayer
+// composes a domain-specific surface→entity dictionary over any base
+// Store, so a request annotated "in" a domain (literary texts, sports
+// wires, a tenant's vertical) sees domain-appropriate priors — "The Bulls"
+// meaning the team, not the animal — without rebuilding or forking the
+// knowledge base. The layer is a copy-on-write Overlay: a dictionary is
+// lowered to a rows-only Delta, so every conformance guarantee the
+// live-update suite pins (priors rematerialized through candidatesFrom,
+// byte-identical to a full rebuild) carries over for free.
 
 // DomainRow is one surface→entity count assertion of a domain dictionary.
 // Entity names the target by its canonical KB name — dictionaries are
@@ -35,24 +35,14 @@ type DomainDictionary struct {
 	Rows []DomainRow `json:"rows"`
 }
 
-// DomainLayer is a base Store with one domain dictionary composed over it.
-// It is a full Store (it embeds an Overlay built from a rows-only Delta):
-// dictionary rows the domain touches carry merged counts with priors
-// recomputed exactly as a rebuild would; every other read passes through
-// to the base. Like every Store it is immutable after construction.
-type DomainLayer struct {
-	*Overlay
-	name string
-}
-
-// Name returns the domain's registry name (the WithDomain selector).
-func (l *DomainLayer) Name() string { return l.name }
-
 // NewDomainLayer resolves a domain dictionary against the base store and
-// composes it as a copy-on-write layer. Rows must name existing entities
-// (a domain dictionary re-weights senses, it does not create entities) and
-// carry positive counts.
-func NewDomainLayer(base Store, dict DomainDictionary) (*DomainLayer, error) {
+// composes it as a copy-on-write layer: an Overlay built from a rows-only
+// Delta, so dictionary rows the domain touches carry merged counts with
+// priors recomputed exactly as a rebuild would, and every other read
+// passes through to the base. Rows must name existing entities (a domain
+// dictionary re-weights senses, it does not create entities) and carry
+// positive counts.
+func NewDomainLayer(base Store, dict DomainDictionary) (*Overlay, error) {
 	if dict.Name == "" {
 		return nil, fmt.Errorf("kb: domain dictionary has no name")
 	}
@@ -71,7 +61,7 @@ func NewDomainLayer(base Store, dict DomainDictionary) (*DomainLayer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kb: domain %q: %w", dict.Name, err)
 	}
-	return &DomainLayer{Overlay: ov, name: dict.Name}, nil
+	return ov, nil
 }
 
 // domainsFile is the JSON shape of a -domains file: either a bare array of

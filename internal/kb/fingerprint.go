@@ -14,10 +14,10 @@ import (
 //
 // The hash walks the *logical* content through the Store read surface only
 // — entities in id order, dictionary rows in sorted-name order, candidate
-// priors bit-for-bit — so the unsharded KB and every router over it agree
-// on the fingerprint (the conformance contract of Store makes their read
-// surfaces byte-identical). Shard count, map layout and build order never
-// influence the value.
+// priors bit-for-bit — so a KB, an overlay equal to its rebuild and a
+// remote router over either agree on the fingerprint (the conformance
+// contract of Store makes their read surfaces byte-identical). Shard
+// count, map layout and build order never influence the value.
 
 // fnvHasher accumulates the 64-bit FNV-1a fingerprint over the canonical
 // content walk.
@@ -133,9 +133,3 @@ func (f *fingerprintOnce) of(s Store) uint64 {
 // and global IDF statistics) have the same fingerprint regardless of how
 // they were built or loaded.
 func (k *KB) Fingerprint() uint64 { return k.fp.of(k) }
-
-// Fingerprint returns the content hash of the routed repository. It equals
-// the fingerprint of the KB the router was built from at any shard count:
-// the hash is computed over the Store read surface, which the conformance
-// suite pins byte-identical across implementations.
-func (s *ShardedKB) Fingerprint() uint64 { return s.fp.of(s) }

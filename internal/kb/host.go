@@ -43,7 +43,7 @@ const maxHostBatch = 1 << 16
 
 // IDFTabler is the optional Store extension a shard host requires: the
 // global IDF side tables, enumerable so they can be replicated to remote
-// routers at dial time (exactly how ShardedKB replicates them in-process).
+// routers at dial time.
 type IDFTabler interface {
 	IDFTables() (phrase, word map[string]float64)
 }
@@ -52,12 +52,6 @@ type IDFTabler interface {
 // shared and must not be modified.
 func (k *KB) IDFTables() (phrase, word map[string]float64) {
 	return k.phraseIDF, k.wordIDF
-}
-
-// IDFTables returns the router-replicated global IDF side tables. The
-// returned maps are shared and must not be modified.
-func (s *ShardedKB) IDFTables() (phrase, word map[string]float64) {
-	return s.phraseIDF, s.wordIDF
 }
 
 // HostFaulter is an optional Store extension consulted by StoreHost before
@@ -137,8 +131,8 @@ type StoreHost struct {
 }
 
 // NewStoreHost wraps a store as shard `shard` of `shards`. The store must
-// implement IDFTabler (both in-process stores do) so routers can replicate
-// the global IDF tables.
+// implement IDFTabler (a *KB does, directly or as a ShardedKB view) so
+// routers can replicate the global IDF tables.
 func NewStoreHost(s Store, shard, shards int) (*StoreHost, error) {
 	if shards < 1 || shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("kb: invalid shard host position %d/%d", shard, shards)
@@ -252,8 +246,7 @@ func (h *StoreHost) handleEntityByName(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	id, ok := h.store.EntityByName(name)
 	// Claim only entities this shard owns; the router fans out in shard
-	// order, so exactly the owning host answers — the same semantics as
-	// ShardedKB.EntityByName.
+	// order, so exactly the owning host answers.
 	if ok && EntityShard(id, h.shards) != h.shard {
 		ok = false
 	}

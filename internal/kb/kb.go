@@ -126,17 +126,6 @@ func sortCandidates(out []Candidate) {
 	})
 }
 
-// Prior returns P(entity|surface) from the anchor dictionary, or 0 when the
-// pair is unknown.
-func (k *KB) Prior(surface string, e EntityID) float64 {
-	for _, c := range k.Candidates(surface) {
-		if c.Entity == e {
-			return c.Prior
-		}
-	}
-	return 0
-}
-
 // Names returns all dictionary keys (normalized names), sorted.
 func (k *KB) Names() []string {
 	out := make([]string, 0, len(k.dict))
@@ -157,17 +146,6 @@ func (k *KB) WordIDF(word string) float64 { return lowerIDF(k.wordIDF, word) }
 // implementation.
 func lowerIDF(table map[string]float64, key string) float64 {
 	return table[strings.ToLower(key)]
-}
-
-// KeywordWeight returns the NPMI weight of word for entity e, or 0 when
-// the entity has no specific weight (callers that want the Sec. 3.3.4
-// global-IDF weighting use WordIDF as the fallback themselves).
-func (k *KB) KeywordWeight(e EntityID, word string) float64 {
-	ent := &k.entities[e]
-	if w, ok := ent.KeywordNPMI[word]; ok {
-		return w
-	}
-	return 0
 }
 
 // IntersectSortedSize counts the common elements of two sorted id slices.

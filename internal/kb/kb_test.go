@@ -181,10 +181,11 @@ func TestKeywordNPMIDiscardsNonPositive(t *testing.T) {
 func TestKeywordWeightFallback(t *testing.T) {
 	k := buildMusicKB()
 	jimmy, _ := k.EntityByName("Jimmy Page")
-	if w := k.KeywordWeight(jimmy, "guitarist"); w <= 0 {
+	npmi := k.Entity(jimmy).KeywordNPMI
+	if w := npmi["guitarist"]; w <= 0 {
 		t.Errorf("keyword of own keyphrase should have positive weight, got %v", w)
 	}
-	if w := k.KeywordWeight(jimmy, "nonexistentword"); w != 0 {
+	if w := npmi["nonexistentword"]; w != 0 {
 		t.Errorf("unknown keyword should have zero weight, got %v", w)
 	}
 }

@@ -127,9 +127,6 @@ func lowerKeyed(m map[string]float64) map[string]float64 {
 	return out
 }
 
-// Base returns the store this overlay was applied over.
-func (o *Overlay) Base() Store { return o.base }
-
 // Added returns how many entities this overlay layer adds.
 func (o *Overlay) Added() int { return len(o.added) }
 
@@ -137,9 +134,6 @@ func (o *Overlay) Added() int { return len(o.added) }
 // this overlay changes — the set whose derived scoring state (profiles,
 // memoized pairs) a serving engine must invalidate on apply.
 func (o *Overlay) Touched() []EntityID { return o.touchedIDs }
-
-// ShadowedRows returns how many dictionary rows this layer rematerializes.
-func (o *Overlay) ShadowedRows() int { return len(o.rows) }
 
 // NumEntities implements Store.
 func (o *Overlay) NumEntities() int { return o.baseN + len(o.added) }
@@ -208,16 +202,6 @@ func (o *Overlay) CandidatesBulk(surfaces []string) [][]Candidate {
 	return out
 }
 
-// Prior implements Store.
-func (o *Overlay) Prior(surface string, e EntityID) float64 {
-	for _, c := range o.Candidates(surface) {
-		if c.Entity == e {
-			return c.Prior
-		}
-	}
-	return 0
-}
-
 // Names implements Store: the base's keys plus any delta-introduced keys,
 // sorted. Memoized — the overlay is immutable, and fingerprinting walks
 // the list anyway.
@@ -254,18 +238,6 @@ func (o *Overlay) WordIDF(word string) float64 {
 		return v
 	}
 	return lowerIDF(o.wordIDF, word)
-}
-
-// KeywordWeight implements Store. Link touches never change keyword
-// weights, so pre-existing entities defer to the base.
-func (o *Overlay) KeywordWeight(e EntityID, word string) float64 {
-	if int(e) >= o.baseN {
-		if w, ok := o.added[int(e)-o.baseN].KeywordNPMI[word]; ok {
-			return w
-		}
-		return 0
-	}
-	return o.base.KeywordWeight(e, word)
 }
 
 // NumShards implements Store: the overlay preserves the base's shard

@@ -18,13 +18,12 @@ import (
 
 // Remote KB hosting, client side. A RemoteStore is a kb.Store over a fleet
 // of shard hosts (StoreHost processes), routed with the same placement
-// functions as the in-process ShardedKB: entity e lives on shard
+// functions the shard hosts enforce: entity e lives on shard
 // EntityShard(e, N), the dictionary row of a surface on NameShard(surface,
 // N). Dictionary membership (the recognition hot path) and the global IDF
-// tables are mirrored locally at dial time — the remote analogue of the
-// router-replicated side data — while entities and candidate rows are
-// fetched on demand, batched per shard (scatter-gather), and cached
-// forever: the KB is immutable, so a fetched value never goes stale.
+// tables are mirrored locally at dial time, while entities and candidate
+// rows are fetched on demand, batched per shard (scatter-gather), and
+// cached forever: the KB is immutable, so a fetched value never goes stale.
 //
 // Every fetch is hedged and fault-tolerant: a request that has not
 // answered within HedgeAfter is raced against the next replica, an error
@@ -36,6 +35,9 @@ import (
 // Store has no error returns, so a shard whose every replica is down
 // surfaces as a panic carrying *RemoteError; aida.System converts that
 // panic into a request error at the annotation boundary.
+
+// attemptTimeout bounds each individual endpoint attempt.
+const attemptTimeout = 10 * time.Second
 
 // RemoteOptions tune a DialFleet connection. The zero value is usable.
 type RemoteOptions struct {
@@ -49,8 +51,6 @@ type RemoteOptions struct {
 	// RetryBackoff is the base delay before retrying on another endpoint
 	// after an error; it doubles per retry (default 10ms; < 0 disables).
 	RetryBackoff time.Duration
-	// AttemptTimeout bounds each individual endpoint attempt (default 10s).
-	AttemptTimeout time.Duration
 	// ExpectFingerprint, when non-zero, is the KB content hash the fleet
 	// must serve; a host reporting any other hash is a dial error. Zero
 	// learns the fingerprint from the fleet (all hosts must still agree).
@@ -74,9 +74,6 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 	}
 	if o.RetryBackoff == 0 {
 		o.RetryBackoff = 10 * time.Millisecond
-	}
-	if o.AttemptTimeout <= 0 {
-		o.AttemptTimeout = 10 * time.Second
 	}
 	if o.NamesPageSize <= 0 {
 		o.NamesPageSize = 8192
@@ -346,7 +343,7 @@ func (r *RemoteStore) do(ctx context.Context, op string, shard int, method, path
 // and (when checkFP) the response's KB fingerprint header against the
 // fleet's. It returns the raw body so hedged duplicates decode nothing.
 func (r *RemoteStore) attempt(ctx context.Context, ep, method, path string, query url.Values, body []byte, checkFP bool) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.opts.AttemptTimeout)
+	ctx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	u := ep + StorePathPrefix + path
 	if len(query) > 0 {
@@ -445,7 +442,7 @@ func (r *RemoteStore) Entity(id EntityID) *Entity {
 // fetchEntities scatters one batched fetch per shard and installs the
 // results in the entity cache.
 func (r *RemoteStore) fetchEntities(ctx context.Context, byShard map[int][]EntityID) error {
-	return r.scatter(ctx, byShard, func(shard int, ids []EntityID) error {
+	return scatter(byShard, func(shard int, ids []EntityID) error {
 		var resp wireEntities
 		if err := r.do(ctx, "entities", shard, http.MethodPost, "/entities", nil, wireIDsRequest{IDs: ids}, &resp); err != nil {
 			return err
@@ -465,40 +462,39 @@ func (r *RemoteStore) fetchEntities(ctx context.Context, byShard map[int][]Entit
 	})
 }
 
-// scatter runs one fetch per shard concurrently and returns the first
-// error (the KB is immutable, so duplicate installs are benign).
-func (r *RemoteStore) scatter(ctx context.Context, byShard map[int][]EntityID, fetch func(shard int, ids []EntityID) error) error {
-	if len(byShard) == 0 {
-		return nil
-	}
+// scatter runs one fetch per shard concurrently (entity ids or dictionary
+// keys alike) and returns the first error (the KB is immutable, so
+// duplicate installs are benign).
+func scatter[K any](byShard map[int][]K, fetch func(shard int, keys []K) error) error {
 	if len(byShard) == 1 {
-		for shard, ids := range byShard {
-			return fetch(shard, ids)
+		for shard, keys := range byShard {
+			return fetch(shard, keys)
 		}
 	}
 	var wg sync.WaitGroup
 	var firstErr error
 	var mu sync.Mutex
-	for shard, ids := range byShard {
+	for shard, keys := range byShard {
 		wg.Add(1)
-		go func(shard int, ids []EntityID) {
+		go func(shard int, keys []K) {
 			defer wg.Done()
-			if err := fetch(shard, ids); err != nil {
+			if err := fetch(shard, keys); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
 				}
 				mu.Unlock()
 			}
-		}(shard, ids)
+		}(shard, keys)
 	}
 	wg.Wait()
 	return firstErr
 }
 
 // EntityByName looks up an entity by canonical name, fanning out to shards
-// in shard order exactly like ShardedKB (canonical names are globally
-// unique, so at most one shard answers). Hits are cached.
+// in shard order (canonical names are globally unique and each host claims
+// only the entities it owns, so at most one shard answers). Hits are
+// cached.
 func (r *RemoteStore) EntityByName(name string) (EntityID, bool) {
 	r.mu.RLock()
 	id, ok := r.byName[name]
@@ -545,60 +541,24 @@ func (r *RemoteStore) Candidates(surface string) []Candidate {
 // candidates through the same arithmetic as the local KB, and installs
 // them in the row cache.
 func (r *RemoteStore) fetchRows(ctx context.Context, byShard map[int][]string) error {
-	if len(byShard) == 0 {
-		return nil
-	}
-	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Mutex
-	for shard, keys := range byShard {
-		wg.Add(1)
-		go func(shard int, keys []string) {
-			defer wg.Done()
-			var resp wireRows
-			err := r.do(ctx, "rows", shard, http.MethodPost, "/rows", nil, wireSurfacesRequest{Surfaces: keys}, &resp)
-			if err == nil && len(resp.Rows) != len(keys) {
-				err = &RemoteError{Op: "rows", Shard: shard,
-					Errs: []error{fmt.Errorf("got %d rows for %d surfaces", len(resp.Rows), len(keys))}}
-			}
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			r.mu.Lock()
-			for i, key := range keys {
-				if _, ok := r.cands[key]; !ok {
-					r.cands[key] = candidatesFromRows(resp.Rows[i])
-				}
-			}
-			r.mu.Unlock()
-		}(shard, keys)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// Prior returns P(entity|surface), or 0 when the pair is unknown.
-func (r *RemoteStore) Prior(surface string, e EntityID) float64 {
-	for _, c := range r.Candidates(surface) {
-		if c.Entity == e {
-			return c.Prior
+	return scatter(byShard, func(shard int, keys []string) error {
+		var resp wireRows
+		if err := r.do(ctx, "rows", shard, http.MethodPost, "/rows", nil, wireSurfacesRequest{Surfaces: keys}, &resp); err != nil {
+			return err
 		}
-	}
-	return 0
-}
-
-// KeywordWeight returns the NPMI weight of word for entity e, served from
-// the (cached) owning entity.
-func (r *RemoteStore) KeywordWeight(e EntityID, word string) float64 {
-	if w, ok := r.Entity(e).KeywordNPMI[word]; ok {
-		return w
-	}
-	return 0
+		if len(resp.Rows) != len(keys) {
+			return &RemoteError{Op: "rows", Shard: shard,
+				Errs: []error{fmt.Errorf("got %d rows for %d surfaces", len(resp.Rows), len(keys))}}
+		}
+		r.mu.Lock()
+		for i, key := range keys {
+			if _, ok := r.cands[key]; !ok {
+				r.cands[key] = candidatesFromRows(resp.Rows[i])
+			}
+		}
+		r.mu.Unlock()
+		return nil
+	})
 }
 
 // CandidatesBulk materializes the candidate lists of many surfaces with at

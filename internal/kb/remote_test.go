@@ -111,11 +111,6 @@ func TestRemoteStoreConformance(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("Candidates(%q) diverge:\n got %+v\nwant %+v", name, got, want)
 				}
-				for _, c := range want {
-					if got, want := r.Prior(name, c.Entity), k.Prior(name, c.Entity); got != want {
-						t.Fatalf("Prior(%q, %d) = %v, want %v", name, c.Entity, got, want)
-					}
-				}
 			}
 			if r.HasName("no such surface") || r.Candidates("no such surface") != nil {
 				t.Fatal("remote store invents candidates for an unknown surface")
@@ -129,11 +124,6 @@ func TestRemoteStoreConformance(t *testing.T) {
 				gotID, ok := r.EntityByName(want.Name)
 				if !ok || gotID != EntityID(id) {
 					t.Fatalf("EntityByName(%q) = (%d, %v), want (%d, true)", want.Name, gotID, ok, id)
-				}
-				for word := range want.KeywordNPMI {
-					if got, want := r.KeywordWeight(EntityID(id), word), k.KeywordWeight(EntityID(id), word); got != want {
-						t.Fatalf("KeywordWeight(%d, %q) = %v, want %v", id, word, got, want)
-					}
 				}
 			}
 			if _, ok := r.EntityByName("No Such Entity"); ok {

@@ -1,25 +1,21 @@
 package kb
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Sharding splits the immutable KB into N self-contained shards so a
-// process can host only hot shards while a fleet hosts the rest:
+// Sharding is a placement rule, not a storage layout. A fleet of shard
+// hosts (StoreHost) and the router dialing it (RemoteStore) agree on where
+// a fact lives through two pure functions:
 //
 //   - entities are assigned round-robin by id: entity e lives on shard
-//     EntityShard(e, N) = e mod N, stored densely at position e/N;
+//     EntityShard(e, N) = e mod N;
 //   - dictionary rows are assigned by normalized-surface hash: the whole
 //     row for a surface lives on shard NameShard(surface, N), so one
 //     lookup owns all anchor counts for that name.
 //
-// The ShardedKB router fans Candidates/Entity/HasName lookups to the
-// owning shard and merges results deterministically: candidate priors are
-// recomputed over the merged entry set with the exact arithmetic of the
-// unsharded KB (ties broken by ascending id), so annotation output is
-// byte-identical at any shard count. internal/kbtest pins this with a
-// golden corpus.
+// Inside one process the KB is immutable and lock-free, so splitting it
+// physically buys nothing (the layer benchmarks measured the in-process
+// router never faster than the KB it copied). Shard therefore returns a
+// view: the KB itself, reporting an N-shard placement.
 
 // EntityShard returns the shard owning entity id under n shards. id must
 // be a repository id (≥ 0).
@@ -44,169 +40,23 @@ func NameShard(normalized string, n int) int {
 	return int(h % uint64(n))
 }
 
-// shard is one self-contained slice of the repository: the entities it
-// owns (dense, round-robin layout) plus the dictionary rows hashed to it.
-type shard struct {
-	// entities[i] is the entity with global id i*n + index-of-this-shard.
-	entities []Entity
-	// byName maps the canonical names of this shard's entities to their
-	// global ids.
-	byName map[string]EntityID
-	// dict holds the full rows of the normalized surfaces this shard owns
-	// (rows are shared with the source KB; both sides are immutable).
-	dict map[string][]nameEntry
-	// cands holds the precomputed candidate slices for those rows, shared
-	// with the source KB — the same backing arrays the unsharded KB serves,
-	// so router results are byte-identical by construction.
-	cands map[string][]Candidate
-}
-
-// ShardedKB is a knowledge base split into N shards behind a routing
-// layer. It satisfies Store with results byte-identical to the unsharded
-// KB it was built from; global corpus statistics (IDF tables) are
-// replicated at the router, mirroring how a fleet would distribute them
-// as static side data. Immutable and safe for concurrent use.
+// ShardedKB is a KB viewed under an N-shard placement. Every read is the
+// KB's own — same backing arrays, same fingerprint — so results are
+// byte-identical at any shard count by construction; only NumShards
+// differs, which is what a process reports (and a fleet lays its data out
+// by). Immutable and safe for concurrent use.
 type ShardedKB struct {
-	n      int
-	shards []shard
-	total  int
-
-	phraseIDF map[string]float64
-	wordIDF   map[string]float64
-
-	fp fingerprintOnce // lazily computed content hash
+	*KB
+	n int
 }
 
-// Shard splits a built KB into n shards. n must be ≥ 1; n = 1 yields a
-// single-shard router useful for conformance testing.
+// Shard returns k viewed under an n-shard placement. n must be ≥ 1.
 func Shard(k *KB, n int) *ShardedKB {
 	if n < 1 {
 		panic(fmt.Sprintf("kb: invalid shard count %d", n))
 	}
-	s := &ShardedKB{
-		n:         n,
-		shards:    make([]shard, n),
-		total:     len(k.entities),
-		phraseIDF: k.phraseIDF,
-		wordIDF:   k.wordIDF,
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.entities = make([]Entity, 0, (s.total+n-1)/n)
-		sh.byName = make(map[string]EntityID)
-		sh.dict = make(map[string][]nameEntry)
-		sh.cands = make(map[string][]Candidate)
-	}
-	for id := range k.entities {
-		sh := &s.shards[EntityShard(EntityID(id), n)]
-		sh.entities = append(sh.entities, k.entities[id])
-		sh.byName[k.entities[id].Name] = EntityID(id)
-	}
-	for key, entries := range k.dict {
-		sh := &s.shards[NameShard(key, n)]
-		sh.dict[key] = entries
-		sh.cands[key] = k.cands[key]
-	}
-	return s
+	return &ShardedKB{KB: k, n: n}
 }
 
-// NumShards returns the shard count N.
+// NumShards returns the shard count N of the placement.
 func (s *ShardedKB) NumShards() int { return s.n }
-
-// NumEntities returns |E| across all shards.
-func (s *ShardedKB) NumEntities() int { return s.total }
-
-// ShardSizes reports per-shard (entities, dictionary rows) counts, for
-// observability and placement planning.
-func (s *ShardedKB) ShardSizes() (entities, names []int) {
-	entities = make([]int, s.n)
-	names = make([]int, s.n)
-	for i := range s.shards {
-		entities[i] = len(s.shards[i].entities)
-		names[i] = len(s.shards[i].dict)
-	}
-	return entities, names
-}
-
-// Entity routes the lookup to the owning shard. It panics on ids outside
-// the repository, matching (*KB).Entity.
-func (s *ShardedKB) Entity(id EntityID) *Entity {
-	if id < 0 || int(id) >= s.total {
-		panic(fmt.Sprintf("kb: entity id %d out of range [0,%d)", id, s.total))
-	}
-	return &s.shards[EntityShard(id, s.n)].entities[int(id)/s.n]
-}
-
-// EntityByName fans the canonical-name lookup across shards in shard
-// order (canonical names are globally unique, so at most one shard
-// answers).
-func (s *ShardedKB) EntityByName(name string) (EntityID, bool) {
-	for i := range s.shards {
-		if id, ok := s.shards[i].byName[name]; ok {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// HasName routes the dictionary membership test to the owning shard.
-func (s *ShardedKB) HasName(normalized string) bool {
-	_, ok := s.shards[NameShard(normalized, s.n)].dict[normalized]
-	return ok
-}
-
-// Candidates routes the surface lookup to the shard owning its dictionary
-// row and returns its precomputed candidate slice — the very backing array
-// the unsharded KB serves (shards share the source KB's materialized
-// candidates), so router results are byte-identical to (*KB).Candidates.
-// The returned slice is shared and must not be modified.
-func (s *ShardedKB) Candidates(surface string) []Candidate {
-	key := NormalizeName(surface)
-	return s.shards[NameShard(key, s.n)].cands[key]
-}
-
-// Prior returns P(entity|surface), or 0 when the pair is unknown.
-func (s *ShardedKB) Prior(surface string, e EntityID) float64 {
-	for _, c := range s.Candidates(surface) {
-		if c.Entity == e {
-			return c.Prior
-		}
-	}
-	return 0
-}
-
-// Names merges the dictionary keys of all shards, sorted — the same set,
-// in the same order, as the unsharded KB.
-func (s *ShardedKB) Names() []string {
-	var total int
-	for i := range s.shards {
-		total += len(s.shards[i].dict)
-	}
-	out := make([]string, 0, total)
-	for i := range s.shards {
-		for n := range s.shards[i].dict {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PhraseIDF returns the global IDF of a keyphrase (router-replicated).
-func (s *ShardedKB) PhraseIDF(phrase string) float64 {
-	return lowerIDF(s.phraseIDF, phrase)
-}
-
-// WordIDF returns the global IDF of a keyword (router-replicated).
-func (s *ShardedKB) WordIDF(word string) float64 {
-	return lowerIDF(s.wordIDF, word)
-}
-
-// KeywordWeight returns the NPMI weight of word for entity e, routed to
-// the owning shard.
-func (s *ShardedKB) KeywordWeight(e EntityID, word string) float64 {
-	if w, ok := s.Entity(e).KeywordNPMI[word]; ok {
-		return w
-	}
-	return 0
-}

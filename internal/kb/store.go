@@ -2,10 +2,12 @@ package kb
 
 // Store is the read interface of the knowledge base: everything the
 // annotation pipeline (recognition, candidate materialization, scoring,
-// harvesting, serving) needs from the KB substrate. The single-process
-// *KB, the ShardedKB router, the RemoteStore fleet client and the
-// copy-on-write Overlay all satisfy it, and every implementation must
-// return byte-identical results for the same underlying repository — the
+// harvesting, serving) needs from the KB substrate. Three implementations
+// satisfy it: the single-process *KB (also behind the ShardedKB placement
+// view, which changes nothing but NumShards), the copy-on-write Overlay
+// (a live-update generation, or a domain dictionary layer) and the
+// RemoteStore fleet client. Every implementation must return
+// byte-identical results for the same underlying repository — the
 // golden-corpus conformance suite in internal/kbtest pins this.
 //
 // All methods must be safe for concurrent use. Every implementation is
@@ -42,24 +44,21 @@ type Store interface {
 	// the dictionary has no entry. The returned slice is shared across
 	// calls and must not be modified by the caller.
 	Candidates(surface string) []Candidate
-	// Prior returns P(entity|surface), or 0 when the pair is unknown.
-	Prior(surface string, e EntityID) float64
 	// Names returns all dictionary keys (normalized names), sorted.
 	Names() []string
 	// PhraseIDF returns the global IDF of a keyphrase (Eq. 3.5).
 	PhraseIDF(phrase string) float64
 	// WordIDF returns the global IDF of a keyword.
 	WordIDF(word string) float64
-	// KeywordWeight returns the NPMI weight of word for entity e (0 when
-	// the entity has no specific weight).
-	KeywordWeight(e EntityID, word string) float64
-	// NumShards reports how many shards back this store (1 for a plain
-	// *KB). Entity e lives on shard EntityShard(e, NumShards()).
+	// NumShards reports the shard placement this store is laid out by (1
+	// for a plain *KB). Entity e belongs to shard
+	// EntityShard(e, NumShards()).
 	NumShards() int
 	// Fingerprint returns a deterministic hash of the repository content.
-	// It is shard-layout-independent: the unsharded KB and every router
-	// over it return the same value, so state derived from the KB (engine
-	// snapshots) can be validated against any Store serving that content.
+	// It is shard-layout-independent: the KB, any placement view of it and
+	// a fleet serving it return the same value, so state derived from the
+	// KB (engine snapshots) can be validated against any Store serving
+	// that content.
 	Fingerprint() uint64
 }
 
@@ -87,9 +86,9 @@ func (k *KB) NumShards() int { return 1 }
 
 // candidatesFrom materializes Candidate structs from raw dictionary rows,
 // recomputing priors over the full entry set and sorting by descending
-// prior with ties broken by ascending id. Both the single KB and the
-// sharded router build their results through this one function, which is
-// what makes their outputs byte-identical (same summation order, same
+// prior with ties broken by ascending id. The KB, the Overlay and the
+// remote router all build their results through this one function, which
+// is what makes their outputs byte-identical (same summation order, same
 // float divisions, same comparator). It runs once per dictionary key at
 // construction time (see precomputeCandidates), never on the lookup path.
 func candidatesFrom(entries []nameEntry) []Candidate {

@@ -42,8 +42,11 @@ var errInjected = errors.New("kbtest: injected transient fault")
 // HTTP stack. Reconfigure live with Set; Ops and Injected count what the
 // host actually saw. All methods are safe for concurrent use.
 type FaultStore struct {
-	inner kb.Store
-	idf   kb.IDFTabler
+	// Store is the wrapped store: FaultStore never corrupts data, it only
+	// delays or refuses to serve it, so every read it does not override
+	// below is the wrapped store's own.
+	kb.Store
+	idf kb.IDFTabler
 
 	mu sync.Mutex
 	f  Faults
@@ -52,14 +55,14 @@ type FaultStore struct {
 	injected atomic.Int64
 }
 
-// NewFaultStore wraps a store (which must expose IDF tables, as both
-// in-process stores do) with no faults armed.
+// NewFaultStore wraps a store (which must expose IDF tables, as a *kb.KB
+// and its placement views do) with no faults armed.
 func NewFaultStore(s kb.Store) *FaultStore {
 	idf, ok := s.(kb.IDFTabler)
 	if !ok {
 		panic("kbtest: FaultStore requires a store with IDF tables")
 	}
-	return &FaultStore{inner: s, idf: idf}
+	return &FaultStore{Store: s, idf: idf}
 }
 
 // Set replaces the armed faults (Faults{} disarms everything).
@@ -106,7 +109,7 @@ func (s *FaultStore) HostFault(ctx context.Context, op string) error {
 // StaleFingerprint is armed (the host stamps it on every response, so
 // routers see the staleness immediately).
 func (s *FaultStore) Fingerprint() uint64 {
-	fp := s.inner.Fingerprint()
+	fp := s.Store.Fingerprint()
 	s.mu.Lock()
 	stale := s.f.StaleFingerprint
 	s.mu.Unlock()
@@ -116,26 +119,9 @@ func (s *FaultStore) Fingerprint() uint64 {
 	return fp
 }
 
-// IDFTables implements kb.IDFTabler by delegation (interface embedding
-// would not expose the extension).
+// IDFTables implements kb.IDFTabler by delegation (the embedded kb.Store
+// does not expose the extension).
 func (s *FaultStore) IDFTables() (phrase, word map[string]float64) { return s.idf.IDFTables() }
-
-// The rest of the kb.Store read surface delegates untouched: FaultStore
-// never corrupts data, it only delays or refuses to serve it.
-
-func (s *FaultStore) NumEntities() int                          { return s.inner.NumEntities() }
-func (s *FaultStore) Entity(id kb.EntityID) *kb.Entity          { return s.inner.Entity(id) }
-func (s *FaultStore) EntityByName(n string) (kb.EntityID, bool) { return s.inner.EntityByName(n) }
-func (s *FaultStore) HasName(n string) bool                     { return s.inner.HasName(n) }
-func (s *FaultStore) Candidates(n string) []kb.Candidate        { return s.inner.Candidates(n) }
-func (s *FaultStore) Prior(n string, e kb.EntityID) float64     { return s.inner.Prior(n, e) }
-func (s *FaultStore) Names() []string                           { return s.inner.Names() }
-func (s *FaultStore) PhraseIDF(p string) float64                { return s.inner.PhraseIDF(p) }
-func (s *FaultStore) WordIDF(w string) float64                  { return s.inner.WordIDF(w) }
-func (s *FaultStore) KeywordWeight(e kb.EntityID, w string) float64 {
-	return s.inner.KeywordWeight(e, w)
-}
-func (s *FaultStore) NumShards() int { return s.inner.NumShards() }
 
 // Compile-time conformance: a FaultStore can stand in for any Store and be
 // served by a StoreHost with fault hooks attached.

@@ -8,11 +8,12 @@
 // The committed fixtures live in testdata/golden/: docs.json holds the
 // documents (regenerate with the checked-in generator in ./gen), and
 // expected/<name>.json holds the expected wire output of the unsharded
-// KB. TestGoldenCorpus asserts that every Store implementation — the
-// plain *kb.KB and ShardedKB routers at 2, 4 and 8 shards — reproduces
-// those bytes exactly, which is the contract that lets a sharded fleet
-// replace a single process without any output drift ("Namesakes"-style
-// silent regressions on ambiguous names are exactly what this pins).
+// KB. TestGoldenCorpus asserts that the plain *kb.KB and its ShardedKB
+// placement views at 2, 4 and 8 shards reproduce those bytes exactly (the
+// overlay, domain and fleet suites hold the other stores to them), which
+// is the contract that lets a sharded fleet replace a single process
+// without any output drift ("Namesakes"-style silent regressions on
+// ambiguous names are exactly what this pins).
 //
 // Run `go test ./internal/kbtest -update` to regenerate the expected
 // outputs after an intentional pipeline change.
@@ -53,7 +54,7 @@ const (
 	ConfSeed       = 7
 )
 
-// ShardCounts are the router widths the conformance suite runs at, in
+// ShardCounts are the shard placements the conformance suite runs at, in
 // addition to the unsharded KB.
 var ShardCounts = []int{1, 2, 4, 8}
 
@@ -72,8 +73,8 @@ type NamedStore struct {
 	Store kb.Store
 }
 
-// Stores returns every Store implementation the suite pins: the unsharded
-// KB and ShardedKB routers at each of ShardCounts.
+// Stores returns the in-process stores the suite pins: the unsharded KB
+// and its ShardedKB placement view at each of ShardCounts.
 func Stores() []NamedStore {
 	k := GoldenKB()
 	out := []NamedStore{{Name: "unsharded", Store: k}}

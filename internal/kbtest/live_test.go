@@ -56,23 +56,81 @@ func TestGoldenCorpusOverlay(t *testing.T) {
 // everything is on the new generation, with the added entity linkable by
 // name in the very next request. Run with -race, this also proves the
 // generation swap is data-race free.
-func TestApplyDeltaConcurrent(t *testing.T) {
+func TestApplyDeltaConcurrent(t *testing.T) { applyDeltaConcurrent(t, nil) }
+
+// TestApplyDeltaConcurrentInDomain is the same race with every request
+// routed into a registered domain: the domain's layer is rebuilt over the
+// new generation and swapped in with it, so a WithDomain reader, too, sees
+// exactly one of the two generations.
+func TestApplyDeltaConcurrentInDomain(t *testing.T) {
+	dict := goldenDomain()
+	applyDeltaConcurrent(t, &dict)
+}
+
+// goldenDomain is a one-row dictionary over the golden KB: it makes the
+// runner-up sense of the last ambiguous dictionary row the head sense (the
+// first such row is the one GoldenDelta re-weights).
+func goldenDomain() kb.DomainDictionary {
+	k := GoldenKB()
+	names := k.Names()
+	for i := len(names) - 1; i >= 0; i-- {
+		if cands := k.Candidates(names[i]); len(cands) >= 2 {
+			return kb.DomainDictionary{Name: "runner-up", Rows: []kb.DomainRow{{
+				Surface: names[i],
+				Entity:  k.Entity(cands[1].Entity).Name,
+				Count:   cands[0].Count + 1,
+			}}}
+		}
+	}
+	panic("kbtest: the golden KB has no ambiguous dictionary row")
+}
+
+// newDomainSystem is NewSystem with dict, when given, registered.
+func newDomainSystem(t *testing.T, s kb.Store, dict *kb.DomainDictionary) *aida.System {
+	t.Helper()
+	sys := NewSystem(s)
+	if dict != nil {
+		if err := sys.RegisterDomain(*dict); err != nil {
+			t.Fatalf("RegisterDomain: %v", err)
+		}
+	}
+	return sys
+}
+
+func applyDeltaConcurrent(t *testing.T, dict *kb.DomainDictionary) {
 	docs := Docs(t)
 	delta := GoldenDelta()
+	ctx := context.Background()
+	opts := ConformanceOptions()
+	if dict != nil {
+		opts = append(opts, aida.WithDomain(dict.Name))
+	}
+	annotate := func(sys *aida.System, text string) []byte {
+		t.Helper()
+		doc, err := sys.AnnotateDoc(ctx, text, opts...)
+		if err != nil {
+			t.Fatalf("AnnotateDoc: %v", err)
+		}
+		data, err := MarshalDoc(doc)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		return data
+	}
 
 	// The two legal outputs per document: generation 0 (golden KB) and
 	// generation 1 (delta applied), computed on separate pristine systems.
 	expect0 := make(map[string][]byte, len(docs))
 	expect1 := make(map[string][]byte, len(docs))
-	sys0 := NewSystem(GoldenKB())
+	sys0 := newDomainSystem(t, GoldenKB(), dict)
 	full, err := kb.Rebuild(GoldenKB(), delta)
 	if err != nil {
 		t.Fatalf("Rebuild: %v", err)
 	}
-	sys1 := NewSystem(full)
+	sys1 := newDomainSystem(t, full, dict)
 	for _, d := range docs {
-		expect0[d.Name] = AnnotateJSON(t, sys0, d.Text)
-		expect1[d.Name] = AnnotateJSON(t, sys1, d.Text)
+		expect0[d.Name] = annotate(sys0, d.Text)
+		expect1[d.Name] = annotate(sys1, d.Text)
 	}
 	changed := 0
 	for _, d := range docs {
@@ -84,8 +142,7 @@ func TestApplyDeltaConcurrent(t *testing.T) {
 		t.Fatal("GoldenDelta changes no golden document output; the torn-read check would be vacuous")
 	}
 
-	sys := NewSystem(GoldenKB())
-	ctx := context.Background()
+	sys := newDomainSystem(t, GoldenKB(), dict)
 	const readers = 8
 	const rounds = 6
 	errc := make(chan error, readers)
@@ -98,7 +155,7 @@ func TestApplyDeltaConcurrent(t *testing.T) {
 			<-start
 			for i := 0; i < rounds; i++ {
 				d := docs[(r+i)%len(docs)]
-				doc, err := sys.AnnotateDoc(ctx, d.Text, ConformanceOptions()...)
+				doc, err := sys.AnnotateDoc(ctx, d.Text, opts...)
 				if err != nil {
 					errc <- fmt.Errorf("reader %d doc %s: %v", r, d.Name, err)
 					return
@@ -143,7 +200,7 @@ func TestApplyDeltaConcurrent(t *testing.T) {
 
 	// After the apply settles, every document is on generation 1 …
 	for _, d := range docs {
-		if got := AnnotateJSON(t, sys, d.Text); !bytes.Equal(got, expect1[d.Name]) {
+		if got := annotate(sys, d.Text); !bytes.Equal(got, expect1[d.Name]) {
 			t.Errorf("doc %s: post-apply output does not match the new generation", d.Name)
 		}
 	}
@@ -152,7 +209,7 @@ func TestApplyDeltaConcurrent(t *testing.T) {
 	if !ok {
 		t.Fatalf("entity %q not resolvable after apply", GoldenDeltaEntityA)
 	}
-	doc, err := sys.AnnotateDoc(ctx, "Quarterly reports about "+GoldenDeltaEntityA+" circulated widely today.")
+	doc, err := sys.AnnotateDoc(ctx, "Quarterly reports about "+GoldenDeltaEntityA+" circulated widely today.", opts...)
 	if err != nil {
 		t.Fatalf("AnnotateDoc: %v", err)
 	}
@@ -165,6 +222,49 @@ func TestApplyDeltaConcurrent(t *testing.T) {
 	if !linked {
 		t.Fatalf("added entity %q (id %d) not linked in the next request; annotations: %+v",
 			GoldenDeltaEntityA, wantID, doc.Annotations)
+	}
+}
+
+// TestApplyDeltaRebasesDomains pins that a registered domain belongs to the
+// serving generation: after an apply, a WithDomain request links the added
+// entities exactly as a base request does (it served generation 0 forever
+// when layers were bound at registration), and the domain's own
+// re-weighting still holds over the new store.
+func TestApplyDeltaRebasesDomains(t *testing.T) {
+	dict := goldenDomain()
+	sys := newDomainSystem(t, GoldenKB(), &dict)
+	if _, err := sys.ApplyDelta(GoldenDelta()); err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
+	}
+	if got := sys.DomainNames(); len(got) != 1 || got[0] != dict.Name {
+		t.Fatalf("DomainNames after apply = %v, want [%s]", got, dict.Name)
+	}
+	idA, okA := sys.Store().EntityByName(GoldenDeltaEntityA)
+	idB, okB := sys.Store().EntityByName(GoldenDeltaEntityB)
+	if !okA || !okB {
+		t.Fatal("delta entities not resolvable after apply")
+	}
+	ctx := context.Background()
+	text := GoldenDeltaEntityA + " opened an office near " + GoldenDeltaEntityB + "."
+	for _, opts := range [][]aida.AnnotateOption{nil, {aida.WithDomain(dict.Name)}} {
+		doc, err := sys.AnnotateDoc(ctx, text, opts...)
+		if err != nil {
+			t.Fatalf("AnnotateDoc: %v", err)
+		}
+		if len(doc.Annotations) != 2 || doc.Annotations[0].Entity != idA || doc.Annotations[1].Entity != idB {
+			t.Errorf("domain request %v: annotations %+v, want entities %d and %d", opts != nil, doc.Annotations, idA, idB)
+		}
+	}
+	// The row the domain re-weights still leads with the domain's sense.
+	row := dict.Rows[0]
+	want, _ := sys.Store().EntityByName(row.Entity)
+	doc, err := sys.AnnotateDoc(ctx, "Reports mention "+row.Surface+" today.",
+		aida.UseMethodNamed("prior"), aida.WithDomain(dict.Name))
+	if err != nil {
+		t.Fatalf("AnnotateDoc: %v", err)
+	}
+	if last := doc.Annotations[len(doc.Annotations)-1]; last.Mention.Text != row.Surface || last.Entity != want {
+		t.Errorf("domain sense of %q after apply: %+v, want entity %d (%s)", row.Surface, last, want, row.Entity)
 	}
 }
 

@@ -39,17 +39,16 @@ func (s *Scorer) CloneFor(store kb.Store, touched []kb.EntityID, entityCountChan
 	for _, e := range touched {
 		gone[e] = true
 	}
-	// Re-intern surviving profiles through the new engine's table layout
-	// (the store swap may change the shard geometry). The *Profile values
+	// Carry surviving profiles over, stripe by stripe. The *Profile values
 	// are shared — profiles are immutable.
 	for i := range s.profiles {
 		sh := &s.profiles[i]
+		nsh := &ns.profiles[i]
 		sh.mu.RLock()
 		for e, ent := range sh.m {
 			if gone[e] {
 				continue
 			}
-			nsh := ns.profileTable(e)
 			ne := &profileEntry{p: ent.p, bytes: ent.bytes}
 			ne.ref.Store(true) // one CLOCK round of grace, like a fresh intern
 			nsh.m[e] = ne
@@ -74,8 +73,7 @@ func (s *Scorer) CloneFor(store kb.Store, touched []kb.EntityID, entityCountChan
 		}
 		sh.mu.RUnlock()
 	}
-	// Carry the budget over and enforce it: the copied profiles may exceed
-	// a stripe's slice under a new layout.
+	// Carry the budget over.
 	ns.SetMaxProfileBytes(s.maxProfileBytes.Load())
 	return ns
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"aida/internal/kb"
@@ -14,16 +15,17 @@ import (
 // rebuilds that state into a fresh process so it serves its first request
 // with a hot engine. The format is versioned gob:
 //
-//	header: magic, format version, KB fingerprint, KB shard count
-//	body:   interned entity ids grouped by the writer's KB shard,
-//	        memoized pairs as sorted (kind, a, b, value) records
+//	header: magic, format version, KB fingerprint
+//	body:   interned entity ids in groups (this build writes one group;
+//	        earlier version-1 writers wrote one per KB shard, and any
+//	        number is read), memoized pairs as sorted (kind, a, b, value)
+//	        records
 //
 // Invalidation rules: a snapshot is only as good as the KB it was computed
 // from, so Restore rejects a header whose fingerprint differs from the
 // loading Store's (stale snapshot, different repository content). The
-// fingerprint is shard-layout-independent, so a snapshot written by an
-// unsharded process warm-starts a sharded one (and vice versa): profiles
-// are re-interned through the loading engine's own shard layout. Profiles
+// fingerprint is shard-layout-independent, so a snapshot written under one
+// shard placement warm-starts a process under any other. Profiles
 // themselves are not serialized — they are pure functions of the KB, so the
 // snapshot records *which* entities were interned and rebuilds the rest,
 // keeping snapshots small and byte-identity trivial.
@@ -44,7 +46,6 @@ type snapshotHeader struct {
 	Magic         string
 	Version       int
 	KBFingerprint uint64
-	KBShards      int
 }
 
 // pairRecord is one memoized pair value. Kind is the canonical cache kind
@@ -56,17 +57,16 @@ type pairRecord struct {
 }
 
 // snapshotBody carries the cache contents. Profiles holds the interned
-// entity ids grouped by the writer's KB shard (each group ascending), so a
-// per-shard subset can be extracted without decoding profiles themselves;
-// Pairs is sorted by (kind, a, b). Both orders make snapshot bytes
-// deterministic for a given cache state.
+// entity ids in groups, each ascending (Save writes a single group); Pairs
+// is sorted by (kind, a, b). Both orders make snapshot bytes deterministic
+// for a given cache state.
 type snapshotBody struct {
 	Profiles [][]kb.EntityID
 	Pairs    []pairRecord
 }
 
-// Save writes the engine's cache state — interned profile ids grouped per
-// KB shard, and all memoized pair values — as a versioned snapshot bound to
+// Save writes the engine's cache state — interned profile ids and all
+// memoized pair values — as a versioned snapshot bound to
 // the KB's fingerprint. Safe for concurrent use with scoring traffic; the
 // snapshot is a consistent-enough cut for warm-starting (entries inserted
 // mid-save may or may not be included, and every value is pure, so any cut
@@ -77,24 +77,21 @@ func (s *Scorer) Save(w io.Writer) error {
 		Magic:         snapshotMagic,
 		Version:       snapshotVersion,
 		KBFingerprint: s.kb.Fingerprint(),
-		KBShards:      s.kbShards,
 	})
 	if err != nil {
 		return fmt.Errorf("engine snapshot: write header: %w", err)
 	}
-	body := snapshotBody{Profiles: make([][]kb.EntityID, s.kbShards)}
+	var interned []kb.EntityID
 	for i := range s.profiles {
 		sh := &s.profiles[i]
-		group := i / s.stripes
 		sh.mu.RLock()
 		for e := range sh.m {
-			body.Profiles[group] = append(body.Profiles[group], e)
+			interned = append(interned, e)
 		}
 		sh.mu.RUnlock()
 	}
-	for _, group := range body.Profiles {
-		sort.Slice(group, func(i, j int) bool { return group[i] < group[j] })
-	}
+	slices.Sort(interned)
+	body := snapshotBody{Profiles: [][]kb.EntityID{interned}}
 	for i := range s.pairs {
 		sh := &s.pairs[i]
 		sh.mu.RLock()
@@ -163,8 +160,8 @@ func (s *Scorer) Restore(r io.Reader) error {
 	}
 
 	// Validation passed: install. Profiles are rebuilt from the KB (pure)
-	// and re-interned through the loading engine's own shard layout, so the
-	// per-KB-shard grouping holds whatever shard count wrote the snapshot.
+	// and interned into this engine's stripes, however the writer grouped
+	// them.
 	for _, group := range body.Profiles {
 		for _, e := range group {
 			s.Profile(e)
@@ -184,7 +181,7 @@ func (s *Scorer) Restore(r io.Reader) error {
 
 // LoadScorer reads a snapshot written by (*Scorer).Save and returns a warm
 // engine bound to store. The snapshot must have been computed from the same
-// repository content (the KB fingerprint is checked; shard layout may
+// repository content (the KB fingerprint is checked; shard placement may
 // differ). On error the returned engine is nil; construct a cold one with
 // NewScorer instead.
 func LoadScorer(r io.Reader, store kb.Store) (*Scorer, error) {

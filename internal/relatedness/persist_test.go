@@ -71,9 +71,9 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestEngineSnapshotCrossShardLayout pins snapshot portability across shard
-// layouts: the fingerprint covers content, not layout, so an unsharded
-// process's snapshot warm-starts a sharded one (and vice versa), with
-// profiles re-interned into the loading engine's own per-KB-shard groups.
+// placements: the fingerprint covers content, not layout, so an unsharded
+// process's snapshot warm-starts one serving kb.Shard(k, n) — at 4, and at
+// 3, the count that does not divide the stripe count.
 func TestEngineSnapshotCrossShardLayout(t *testing.T) {
 	k, _, _ := buildClusterKB()
 	donor := NewScorer(k)
@@ -83,34 +83,90 @@ func TestEngineSnapshotCrossShardLayout(t *testing.T) {
 		t.Fatalf("Save: %v", err)
 	}
 
-	sharded := kb.Shard(k, 4)
-	loaded, err := LoadScorer(bytes.NewReader(buf.Bytes()), sharded)
-	if err != nil {
-		t.Fatalf("LoadScorer onto 4-shard router: %v", err)
+	for _, n := range []int{4, 3} {
+		loaded, err := LoadScorer(bytes.NewReader(buf.Bytes()), kb.Shard(k, n))
+		if err != nil {
+			t.Fatalf("LoadScorer onto %d-shard view: %v", n, err)
+		}
+		if got, want := loaded.Stats().Profiles, donor.Stats().Profiles; got != want {
+			t.Fatalf("%d shards: restored profiles = %d, want %d", n, got, want)
+		}
+		assertAllHits(t, loaded, donor, ents)
 	}
-	perShard := loaded.ProfilesByKBShard()
-	if len(perShard) != 4 {
-		t.Fatalf("ProfilesByKBShard groups = %d, want 4", len(perShard))
-	}
-	total := 0
-	for _, n := range perShard {
-		total += n
-	}
-	if want := donor.Stats().Profiles; total != want {
-		t.Fatalf("restored profiles across shards = %d, want %d", total, want)
-	}
+}
+
+// assertAllHits checks that every pairwise value of ents under every kind
+// comes out of loaded's cache and equals the donor's bit for bit.
+func assertAllHits(t *testing.T, loaded, donor *Scorer, ents []kb.EntityID) {
+	t.Helper()
 	for _, kind := range allKinds {
 		for i := range ents {
 			for j := i + 1; j < len(ents); j++ {
 				if got, want := loaded.Relatedness(kind, ents[i], ents[j]), donor.Relatedness(kind, ents[i], ents[j]); got != want {
-					t.Fatalf("%v(%d,%d) diverges across shard layouts: %v vs %v", kind, ents[i], ents[j], got, want)
+					t.Fatalf("%v(%d,%d) diverges after restore: %v vs %v", kind, ents[i], ents[j], got, want)
 				}
 			}
 		}
 	}
 	if _, misses := loaded.CacheStats(); misses != 0 {
-		t.Fatalf("cross-layout warm start recomputed %d values", misses)
+		t.Fatalf("warm start recomputed %d values", misses)
 	}
+}
+
+// TestEngineSnapshotReadsShardGroupedProfiles pins backward compatibility
+// of the version-1 format: a writer over a 4-shard store used to record the
+// shard count in the header and group the interned ids per KB shard. Such a
+// stream, hand-built here, restores into the flat engine with every value
+// a hit.
+func TestEngineSnapshotReadsShardGroupedProfiles(t *testing.T) {
+	k, _, _ := buildClusterKB()
+	donor := NewScorer(k)
+	ents := warmScorer(donor)
+	var buf bytes.Buffer
+	if err := donor.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	dec := gob.NewDecoder(&buf)
+	var h snapshotHeader
+	var body snapshotBody
+	if err := dec.Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if len(body.Profiles) != 1 {
+		t.Fatalf("Save wrote %d profile groups, want 1", len(body.Profiles))
+	}
+	grouped := make([][]kb.EntityID, 4)
+	for _, e := range body.Profiles[0] {
+		g := kb.EntityShard(e, 4)
+		grouped[g] = append(grouped[g], e)
+	}
+	body.Profiles = grouped
+	old := struct {
+		Magic         string
+		Version       int
+		KBFingerprint uint64
+		KBShards      int
+	}{h.Magic, h.Version, h.KBFingerprint, 4}
+	var stream bytes.Buffer
+	enc := gob.NewEncoder(&stream)
+	if err := enc.Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(body); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := LoadScorer(&stream, k)
+	if err != nil {
+		t.Fatalf("LoadScorer of a 4-group snapshot: %v", err)
+	}
+	if got, want := loaded.Stats().Profiles, donor.Stats().Profiles; got != want {
+		t.Fatalf("restored profiles = %d, want %d", got, want)
+	}
+	assertAllHits(t, loaded, donor, ents)
 }
 
 // differentKB builds a KB whose content differs from the cluster KB, so its

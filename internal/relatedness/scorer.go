@@ -7,8 +7,8 @@ import (
 	"aida/internal/kb"
 )
 
-// scorerShards is the shard count of the Scorer's pair cache, and the
-// total lock-stripe budget of its profile intern tables. Sharding keeps
+// scorerShards is the shard count of the Scorer's pair cache and the
+// lock-stripe count of its profile intern tables. Sharding keeps
 // lock contention negligible when many documents are scored concurrently;
 // 64 shards comfortably cover the worker counts of commodity machines.
 const scorerShards = 64
@@ -99,22 +99,13 @@ type pairShard struct {
 // A Scorer is the cross-request state that one-shot Measure construction
 // used to rebuild per call: share a single Scorer per KB process-wide and
 // derive per-kind views with Measure.
-//
-// The profile intern tables are aligned with the store's KB shards: one
-// group of lock-striped tables per KB shard, so a process hosting only hot
-// shards interns (and accounts) profiles per shard, and dropping a shard's
-// profiles is a contiguous operation. For an unsharded KB this degenerates
-// to the flat 64-stripe layout.
 type Scorer struct {
 	kb     kb.Store
 	weight Weighter
 
-	// kbShards and stripes shape the profile tables: profiles holds
-	// kbShards × stripes entries, entity e living in group
-	// kb.EntityShard(e, kbShards) at stripe (e / kbShards) % stripes.
-	kbShards int
-	stripes  int
-	profiles []profileShard
+	// profiles are the lock-striped intern tables: entity e lives at
+	// stripe e mod scorerShards.
+	profiles [scorerShards]profileShard
 
 	// maxProfileBytes is the approximate global budget for interned
 	// profiles (0 = unbounded); each profile stripe gets an equal slice.
@@ -132,19 +123,10 @@ type Scorer struct {
 	}
 }
 
-// NewScorer creates a scoring engine over the knowledge base (a single KB
-// or a sharded router; every value it computes is identical either way).
+// NewScorer creates a scoring engine over the knowledge base (any Store;
+// every value it computes is identical whichever implementation serves it).
 func NewScorer(k kb.Store) *Scorer {
-	s := &Scorer{kb: k, kbShards: 1}
-	if k != nil {
-		if n := k.NumShards(); n > 1 {
-			s.kbShards = n
-		}
-	}
-	s.stripes = scorerShards / s.kbShards
-	if s.stripes < 1 {
-		s.stripes = 1
-	}
+	s := &Scorer{kb: k}
 	s.weight = func(w string) float64 {
 		v := k.WordIDF(w)
 		if v <= 0 {
@@ -152,7 +134,6 @@ func NewScorer(k kb.Store) *Scorer {
 		}
 		return v
 	}
-	s.profiles = make([]profileShard, s.kbShards*s.stripes)
 	for i := range s.profiles {
 		s.profiles[i].m = make(map[kb.EntityID]*profileEntry)
 	}
@@ -165,18 +146,6 @@ func NewScorer(k kb.Store) *Scorer {
 // KB returns the bound knowledge base store.
 func (s *Scorer) KB() kb.Store { return s.kb }
 
-// Weighter returns the engine's global keyword-IDF weighter.
-func (s *Scorer) Weighter() Weighter { return s.weight }
-
-// profileTable returns the intern table stripe owning entity e: the
-// stripe group of e's KB shard, striped within the group by the entity's
-// rank on that shard.
-func (s *Scorer) profileTable(e kb.EntityID) *profileShard {
-	group := kb.EntityShard(e, s.kbShards)
-	stripe := (uint64(e) / uint64(s.kbShards)) % uint64(s.stripes)
-	return &s.profiles[group*s.stripes+int(stripe)]
-}
-
 // Profile returns the interned keyphrase profile of a KB entity, building
 // it on first use. Duplicate builds under concurrency are possible but
 // harmless (profiles are immutable); exactly one copy is retained. When a
@@ -184,7 +153,7 @@ func (s *Scorer) profileTable(e kb.EntityID) *profileShard {
 // (and their dependent memoized pairs) — never changing any value, only
 // what is cached.
 func (s *Scorer) Profile(e kb.EntityID) *Profile {
-	sh := s.profileTable(e)
+	sh := &s.profiles[uint64(e)%scorerShards]
 	sh.mu.RLock()
 	if ent, ok := sh.m[e]; ok {
 		ent.ref.Store(true)

@@ -95,21 +95,6 @@ func (s *Scorer) Stats() Stats {
 	return st
 }
 
-// ProfilesByKBShard reports the interned-profile count per KB shard, in
-// shard order (a single entry over an unsharded KB). The intern tables are
-// physically grouped by KB shard, so this is a stripe-group walk, not a
-// full-table scan per shard.
-func (s *Scorer) ProfilesByKBShard() []int {
-	out := make([]int, s.kbShards)
-	for i := range s.profiles {
-		sh := &s.profiles[i]
-		sh.mu.RLock()
-		out[i/s.stripes] += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
 // Fixed per-element overheads of the ApproxBytes estimate. Map overhead is
 // a rule of thumb (bucket array, tophash bytes, padding) rather than an
 // exact runtime figure.

@@ -396,8 +396,9 @@ type serverStats struct {
 
 type kbStats struct {
 	Entities int `json:"entities"`
-	// Shards is the knowledge base's shard count: 1 for a single KB,
-	// N for a ShardedKB router (the -shards flag of cmd/aidaserver).
+	// Shards is the knowledge base's shard placement: 1 for a single KB,
+	// N under the -shards flag of cmd/aidaserver or behind an N-wide
+	// fleet.
 	Shards int `json:"shards"`
 	// RemoteShards is the width of the remote shard fleet behind this
 	// server (the -shard-map flag of cmd/aidaserver); 0 when the KB is

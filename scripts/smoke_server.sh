@@ -3,8 +3,9 @@
 # boots a real aidaserver (synthetic KB, tenanted config), then drives it
 # with curl — the open endpoints, the /demo page, the annotated-HTML
 # rendering, API-key auth (401 without a key), the token-bucket quota
-# (429 + Retry-After past the burst), X-Request-ID echo, and the
-# per-tenant Prometheus families. Run from the repository root:
+# (429 + Retry-After past the burst), X-Request-ID echo, the -shards
+# placement in /v1/stats and the per-tenant Prometheus families. Run from
+# the repository root:
 #
 #   ./scripts/smoke_server.sh [path-to-aidaserver-binary]
 #
@@ -32,7 +33,7 @@ cat >"$workdir/tenants.json" <<'EOF'
 ]}
 EOF
 
-"$bin" -gen 300 -seed 17 -addr 127.0.0.1:0 -tenants "$workdir/tenants.json" \
+"$bin" -gen 300 -seed 17 -shards 4 -addr 127.0.0.1:0 -tenants "$workdir/tenants.json" \
     >"$workdir/server.log" 2>&1 &
 pid=$!
 
@@ -95,6 +96,10 @@ hdr=$(curl -s -D - -o /dev/null -X POST "$base/v1/annotate" \
     -H 'X-API-Key: tiny-key' -H 'Content-Type: application/json' -d '{"text": "two"}')
 echo "$hdr" | grep -q '429' || fail "tiny tenant's second request was not throttled"
 echo "$hdr" | grep -qi '^retry-after: [0-9]' || fail "429 lacked a Retry-After header"
+
+# The server was booted with -shards 4: the KB's placement view is what it
+# serves, and /v1/stats (open endpoint) reports the placement.
+curl -fsS "$base/v1/stats" | grep -q '"shards":4' || fail "/v1/stats does not report \"shards\":4"
 
 # Per-tenant counters in the Prometheus exposition (open endpoint).
 prom=$(curl -fsS "$base/v1/stats?format=prometheus")

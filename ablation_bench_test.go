@@ -94,12 +94,16 @@ func BenchmarkAblationLSHGeometry(b *testing.B) {
 		ents = append(ents, s.World.PopularEntities(domain, 15)...)
 	}
 	exact := len(ents) * (len(ents) - 1) / 2
-	g := relatedness.NewMeasure(relatedness.KindKORELSHG, s.World.KB)
-	f := relatedness.NewMeasure(relatedness.KindKORELSHF, s.World.KB)
+	sets := make([][]kb.Keyphrase, len(ents))
+	for i, e := range ents {
+		sets[i] = s.World.KB.Entity(e).Keyphrases
+	}
+	g := relatedness.NewLSHFilter(relatedness.KindKORELSHG)
+	f := relatedness.NewLSHFilter(relatedness.KindKORELSHF)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pg := len(g.Pairs(ents))
-		pf := len(f.Pairs(ents))
+		pg := len(g.PairsOfSets(sets))
+		pf := len(f.PairsOfSets(sets))
 		b.ReportMetric(float64(exact), "pairs-exact")
 		b.ReportMetric(float64(pg), "pairs-lshg")
 		b.ReportMetric(float64(pf), "pairs-lshf")

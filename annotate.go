@@ -4,12 +4,11 @@ import (
 	"context"
 	"iter"
 	"runtime"
-	"sync"
+	"slices"
 
 	"aida/internal/disambig"
 	"aida/internal/emerge"
 	"aida/internal/kb"
-	"aida/internal/pool"
 	"aida/internal/tokenizer"
 )
 
@@ -170,11 +169,12 @@ func (s *System) ValidateRequest(spec *RequestSpec) error {
 }
 
 // annotateOne runs the full pipeline for one document under the resolved
-// request options. coherenceWorkers = 1 pins per-document coherence
-// scoring to one goroutine (used under document-level fan-out), 0 keeps
-// the method's own default; the override never changes results, only
-// scheduling. ctx cancels in-flight scoring; on cancellation the partial
-// output is discarded and ctx.Err() returned.
+// request options. coherenceWorkers bounds the document's coherence
+// scoring pool: AnnotateDoc passes the request's parallelism (0 keeps the
+// method's own default), the stream passes 1 because its parallelism is
+// across documents; the value never changes results, only scheduling. ctx
+// cancels in-flight scoring; on cancellation the partial output is
+// discarded and ctx.Err() returned.
 func (s *System) annotateOne(ctx context.Context, text string, o annotateOptions, coherenceWorkers int) (doc *Document, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -282,68 +282,44 @@ func (s *System) AnnotateDoc(ctx context.Context, text string, opts ...AnnotateO
 	return s.annotateOne(ctx, text, o, o.parallelism)
 }
 
-// AnnotateCorpus annotates a slice of documents concurrently with a
-// bounded worker pool (WithParallelism; default GOMAXPROCS) and returns
-// the documents in input order. On cancellation it stops handing out
-// documents, waits for in-flight workers, and returns ctx.Err(); no
-// partial result is returned. The annotations are byte-identical to a
-// sequential AnnotateDoc loop at any parallelism, because the shared engine memoizes only pure functions
-// of the KB.
+// AnnotateCorpus annotates a slice of documents and returns them in input
+// order: it collects AnnotateStream over the slice, so fan-out width,
+// cancellation and determinism are the stream's. An error — a failing
+// document or a canceled ctx — returns (nil, err); no partial result is
+// returned.
 func (s *System) AnnotateCorpus(ctx context.Context, docs []string, opts ...AnnotateOption) ([]*Document, error) {
-	o, err := s.requestOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Document, len(docs))
-	workers := batchWorkers(o.parallelism, len(docs))
-	if workers <= 1 {
-		// One document at a time. An explicit parallelism is the total
-		// concurrency budget, so it bounds each document's coherence pool
-		// (parallelism 1 means one goroutine in total, not one document at
-		// a time each fanning out to GOMAXPROCS); parallelism 0 keeps the
-		// method default.
-		for i, d := range docs {
-			doc, err := s.annotateOne(ctx, d, o, o.parallelism)
-			if err != nil {
-				return nil, err
-			}
-			doc.Index = i
-			out[i] = doc
-		}
-		return out, nil
-	}
-	// Parallelism comes from the document pool; pin each document's
-	// coherence scoring to one goroutine so a P-worker corpus schedules P
-	// goroutines, not P².
-	err = pool.ForEachCtx(ctx, len(docs), workers, func(i int) error {
-		doc, err := s.annotateOne(ctx, docs[i], o, 1)
+	out := make([]*Document, 0, len(docs))
+	for doc, err := range s.AnnotateStream(ctx, slices.Values(docs), opts...) {
 		if err != nil {
-			return err
+			return nil, err
 		}
-		doc.Index = i
-		out[i] = doc
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		out = append(out, doc)
 	}
 	return out, nil
 }
 
-// AnnotateStream annotates an arbitrary document sequence: documents are
-// fanned out to a bounded worker pool (WithParallelism; default
-// GOMAXPROCS) while results are yielded strictly in input order, each as
-// soon as it and all its predecessors are done. Memory stays bounded by
-// the worker count rather than the corpus size, so it suits indefinite
-// feeds (news streams, queue consumers); for in-memory slices
-// AnnotateCorpus is simpler.
+// AnnotateStream annotates an arbitrary document sequence and is the one
+// multi-document engine (AnnotateCorpus collects it). A producer goroutine
+// pulls the input and queues one future per document, in input order; at
+// most P documents (WithParallelism; default GOMAXPROCS) are annotated at
+// once, each on its own goroutine with coherence scoring pinned to that
+// goroutine, so a P-wide stream schedules P goroutines, not P². Results are
+// yielded strictly in input order, each as soon as it and all its
+// predecessors are done.
 //
-// Breaking out of the range loop stops the workers and the input pull
-// without leaking goroutines. When ctx is canceled the stream stops
-// pulling input, drains its workers, and ends by yielding (nil,
-// ctx.Err()) — a nil error on every yielded pair therefore means the
-// sequence was annotated completely. The yielded annotations are
-// byte-identical to AnnotateCorpus at any parallelism.
+// The producer runs at most 2·P documents ahead of the one being yielded,
+// so memory is bounded by the parallelism rather than the input — the
+// stream suits indefinite feeds (news streams, queue consumers) even when
+// one slow document holds up the head of the line.
+//
+// Breaking out of the range loop cancels the in-flight documents and the
+// input pull without leaking goroutines. A failing document k ends the
+// stream with (nil, err) after documents 0..k-1. When ctx is canceled the
+// stream stops pulling input and ends by yielding (nil, ctx.Err()) — a nil
+// error on every yielded pair therefore means the sequence was annotated
+// completely. The yielded annotations are byte-identical to an AnnotateDoc
+// loop at any parallelism, because the shared engine memoizes only pure
+// functions of the KB.
 func (s *System) AnnotateStream(ctx context.Context, docs iter.Seq[string], opts ...AnnotateOption) iter.Seq2[*Document, error] {
 	return func(yield func(*Document, error) bool) {
 		o, err := s.requestOptions(opts)
@@ -351,119 +327,60 @@ func (s *System) AnnotateStream(ctx context.Context, docs iter.Seq[string], opts
 			yield(nil, err)
 			return
 		}
-		workers := batchWorkers(o.parallelism, -1)
-		if workers <= 1 {
-			// workers == 1 means the caller asked for parallelism 1 or
-			// GOMAXPROCS is 1; either way the whole sequence runs on one
-			// goroutine, so the per-document coherence pool is pinned too.
-			i := 0
-			for d := range docs {
-				doc, err := s.annotateOne(ctx, d, o, 1)
-				if err != nil {
-					yield(nil, err)
-					return
-				}
-				doc.Index = i
-				if !yield(doc, nil) {
-					return
-				}
-				i++
-			}
-			return
-		}
-		type job struct {
-			i    int
-			text string
-		}
-		type res struct {
-			i   int
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		type result struct {
 			doc *Document
 			err error
 		}
-		stop := make(chan struct{})
-		defer close(stop)
-		jobs := make(chan job, workers)
-		results := make(chan res, workers)
+		p := o.parallelism
+		if p <= 0 {
+			p = runtime.GOMAXPROCS(0)
+		}
+		slots := make(chan struct{}, p)
+		// The run-ahead window: with room for only the P documents being
+		// annotated, a slow document at the head would idle the other slots
+		// until it is yielded; a second P keeps them fed.
+		futures := make(chan chan result, 2*p)
 		go func() { // producer
-			defer close(jobs)
+			defer close(futures)
 			i := 0
 			for d := range docs {
+				f := make(chan result, 1)
 				select {
-				case jobs <- job{i: i, text: d}:
-					i++
-				case <-stop:
-					return
+				case futures <- f:
 				case <-ctx.Done():
 					return
 				}
+				// Always granted: every holder returns its slot, promptly
+				// once ctx is canceled.
+				slots <- struct{}{}
+				go func(i int) {
+					doc, err := s.annotateOne(ctx, d, o, 1)
+					if doc != nil {
+						doc.Index = i
+					}
+					<-slots
+					f <- result{doc, err}
+				}(i)
+				i++
 			}
 		}()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					doc, err := s.annotateOne(ctx, j.text, o, 1)
-					if doc != nil {
-						doc.Index = j.i
-					}
-					select {
-					case results <- res{i: j.i, doc: doc, err: err}:
-						if err != nil {
-							return
-						}
-					case <-stop:
-						return
-					}
-				}
-			}()
-		}
-		go func() {
-			wg.Wait()
-			close(results)
-		}()
-		// Reorder: emit document i only after 0..i-1 have been emitted.
-		// annotateOne always returns a non-nil document on success, so
-		// presence in pending is enough to mark a document done.
-		pending := make(map[int]*Document, workers)
-		next := 0
-		for r := range results {
+		for f := range futures {
+			r := <-f
 			if r.err != nil {
 				yield(nil, r.err)
 				return
 			}
-			pending[r.i] = r.doc
-			for {
-				doc, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				if !yield(doc, nil) {
-					return
-				}
-				next++
+			if !yield(r.doc, nil) {
+				return
 			}
 		}
-		// The producer may have stopped pulling input on cancellation
-		// without any worker observing ctx (all drained jobs finished
-		// first). Surface the truncation instead of ending as a success.
+		// The producer may have stopped pulling input on cancellation with
+		// every queued document already annotated. Surface the truncation
+		// instead of ending as a success.
 		if err := ctx.Err(); err != nil {
 			yield(nil, err)
 		}
 	}
-}
-
-// batchWorkers resolves the worker count for a document fan-out; n < 0
-// means the document count is unknown (streaming).
-func batchWorkers(parallelism, n int) int {
-	w := parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if n >= 0 && w > n {
-		w = n
-	}
-	return w
 }

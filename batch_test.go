@@ -53,27 +53,34 @@ func annotateCorpus(t testing.TB, sys *System, docs []string, opts ...AnnotateOp
 }
 
 // TestAnnotateBatchMatchesSequential is the headline determinism check:
-// AnnotateCorpus at full parallelism must produce byte-identical
-// annotations to the one-document-at-a-time loop, on both a cold and a warm
-// engine.
+// AnnotateCorpus at any parallelism must produce documents byte-identical
+// to the one-document-at-a-time AnnotateDoc loop — annotations, candidates
+// and Index — on both a cold and a warm engine.
 func TestAnnotateBatchMatchesSequential(t *testing.T) {
 	k, docs := batchWorld(t, 12)
+	ctx := context.Background()
 
 	seq := New(k, WithMaxCandidates(10))
-	want := make([][]Annotation, len(docs))
+	want := make([]*Document, len(docs))
 	for i, d := range docs {
-		want[i] = annotateDoc(t, seq, d)
+		doc, err := seq.AnnotateDoc(ctx, d, IncludeCandidates())
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc.Index = i
+		want[i] = doc
 	}
 
-	for _, parallelism := range []int{0, 1, 2, runtime.GOMAXPROCS(0)} {
+	for _, parallelism := range []int{0, 1, 2, 8} {
 		sys := New(k, WithMaxCandidates(10))
-		cold := annotateCorpus(t, sys, docs, WithParallelism(parallelism))
-		if !reflect.DeepEqual(want, cold) {
-			t.Fatalf("parallelism=%d: cold batch diverges from sequential", parallelism)
-		}
-		warm := annotateCorpus(t, sys, docs, WithParallelism(parallelism))
-		if !reflect.DeepEqual(want, warm) {
-			t.Fatalf("parallelism=%d: warm batch diverges from sequential", parallelism)
+		for _, pass := range []string{"cold", "warm"} {
+			got, err := sys.AnnotateCorpus(ctx, docs, WithParallelism(parallelism), IncludeCandidates())
+			if err != nil {
+				t.Fatalf("parallelism=%d %s: %v", parallelism, pass, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("parallelism=%d: %s batch diverges from the AnnotateDoc loop", parallelism, pass)
+			}
 		}
 	}
 }
@@ -84,16 +91,16 @@ func TestAnnotateBatchWarmsEngine(t *testing.T) {
 	k, docs := batchWorld(t, 8)
 	sys := New(k, WithMaxCandidates(10))
 	annotateCorpus(t, sys, docs, WithParallelism(4))
-	_, misses1 := sys.Scorer().CacheStats()
+	misses1 := sys.Scorer().Stats().Misses
 	if misses1 == 0 {
 		t.Fatal("expected the engine to compute pair values during batch annotation")
 	}
 	annotateCorpus(t, sys, docs, WithParallelism(4))
-	hits2, misses2 := sys.Scorer().CacheStats()
-	if misses2 != misses1 {
-		t.Errorf("second pass over the same docs recomputed %d pairs", misses2-misses1)
+	st := sys.Scorer().Stats()
+	if st.Misses != misses1 {
+		t.Errorf("second pass over the same docs recomputed %d pairs", st.Misses-misses1)
 	}
-	if hits2 == 0 {
+	if st.Hits == 0 {
 		t.Error("second pass should hit the warm cache")
 	}
 }
@@ -121,7 +128,7 @@ func TestAnnotateAllMatchesBatch(t *testing.T) {
 	want := annotateCorpus(t, sys, docs)
 	ctx := context.Background()
 
-	for _, parallelism := range []int{0, 1, 4} {
+	for _, parallelism := range []int{0, 1, 2, 8} {
 		var got [][]Annotation
 		for doc, err := range sys.AnnotateStream(ctx, slices.Values(docs), WithParallelism(parallelism)) {
 			if err != nil {
@@ -166,7 +173,7 @@ func TestSystemRelatednessReusesEngine(t *testing.T) {
 			t.Fatalf("%v: fresh system disagrees: %v vs %v", kind, first, fresh)
 		}
 	}
-	if hits, _ := sys.Scorer().CacheStats(); hits == 0 {
+	if sys.Scorer().Stats().Hits == 0 {
 		t.Error("repeated Relatedness calls should hit the engine cache")
 	}
 }

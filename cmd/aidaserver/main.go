@@ -221,8 +221,8 @@ func main() {
 	if *journal != "" {
 		// Replay first: every delta applied in previous lives is reinstalled
 		// before traffic starts, so graduated entities survive restarts. A
-		// delta that no longer validates (e.g. written out of order by racing
-		// appliers) is skipped with a warning rather than blocking boot.
+		// delta that no longer validates (a journal edited by hand or written
+		// for another KB) is skipped with a warning rather than blocking boot.
 		applied, truncated, err := live.ReplayJournal(*journal, func(d *aida.Delta) error {
 			if _, aerr := sys.ApplyDelta(d); aerr != nil {
 				logger.Warn("journaled delta skipped", "err", aerr)
@@ -249,9 +249,9 @@ func main() {
 	}
 
 	if *domains != "" {
-		// Register after the journal replay: a domain layer binds to the KB
-		// generation current at registration, so replayed deltas must land
-		// first for the layers to see their entities.
+		// Registered after the journal replay only so each layer is built
+		// once: ApplyDelta rebuilds every registered layer over the new
+		// generation, so either order serves the same layers.
 		dicts, err := aida.LoadDomainDictionaries(*domains)
 		if err != nil {
 			logger.Error("load domain dictionaries", "path", *domains, "err", err)

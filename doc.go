@@ -36,15 +36,18 @@
 // # The request API
 //
 // All annotation goes through three context-aware methods — AnnotateDoc,
-// AnnotateCorpus (a slice, input order) and AnnotateStream (any
-// iter.Seq[string], yielded in input order with memory bounded by the
-// worker count). Canceling the context aborts in-flight scoring promptly
-// and surfaces ctx.Err(). Per-request AnnotateOptions select the method
-// (UseMethod, UseMethodNamed), parallelism (WithParallelism), candidate
-// cap (CapCandidates), surface expansion (SurfaceExpansion) and opt-in
-// result extras (IncludeCandidates, IncludeConfidence, IncludeStats)
-// without touching the System, so one warm process serves heterogeneous
-// traffic:
+// AnnotateStream (any iter.Seq[string]: up to WithParallelism documents
+// annotated at once on one goroutine each, yielded in input order, the
+// input pulled a bounded window ahead) and AnnotateCorpus, which collects
+// the stream over a slice. Canceling the context, or breaking out of the
+// stream, aborts in-flight scoring promptly; cancellation surfaces
+// ctx.Err().
+//
+// Per-request AnnotateOptions select the method (UseMethod,
+// UseMethodNamed), parallelism (WithParallelism), candidate cap
+// (CapCandidates), surface expansion (SurfaceExpansion) and opt-in result
+// extras (IncludeCandidates, IncludeConfidence, IncludeStats) without
+// touching the System, so one warm process serves heterogeneous traffic:
 //
 //	docs, err := sys.AnnotateCorpus(ctx, texts, aida.WithParallelism(8))
 //	for doc, err := range sys.AnnotateStream(ctx, feed, aida.UseMethodNamed("prior")) { ... }
@@ -52,12 +55,12 @@
 // # Scoring engine and deterministic concurrency
 //
 // Every System holds a Scorer: a long-lived, sharded, concurrency-safe
-// engine bound to its KB that interns per-entity keyphrase profiles,
+// engine bound to its KB that interns per-entity keyphrase profiles and
 // memoizes pairwise relatedness for all six measure kinds across
-// documents, and builds each LSH filter once. Single-document annotation,
-// System.Relatedness, coherence scoring and the emerging-entity pipeline
-// all draw from it, so repeated candidate entities — the common case over
-// a corpus — are never re-scored.
+// documents. Single-document annotation, System.Relatedness, coherence
+// scoring and the emerging-entity pipeline all draw from it, so repeated
+// candidate entities — the common case over a corpus — are never
+// re-scored.
 //
 // AnnotateCorpus and AnnotateStream are deterministic: the output is
 // byte-identical to a sequential AnnotateDoc loop at any parallelism,

@@ -60,8 +60,8 @@ func ExampleSystem_Relatedness() {
 	fmt.Printf("KORE(Jimmy Page, Led Zeppelin) = %.3f\n", sys.Relatedness(aida.KORE, jimmy, zep))
 	fmt.Printf("KORE(Larry Page, Led Zeppelin) = %.3f\n", sys.Relatedness(aida.KORE, larry, zep))
 
-	hits, misses := sys.Scorer().CacheStats()
-	fmt.Printf("engine: %d hits, %d misses\n", hits, misses)
+	st := sys.Scorer().Stats()
+	fmt.Printf("engine: %d hits, %d misses\n", st.Hits, st.Misses)
 	// Output:
 	// MW  (Jimmy Page, Led Zeppelin) = 0.415
 	// MW  (Larry Page, Led Zeppelin) = 0.000

@@ -1,9 +1,9 @@
 // Command batch demonstrates concurrent multi-document annotation over the
-// shared scoring engine: AnnotateCorpus for in-memory corpora and the
-// streaming AnnotateStream for indefinite feeds. Both are cancellable via
-// context and produce exactly the annotations a sequential AnnotateDoc
-// loop would, while KB-entity pair relatedness is computed once across the
-// whole run.
+// shared scoring engine: the streaming AnnotateStream for indefinite feeds
+// and AnnotateCorpus, which collects that same stream for an in-memory
+// corpus. Both are cancellable via context and produce exactly the
+// annotations a sequential AnnotateDoc loop would, while KB-entity pair
+// relatedness is computed once across the whole run.
 package main
 
 import (
@@ -60,7 +60,8 @@ func main() {
 	// disconnect) and in-flight scoring stops promptly with ctx.Err().
 	ctx := context.Background()
 
-	// Fixed corpus: fan out across all cores, results in input order.
+	// Fixed corpus: one document per core at a time, results in input
+	// order.
 	fmt.Println("== AnnotateCorpus ==")
 	corpus, err := sys.AnnotateCorpus(ctx, docs, aida.WithParallelism(runtime.GOMAXPROCS(0)))
 	if err != nil {
@@ -73,8 +74,10 @@ func main() {
 	}
 
 	// Streaming: documents are annotated concurrently but yielded in
-	// order, each as soon as it and its predecessors are ready. Any
-	// iter.Seq[string] works (a channel drain, a file scanner, ...).
+	// order, each as soon as it and its predecessors are ready; the feed
+	// is pulled only a bounded window ahead, and breaking out of the loop
+	// cancels what is in flight. Any iter.Seq[string] works (a channel
+	// drain, a file scanner, ...).
 	// Per-request options ride along: here the prior-only baseline plus
 	// the disambiguation work counters.
 	fmt.Println("== AnnotateStream ==")
@@ -88,6 +91,6 @@ func main() {
 	}
 
 	// The engine kept every cross-document pair computation.
-	hits, misses := sys.Scorer().CacheStats()
-	fmt.Printf("engine pair cache: %d hits, %d misses\n", hits, misses)
+	st := sys.Scorer().Stats()
+	fmt.Printf("engine pair cache: %d hits, %d misses\n", st.Hits, st.Misses)
 }

@@ -201,15 +201,9 @@ func (s *cohScorer) buildFilter() {
 	for i := range s.flags {
 		s.flags[i] = slotHave
 	}
-	for _, pr := range newStandaloneFilter(variant).PairsOfSets(sets) {
+	for _, pr := range relatedness.NewLSHFilter(variant).PairsOfSets(sets) {
 		s.flags[s.slot(pr[0], pr[1])] = 0
 	}
-}
-
-// newStandaloneFilter builds an LSH filter that is not bound to a KB (the
-// candidates carry their own keyphrases).
-func newStandaloneFilter(kind relatedness.Kind) *relatedness.LSHFilter {
-	return relatedness.NewLSHFilter(nil, kind)
 }
 
 // score returns the coherence between the candidates with ids a and b (0 for

@@ -13,8 +13,8 @@ import (
 // has nothing to vote with) through three annotation configurations —
 // coherence-only baseline, with the request context prior, and through a
 // per-domain dictionary layer — and reports the accuracy of each run. The
-// corpora come from internal/kbtest's generators; the CI hard-ambiguity
-// job gates on the context-prior run strictly beating the baseline.
+// corpora come from internal/kbtest's generators; workload_test.go gates on
+// the context-prior run strictly beating the baseline.
 //
 // The harness is deliberately decoupled from the aida package (which this
 // package must not import — aida's own tests import eval): each variant is

@@ -73,13 +73,8 @@ type SpearmanRow struct {
 // link-poor seeds, and overall.
 func (s *Suite) Table42() []SpearmanRow {
 	gold := s.World.RelatednessGold(wiki.DefaultGoldSpec(s.Sizes.Seed + 7))
-	// One engine serves all six kinds: profiles are interned once and the
-	// LSH filters are built once instead of per measure.
+	// One engine serves all six kinds: profiles are interned once.
 	engine := relatedness.NewScorer(s.World.KB)
-	measures := make(map[string]*relatedness.Measure, len(relatednessKinds))
-	for _, k := range relatednessKinds {
-		measures[k.String()] = engine.Measure(k)
-	}
 	// Per-seed correlations per measure.
 	type seedScore struct {
 		domain   string
@@ -104,12 +99,12 @@ func (s *Suite) Table42() []SpearmanRow {
 			linkPoor: len(s.World.KB.Entity(g.Seed).InLinks) <= linkPoorMax,
 			scores:   map[string]float64{},
 		}
-		for name, m := range measures {
+		for _, kind := range relatednessKinds {
 			vals := make([]float64, len(g.Candidates))
 			for i, c := range g.Candidates {
-				vals[i] = m.Relatedness(g.Seed, c)
+				vals[i] = engine.Relatedness(kind, g.Seed, c)
 			}
-			ss.scores[name] = eval.SpearmanFromOrder(g.GoldOrder, vals)
+			ss.scores[kind.String()] = eval.SpearmanFromOrder(g.GoldOrder, vals)
 		}
 		perSeed = append(perSeed, ss)
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"sync"
 
+	"aida"
 	"aida/internal/kb"
 )
 
@@ -23,8 +24,8 @@ var journalMagic = []byte("AIDADLT\x01")
 
 // Journal is an append-only log of applied KB deltas. A server opens it
 // on boot (replaying the recorded deltas first, see ReplayJournal),
-// appends every delta it applies, and thereby makes live updates survive
-// restarts. Append is safe for concurrent use.
+// installs every live delta through Apply, and thereby makes live updates
+// survive restarts. All methods are safe for concurrent use.
 type Journal struct {
 	mu sync.Mutex
 	f  *os.File
@@ -56,10 +57,37 @@ func OpenJournal(path string) (*Journal, error) {
 	return &Journal{f: f}, nil
 }
 
-// Append records one applied delta. The frame is written with a single
-// Write call after encoding, so a crash leaves at most one torn tail
-// frame, which the next OpenJournal truncates.
+// Apply installs d into sys and records it, holding the journal's lock
+// across both steps: every applier of a journaled System goes through
+// here, so the journal lists the deltas in the order they were applied and
+// replays onto the same store. err is the apply's own (the delta was
+// rejected, nothing changed, nothing was recorded). appendErr means the
+// apply stands but is not durable; the caller decides how loudly to say so.
+// A nil Journal applies without recording.
+func (j *Journal) Apply(sys *aida.System, d *kb.Delta) (receipt aida.DeltaReceipt, appendErr, err error) {
+	if j != nil {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+	}
+	receipt, err = sys.ApplyDelta(d)
+	if err != nil || j == nil {
+		return receipt, nil, err
+	}
+	return receipt, j.append(d), nil
+}
+
+// Append records one delta that was applied elsewhere (a journal written
+// ahead of the System it will be replayed into).
 func (j *Journal) Append(d *kb.Delta) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.append(d)
+}
+
+// append writes one frame with a single Write call after encoding, so a
+// crash leaves at most one torn tail frame, which the next OpenJournal
+// truncates. Caller holds mu.
+func (j *Journal) append(d *kb.Delta) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
 		return fmt.Errorf("live: encoding delta: %w", err)
@@ -67,8 +95,6 @@ func (j *Journal) Append(d *kb.Delta) error {
 	frame := make([]byte, 4+buf.Len())
 	binary.BigEndian.PutUint32(frame, uint32(buf.Len()))
 	copy(frame[4:], buf.Bytes())
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if _, err := j.f.Write(frame); err != nil {
 		return fmt.Errorf("live: appending delta frame: %w", err)
 	}

@@ -434,3 +434,39 @@ func TestLoopRunOnceDrainsBuffer(t *testing.T) {
 		t.Fatalf("Generation() = %d, want 0 (single observation below threshold)", got)
 	}
 }
+
+// TestJournalApply pins the applier's contract: a rejected delta changes
+// and records nothing, a failed append leaves the apply standing and says
+// so, and a nil journal applies without recording.
+func TestJournalApply(t *testing.T) {
+	sys := aida.New(testKB())
+	graduate := func(surface string) *kb.Delta {
+		g := NewGraduator(Config{MinOccurrences: 1, MinKeyphrases: 1})
+		g.Observe(discovery(surface, "hard rock"), nil)
+		return g.Graduate(sys.Store())
+	}
+	path := filepath.Join(t.TempDir(), "deltas.journal")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatalf("OpenJournal: %v", err)
+	}
+
+	first := graduate("Novatrix Sound")
+	if r, appendErr, err := j.Apply(sys, first); err != nil || appendErr != nil || r.Generation != 1 {
+		t.Fatalf("Apply = (%+v, %v, %v), want generation 1 journaled", r, appendErr, err)
+	}
+	if _, appendErr, err := j.Apply(sys, first); err == nil || appendErr != nil || sys.Generation() != 1 {
+		t.Fatalf("stale Apply = (%v, %v) at generation %d, want a rejection that changes nothing", appendErr, err, sys.Generation())
+	}
+	j.Close()
+	if r, appendErr, err := j.Apply(sys, graduate("Veltrane Audio")); err != nil || appendErr == nil || r.Generation != 2 {
+		t.Fatalf("Apply on a closed journal = (%+v, %v, %v), want generation 2 with an append error", r, appendErr, err)
+	}
+	var none *Journal
+	if r, appendErr, err := none.Apply(sys, graduate("Quorra Records")); err != nil || appendErr != nil || r.Generation != 3 {
+		t.Fatalf("nil-journal Apply = (%+v, %v, %v), want generation 3", r, appendErr, err)
+	}
+	if n, _, err := ReplayJournal(path, func(*kb.Delta) error { return nil }); err != nil || n != 1 {
+		t.Fatalf("journal holds %d deltas (err %v), want only the one durable apply", n, err)
+	}
+}

@@ -170,18 +170,16 @@ func (l *Loop) RunOnce(ctx context.Context) (aida.DeltaReceipt, bool, error) {
 	if delta == nil {
 		return aida.DeltaReceipt{}, false, nil
 	}
-	receipt, err := l.System.ApplyDelta(delta)
+	receipt, appendErr, err := l.Journal.Apply(l.System, delta)
 	if err != nil {
 		return aida.DeltaReceipt{}, false, err
 	}
 	l.logf("live: graduated %d entities (%d rows) -> generation %d, %d KB entities",
 		receipt.Entities, receipt.Rows, receipt.Generation, receipt.KBEntities)
-	if l.Journal != nil {
-		if jerr := l.Journal.Append(delta); jerr != nil {
-			// The apply already happened; a journal failure costs
-			// durability, not correctness. Log and keep serving.
-			l.logf("live: journal append failed: %v", jerr)
-		}
+	if appendErr != nil {
+		// The apply already happened; a journal failure costs
+		// durability, not correctness. Log and keep serving.
+		l.logf("live: journal append failed: %v", appendErr)
 	}
 	return receipt, true, nil
 }

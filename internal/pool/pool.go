@@ -1,7 +1,8 @@
 // Package pool provides the bounded index fan-out primitive shared by the
-// batch-annotation, coherence-scoring and chunk-harvesting paths, plus the
-// typed scratch pool that backs the annotate hot path's per-document
-// buffer reuse.
+// coherence-scoring and chunk-harvesting paths (document fan-out is
+// aida.AnnotateStream's own: it needs input order and a run-ahead bound,
+// not an index range), plus the typed scratch pool that backs the annotate
+// hot path's per-document buffer reuse.
 package pool
 
 import (

@@ -26,10 +26,9 @@ import (
 //
 // What is dropped: profiles and all pair rows of touched entities (their
 // link sets changed — the same dependent-pair sweep the eviction machinery
-// performs, see dropPairsOf), the MW row under entity-count change, and
-// the LSH filters (rebuilt lazily over the new store so added entities are
-// indexed). Cache hit/miss/eviction counters start at zero on the clone —
-// a generation swap reads as a restart in the engine's observability.
+// performs, see dropPairsOf) and the MW row under entity-count change.
+// Cache hit/miss/eviction counters start at zero on the clone — a
+// generation swap reads as a restart in the engine's observability.
 //
 // The source engine stays valid and serves in-flight documents of the old
 // generation; CloneFor only read-locks it.

@@ -32,9 +32,9 @@ const (
 
 // LSHFilter prunes entity pairs for KORE using the two-stage hashing
 // scheme: stage-one phrase bucketing plus stage-two entity sketching, with
-// process-wide sketch memoization.
+// process-wide sketch memoization. It works on keyphrase sets, not on a
+// KB: disambiguation candidates carry their own keyphrases.
 type LSHFilter struct {
-	kb      kb.Store
 	stage1  *minhash.Sketcher
 	stage1l minhash.LSH
 	stage2  *minhash.Sketcher
@@ -42,15 +42,13 @@ type LSHFilter struct {
 }
 
 // NewLSHFilter creates a filter for the given KORE LSH variant
-// (KindKORELSHG or KindKORELSHF). The kb may be nil when only PairsOfSets
-// is used.
-func NewLSHFilter(k kb.Store, kind Kind) *LSHFilter {
+// (KindKORELSHG or KindKORELSHF).
+func NewLSHFilter(kind Kind) *LSHFilter {
 	bands, rows := lshGBands, lshGRows
 	if kind == KindKORELSHF {
 		bands, rows = lshFBands, lshFRows
 	}
 	return &LSHFilter{
-		kb:      k,
 		stage1:  minhash.NewSketcher(stage1SketchLen, stage1Seed),
 		stage1l: minhash.LSH{Bands: stage1Bands, Rows: stage1Rows},
 		stage2:  minhash.NewSketcher(bands*rows, stage2Seed),
@@ -80,34 +78,12 @@ func PhraseBuckets(stage1 *minhash.Sketcher, lsh minhash.LSH, phrases []kb.Keyph
 	return out
 }
 
-// Pairs returns the pairs of the candidate set sharing at least one
-// stage-two bucket; only these pairs' exact KORE values are computed.
-func (f *LSHFilter) Pairs(entities []kb.EntityID) [][2]kb.EntityID {
-	ix := minhash.NewIndex(f.stage2l)
-	for i, e := range entities {
-		ix.Add(i, f.sketchOfSet(f.kb.Entity(e).Keyphrases))
-	}
-	idxPairs := ix.CandidatePairs()
-	out := make([][2]kb.EntityID, 0, len(idxPairs))
-	for _, p := range idxPairs {
-		a, b := entities[p[0]], entities[p[1]]
-		if a == b {
-			continue
-		}
-		if a > b {
-			a, b = b, a
-		}
-		out = append(out, [2]kb.EntityID{a, b})
-	}
-	return out
-}
-
-// PairsOfSets is the stage-two filter over ad-hoc keyphrase sets (used for
-// emerging-entity placeholders and per-document candidate sets): returns
-// index pairs into the given slice. Stage-two sketches are memoized
-// process-wide, keyed by the phrase-set content hash, so repeated
-// disambiguation of the same candidate entities (the common case over a
-// corpus) pays the sketching cost only once.
+// PairsOfSets returns the index pairs of sets sharing at least one
+// stage-two bucket; only these pairs' exact KORE values are computed
+// (Sec. 4.4.2). Stage-two sketches are memoized process-wide, keyed by the
+// phrase-set content hash, so repeated disambiguation of the same candidate
+// entities (the common case over a corpus) pays the sketching cost only
+// once.
 func (f *LSHFilter) PairsOfSets(sets [][]kb.Keyphrase) [][2]int {
 	ix := minhash.NewIndex(f.stage2l)
 	for i, phrases := range sets {

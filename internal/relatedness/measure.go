@@ -3,8 +3,6 @@ package relatedness
 import (
 	"fmt"
 	"strings"
-
-	"aida/internal/kb"
 )
 
 // Kind selects one of the implemented relatedness measures.
@@ -58,38 +56,4 @@ func ParseKind(name string) (Kind, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown relatedness kind %q", name)
-}
-
-// Measure is a per-kind view of a Scorer: a relatedness measure bound to a
-// knowledge base, sharing the engine's interned profiles, memoized pair
-// values and LSH filters. It is safe for concurrent use.
-type Measure struct {
-	Kind Kind
-	KB   kb.Store
-
-	scorer *Scorer
-}
-
-// NewMeasure binds a measure kind to a knowledge base over a fresh engine.
-// Callers that evaluate several kinds (or many documents) should share one
-// Scorer and derive views with (*Scorer).Measure instead.
-func NewMeasure(kind Kind, k kb.Store) *Measure {
-	return NewScorer(k).Measure(kind)
-}
-
-// Scorer returns the engine backing this view.
-func (m *Measure) Scorer() *Scorer { return m.scorer }
-
-// Relatedness computes the relatedness of two entities under the bound
-// measure kind. For LSH kinds this is the exact KORE value (the pair
-// filtering is exposed separately via Pairs).
-func (m *Measure) Relatedness(a, b kb.EntityID) float64 {
-	return m.scorer.Relatedness(m.Kind, a, b)
-}
-
-// Pairs returns the entity pairs whose relatedness should be computed for
-// the given candidate set. Exact measures return all pairs; LSH variants
-// return only pairs sharing at least one stage-two bucket (Sec. 4.4.2).
-func (m *Measure) Pairs(entities []kb.EntityID) [][2]kb.EntityID {
-	return m.scorer.Pairs(m.Kind, entities)
 }

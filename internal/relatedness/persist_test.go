@@ -65,8 +65,8 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// Every value above must have come out of the restored cache.
-	if hits, misses := loaded.CacheStats(); misses != 0 || hits == 0 {
-		t.Fatalf("warm-started engine recomputed values: hits=%d misses=%d", hits, misses)
+	if st := loaded.Stats(); st.Misses != 0 || st.Hits == 0 {
+		t.Fatalf("warm-started engine recomputed values: hits=%d misses=%d", st.Hits, st.Misses)
 	}
 }
 
@@ -108,7 +108,7 @@ func assertAllHits(t *testing.T, loaded, donor *Scorer, ents []kb.EntityID) {
 			}
 		}
 	}
-	if _, misses := loaded.CacheStats(); misses != 0 {
+	if misses := loaded.Stats().Misses; misses != 0 {
 		t.Fatalf("warm start recomputed %d values", misses)
 	}
 }

@@ -8,11 +8,11 @@
 //
 // The long-lived entry point is the Scorer: a sharded, concurrency-safe
 // engine bound to one KB that interns entity Profiles, memoizes pair
-// values for all kinds across documents, builds each LSH filter once, and
-// reports its cache state via Stats. Measure is a thin per-kind view of a
-// Scorer; the free functions (MW, KORE, KeywordCosine, ...) are the
+// values for all kinds across documents, and reports its cache state via
+// Stats. The free functions (MW, KORE, KeywordCosine, ...) are the
 // stateless primitives underneath, useful for ad-hoc keyphrase sets that
-// are not KB entities.
+// are not KB entities; LSHFilter prunes the pairs of such sets for the LSH
+// kinds.
 package relatedness
 
 import (

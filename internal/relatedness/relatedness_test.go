@@ -159,8 +159,8 @@ func TestKeyphraseCosineAtomic(t *testing.T) {
 	}
 }
 
-// buildClusterKB creates a KB with two topical clusters to test the bound
-// Measure and the LSH filter end to end.
+// buildClusterKB creates a KB with two topical clusters to test the engine
+// and the LSH filter end to end.
 func buildClusterKB() (*kb.KB, []kb.EntityID, []kb.EntityID) {
 	b := kb.NewBuilder()
 	var music, physics []kb.EntityID
@@ -190,10 +190,10 @@ func buildClusterKB() (*kb.KB, []kb.EntityID, []kb.EntityID) {
 
 func TestMeasureClusterSeparation(t *testing.T) {
 	k, music, physics := buildClusterKB()
+	s := NewScorer(k)
 	for _, kind := range []Kind{KindMW, KindKWCS, KindKPCS, KindKORE} {
-		m := NewMeasure(kind, k)
-		intra := m.Relatedness(music[0], music[1])
-		inter := m.Relatedness(music[0], physics[0])
+		intra := s.Relatedness(kind, music[0], music[1])
+		inter := s.Relatedness(kind, music[0], physics[0])
 		if intra <= inter {
 			t.Errorf("%v: intra-cluster %v not above inter-cluster %v", kind, intra, inter)
 		}
@@ -202,35 +202,30 @@ func TestMeasureClusterSeparation(t *testing.T) {
 
 func TestMeasureSelfRelatedness(t *testing.T) {
 	k, music, _ := buildClusterKB()
+	s := NewScorer(k)
 	for _, kind := range []Kind{KindMW, KindKWCS, KindKPCS, KindKORE} {
-		m := NewMeasure(kind, k)
-		if got := m.Relatedness(music[0], music[0]); got != 1 {
+		if got := s.Relatedness(kind, music[0], music[0]); got != 1 {
 			t.Errorf("%v: self relatedness = %v", kind, got)
 		}
 	}
 }
 
-func TestExactPairsComplete(t *testing.T) {
+// clusterSets returns the keyphrase sets of both clusters' entities, music
+// first: the input LSHFilter.PairsOfSets prunes.
+func clusterSets() (k *kb.KB, ents []kb.EntityID, sets [][]kb.Keyphrase) {
 	k, music, physics := buildClusterKB()
-	m := NewMeasure(KindKORE, k)
-	ents := append(append([]kb.EntityID{}, music...), physics...)
-	pairs := m.Pairs(ents)
-	want := len(ents) * (len(ents) - 1) / 2
-	if len(pairs) != want {
-		t.Fatalf("exact measure must enumerate all %d pairs, got %d", want, len(pairs))
+	ents = append(append([]kb.EntityID{}, music...), physics...)
+	for _, e := range ents {
+		sets = append(sets, k.Entity(e).Keyphrases)
 	}
+	return k, ents, sets
 }
 
 func TestLSHFilterKeepsClusterPairs(t *testing.T) {
-	k, music, physics := buildClusterKB()
-	m := NewMeasure(KindKORELSHG, k)
-	ents := append(append([]kb.EntityID{}, music...), physics...)
-	pairs := m.Pairs(ents)
+	k, ents, sets := clusterSets()
 	inCluster := 0
-	for _, p := range pairs {
-		da := k.Entity(p[0]).Domain
-		db := k.Entity(p[1]).Domain
-		if da == db {
+	for _, p := range NewLSHFilter(KindKORELSHG).PairsOfSets(sets) {
+		if k.Entity(ents[p[0]]).Domain == k.Entity(ents[p[1]]).Domain {
 			inCluster++
 		}
 	}
@@ -240,22 +235,16 @@ func TestLSHFilterKeepsClusterPairs(t *testing.T) {
 }
 
 func TestLSHFilterPrunes(t *testing.T) {
-	k, music, physics := buildClusterKB()
-	ents := append(append([]kb.EntityID{}, music...), physics...)
-	exact := NewMeasure(KindKORE, k)
-	fast := NewMeasure(KindKORELSHF, k)
-	if len(fast.Pairs(ents)) >= len(exact.Pairs(ents)) {
+	_, ents, sets := clusterSets()
+	if all := len(ents) * (len(ents) - 1) / 2; len(NewLSHFilter(KindKORELSHF).PairsOfSets(sets)) >= all {
 		t.Error("LSH-F should prune at least some pairs")
 	}
 }
 
 func TestLSHPairsDeterministic(t *testing.T) {
-	k, music, physics := buildClusterKB()
-	ents := append(append([]kb.EntityID{}, music...), physics...)
-	m1 := NewMeasure(KindKORELSHG, k)
-	m2 := NewMeasure(KindKORELSHG, k)
-	p1 := m1.Pairs(ents)
-	p2 := m2.Pairs(ents)
+	_, _, sets := clusterSets()
+	p1 := NewLSHFilter(KindKORELSHG).PairsOfSets(sets)
+	p2 := NewLSHFilter(KindKORELSHG).PairsOfSets(sets)
 	if len(p1) != len(p2) {
 		t.Fatalf("non-deterministic pair counts: %d vs %d", len(p1), len(p2))
 	}
@@ -277,28 +266,27 @@ func TestKindString(t *testing.T) {
 
 func BenchmarkKORE(b *testing.B) {
 	k, music, _ := buildClusterKB()
-	m := NewMeasure(KindKORE, k)
+	s := NewScorer(k)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Relatedness(music[0], music[1])
+		s.Relatedness(KindKORE, music[0], music[1])
 	}
 }
 
 func BenchmarkMW(b *testing.B) {
 	k, music, _ := buildClusterKB()
-	m := NewMeasure(KindMW, k)
+	s := NewScorer(k)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Relatedness(music[0], music[1])
+		s.Relatedness(KindMW, music[0], music[1])
 	}
 }
 
 func BenchmarkLSHPairs(b *testing.B) {
-	k, music, physics := buildClusterKB()
-	m := NewMeasure(KindKORELSHF, k)
-	ents := append(append([]kb.EntityID{}, music...), physics...)
+	_, _, sets := clusterSets()
+	f := NewLSHFilter(KindKORELSHF)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Pairs(ents)
+		f.PairsOfSets(sets)
 	}
 }

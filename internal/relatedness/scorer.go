@@ -83,22 +83,18 @@ type pairShard struct {
 	mu sync.RWMutex
 	m  map[pairKey]float64
 	// hits/misses live per shard — and per requested measure kind — so the
-	// cache-hit fast path touches no shared cache line; CacheStats and
-	// Stats sum them. LSH kinds share KORE's cache rows but keep their own
-	// counters, so per-kind traffic stays attributable.
+	// cache-hit fast path touches no shared cache line; Stats sums them.
+	// LSH kinds share KORE's cache rows but keep their own counters, so
+	// per-kind traffic stays attributable.
 	hits, misses [numKinds]atomic.Int64
 }
 
 // Scorer is a long-lived scoring engine bound to one knowledge base. It
-// serves all six relatedness kinds, interns per-entity keyphrase profiles,
-// memoizes pairwise scores across documents, and builds each LSH filter at
-// most once per KB. All methods are safe for concurrent use; every returned
-// value is a pure function of the KB, so results are identical whether the
-// caches are cold or warm, sequential or hammered from many goroutines.
-//
-// A Scorer is the cross-request state that one-shot Measure construction
-// used to rebuild per call: share a single Scorer per KB process-wide and
-// derive per-kind views with Measure.
+// serves all six relatedness kinds, interns per-entity keyphrase profiles
+// and memoizes pairwise scores across documents. All methods are safe for
+// concurrent use; every returned value is a pure function of the KB, so
+// results are identical whether the caches are cold or warm, sequential or
+// hammered from many goroutines. Share a single Scorer per KB process-wide.
 type Scorer struct {
 	kb     kb.Store
 	weight Weighter
@@ -115,12 +111,6 @@ type Scorer struct {
 	pairsEvicted    atomic.Int64
 
 	pairs [scorerShards]pairShard
-
-	// filters holds the lazily built LSH filters, indexed by lshIndex.
-	filters [2]struct {
-		once sync.Once
-		f    *LSHFilter
-	}
 }
 
 // NewScorer creates a scoring engine over the knowledge base (any Store;
@@ -263,7 +253,7 @@ func (s *Scorer) dropPairsOf(evicted []kb.EntityID) {
 
 // Relatedness computes the relatedness of two entities under the given
 // kind, memoizing the value across calls and documents. For LSH kinds this
-// is the exact KORE value (pair filtering is exposed via Pairs).
+// is the exact KORE value (pair filtering is LSHFilter's job).
 func (s *Scorer) Relatedness(kind Kind, a, b kb.EntityID) float64 {
 	if a == b {
 		return 1
@@ -321,58 +311,4 @@ func (s *Scorer) compute(kind Kind, a, b kb.EntityID) float64 {
 	default: // KORE and its LSH variants
 		return KOREProfiles(s.Profile(a), s.Profile(b))
 	}
-}
-
-// lshIndex maps an LSH kind to its filter slot.
-func lshIndex(kind Kind) int {
-	if kind == KindKORELSHF {
-		return 1
-	}
-	return 0
-}
-
-// Filter returns the shared LSH filter for an LSH kind, building it on
-// first use (once per KB and kind). Non-LSH kinds have no filter and
-// return nil.
-func (s *Scorer) Filter(kind Kind) *LSHFilter {
-	if !kind.IsLSH() {
-		return nil
-	}
-	slot := &s.filters[lshIndex(kind)]
-	slot.once.Do(func() { slot.f = NewLSHFilter(s.kb, kind) })
-	return slot.f
-}
-
-// Pairs returns the entity pairs whose relatedness should be computed for
-// the given candidate set: all pairs for exact kinds, only pairs sharing a
-// stage-two LSH bucket for the LSH kinds (Sec. 4.4.2).
-func (s *Scorer) Pairs(kind Kind, entities []kb.EntityID) [][2]kb.EntityID {
-	if f := s.Filter(kind); f != nil {
-		return f.Pairs(entities)
-	}
-	var out [][2]kb.EntityID
-	for i := 0; i < len(entities); i++ {
-		for j := i + 1; j < len(entities); j++ {
-			out = append(out, [2]kb.EntityID{entities[i], entities[j]})
-		}
-	}
-	return out
-}
-
-// Measure derives a per-kind view sharing this engine's caches.
-func (s *Scorer) Measure(kind Kind) *Measure {
-	return &Measure{Kind: kind, KB: s.kb, scorer: s}
-}
-
-// CacheStats reports the total pair-cache hit and miss counts since
-// creation, summed across all measure kinds. Stats carries the full
-// per-kind breakdown; CacheStats remains as the cheap two-number view.
-func (s *Scorer) CacheStats() (hits, misses int64) {
-	for i := range s.pairs {
-		for k := 0; k < numKinds; k++ {
-			hits += s.pairs[i].hits[k].Load()
-			misses += s.pairs[i].misses[k].Load()
-		}
-	}
-	return hits, misses
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // TestScorerMatchesFreshMeasures pins the engine's memoized values to the
-// values a one-shot measure computes, for every kind and pair of the
-// cluster KB, cold and warm.
+// values a fresh, single-kind engine computes, for every kind and pair of
+// the cluster KB, cold and warm.
 func TestScorerMatchesFreshMeasures(t *testing.T) {
 	k, music, physics := buildClusterKB()
 	ents := append(append([]kb.EntityID{}, music...), physics...)
@@ -20,19 +20,19 @@ func TestScorerMatchesFreshMeasures(t *testing.T) {
 	kinds := []Kind{KindMW, KindKWCS, KindKPCS, KindKORE, KindKORELSHG, KindKORELSHF}
 	for pass := 0; pass < 2; pass++ { // pass 0 cold, pass 1 warm
 		for _, kind := range kinds {
-			fresh := NewMeasure(kind, k)
+			fresh := NewScorer(k)
 			for i := range ents {
 				for j := range ents {
 					got := s.Relatedness(kind, ents[i], ents[j])
-					want := fresh.Relatedness(ents[i], ents[j])
+					want := fresh.Relatedness(kind, ents[i], ents[j])
 					if got != want {
-						t.Fatalf("pass %d %v(%d,%d) = %v, fresh measure %v", pass, kind, ents[i], ents[j], got, want)
+						t.Fatalf("pass %d %v(%d,%d) = %v, fresh engine %v", pass, kind, ents[i], ents[j], got, want)
 					}
 				}
 			}
 		}
 	}
-	if hits, _ := s.CacheStats(); hits == 0 {
+	if s.Stats().Hits == 0 {
 		t.Error("warm pass should report cache hits")
 	}
 }
@@ -80,9 +80,6 @@ func TestScorerConcurrentDeterministic(t *testing.T) {
 				if got != want[pairKey{pairCacheKind(kind), x, y}] {
 					errs <- "concurrent value diverged from sequential"
 				}
-				if kind.IsLSH() {
-					s.Pairs(kind, ents) // exercise shared filter concurrently
-				}
 			}
 		}(int64(w))
 	}
@@ -93,15 +90,16 @@ func TestScorerConcurrentDeterministic(t *testing.T) {
 	}
 }
 
-// TestScorerSharedFilterPairsStable checks that the once-per-KB LSH filter
-// yields the same pair set as per-call construction.
+// TestScorerSharedFilterPairsStable checks that a filter reused across
+// calls — its sketches memoized process-wide after the first — yields the
+// same pair set as per-call construction.
 func TestScorerSharedFilterPairsStable(t *testing.T) {
-	k, music, physics := buildClusterKB()
-	ents := append(append([]kb.EntityID{}, music...), physics...)
-	s := NewScorer(k)
+	_, _, sets := clusterSets()
 	for _, kind := range []Kind{KindKORELSHG, KindKORELSHF} {
-		got := s.Pairs(kind, ents)
-		want := NewMeasure(kind, k).Pairs(ents)
+		shared := NewLSHFilter(kind)
+		shared.PairsOfSets(sets)
+		got := shared.PairsOfSets(sets)
+		want := NewLSHFilter(kind).PairsOfSets(sets)
 		if len(got) != len(want) {
 			t.Fatalf("%v: %d pairs from shared filter, %d from fresh", kind, len(got), len(want))
 		}

@@ -29,8 +29,9 @@ type deltaResponse struct {
 // handleDeltaApply installs a live KB delta into the serving system: the
 // body is the kb.Delta wire form, validation failures are 400s, and a
 // successful apply swaps the serving generation atomically — the very next
-// annotation request can link the new entities by name. Apply and journal
-// append are paired under a lock so the journal records applies in order.
+// annotation request can link the new entities by name. The journal pairs
+// the apply with its append (live.Journal.Apply), as it does for the
+// graduation loop, so it records every applier's deltas in apply order.
 func (s *Server) handleDeltaApply(w http.ResponseWriter, r *http.Request) {
 	if s.clientGone(w, r) {
 		return
@@ -39,20 +40,12 @@ func (s *Server) handleDeltaApply(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &d) {
 		return
 	}
-	s.applyMu.Lock()
-	receipt, err := s.sys.ApplyDelta(&d)
-	journaled := false
-	var jerr error
-	if err == nil && s.cfg.DeltaJournal != nil {
-		if jerr = s.cfg.DeltaJournal.Append(&d); jerr == nil {
-			journaled = true
-		}
-	}
-	s.applyMu.Unlock()
+	receipt, jerr, err := s.cfg.DeltaJournal.Apply(s.sys, &d)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "delta rejected: "+err.Error())
 		return
 	}
+	journaled := s.cfg.DeltaJournal != nil && jerr == nil
 	if jerr != nil {
 		// The generation already swapped; losing the journal entry costs
 		// replay durability, not serving correctness. Surface it loudly.

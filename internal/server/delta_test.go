@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"log"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -9,6 +13,8 @@ import (
 	"testing"
 
 	"aida"
+	"aida/internal/disambig"
+	"aida/internal/emerge"
 	"aida/internal/kb"
 	"aida/internal/kb/live"
 )
@@ -17,10 +23,12 @@ import (
 // keyphrase features are borrowed from an existing one (so all vocabulary
 // already carries base IDF weights), linked both ways to it, with a
 // dictionary row for the new name.
-func testDelta(k aida.Store) *kb.Delta {
+func testDelta(k aida.Store) *kb.Delta { return namedDelta(k, "Zorvex Dynamics") }
+
+func namedDelta(k aida.Store, name string) *kb.Delta {
 	src := k.Entity(5)
 	base := kb.EntityID(k.NumEntities())
-	ne := kb.NewEntity{Name: "Zorvex Dynamics", Domain: "emerging", Types: []string{"emerging"}}
+	ne := kb.NewEntity{Name: name, Domain: "emerging", Types: []string{"emerging"}}
 	n := len(src.Keyphrases)
 	if n > 4 {
 		n = 4
@@ -30,7 +38,7 @@ func testDelta(k aida.Store) *kb.Delta {
 		BaseEntities: k.NumEntities(),
 		Entities:     []kb.NewEntity{ne},
 		Links:        []kb.LinkAddition{{Src: base, Dst: 5}, {Src: 5, Dst: base}},
-		Rows:         []kb.RowAddition{{Surface: "Zorvex Dynamics", Entity: base, Count: 3}},
+		Rows:         []kb.RowAddition{{Surface: name, Entity: base, Count: 3}},
 	}
 }
 
@@ -164,6 +172,112 @@ func TestDeltaEndpoint(t *testing.T) {
 	})
 	if err != nil || truncated || n != 1 {
 		t.Fatalf("ReplayJournal = (%d, %v, %v), want (1, false, nil)", n, truncated, err)
+	}
+	if sys2.Store().Fingerprint() != sys.Store().Fingerprint() {
+		t.Fatal("journal replay did not reproduce the serving fingerprint")
+	}
+}
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestDeltaJournalOrderAcrossAppliers runs the two appliers of one server —
+// the admin endpoint and the graduation loop — against one journal and
+// requires that replaying it rebuilds the serving store. The first round
+// forces the interleaving that used to lose deltas: the loop's "graduated"
+// log line, written once its apply is visible, triggers an admin apply on
+// top of the new generation; the journal must still list the graduation
+// first. The later rounds race the two appliers freely.
+func TestDeltaJournalOrderAcrossAppliers(t *testing.T) {
+	k, _ := testWorld(t, 1)
+	journalPath := filepath.Join(t.TempDir(), "deltas.journal")
+	j, err := live.OpenJournal(journalPath)
+	if err != nil {
+		t.Fatalf("OpenJournal: %v", err)
+	}
+	defer j.Close()
+	sys, ts := newTestServer(t, k, Config{DeltaJournal: j})
+
+	// adminApply posts a delta built on the serving store until it lands: a
+	// 400 means a racing graduation took the generation it was built on.
+	adminApply := func(name string) {
+		for try := 0; try < 100; try++ {
+			b, _ := json.Marshal(namedDelta(sys.Store(), name))
+			resp, err := http.Post(ts.URL+"/v1/admin/kb/delta", "application/json", bytes.NewReader(b))
+			if err != nil {
+				t.Errorf("admin apply %q: %v", name, err)
+				return
+			}
+			var dr deltaResponse
+			err = json.NewDecoder(resp.Body).Decode(&dr)
+			resp.Body.Close()
+			switch {
+			case resp.StatusCode == http.StatusBadRequest:
+				continue
+			case resp.StatusCode != http.StatusOK || err != nil || !dr.Journaled:
+				t.Errorf("admin apply %q: status %d, body %+v, err %v", name, resp.StatusCode, dr, err)
+			}
+			return
+		}
+		t.Errorf("admin apply %q never landed", name)
+	}
+
+	g := live.NewGraduator(live.Config{MinOccurrences: 1, MinKeyphrases: 1})
+	observe := func(surface string) {
+		model := disambig.Candidate{Entity: kb.NoEntity, Label: surface + "_EE", Keyphrases: k.Entity(7).Keyphrases[:1]}
+		g.Observe(&emerge.Discovery{
+			Output:   &disambig.Output{Results: []disambig.Result{{Surface: surface, CandidateIndex: -1, Entity: kb.NoEntity}}},
+			Emerging: []bool{true},
+			Models:   map[string]disambig.Candidate{surface: model},
+		}, nil)
+	}
+	forced := false
+	loop := &live.Loop{System: sys, Graduator: g, Journal: j,
+		Logger: log.New(writerFunc(func(p []byte) (int, error) {
+			if !forced && strings.Contains(string(p), "graduated") {
+				forced = true
+				adminApply("Forced Admin Works")
+			}
+			return len(p), nil
+		}), "", 0)}
+
+	observe("Forced Emerging Works")
+	if _, applied, err := loop.RunOnce(context.Background()); err != nil || !applied {
+		t.Fatalf("forced round: RunOnce = (%v, %v), want an apply", applied, err)
+	}
+	if !forced || sys.Generation() != 2 {
+		t.Fatalf("forced round: admin apply ran %v, generation %d, want true and 2", forced, sys.Generation())
+	}
+
+	for round := 0; round < 8; round++ {
+		observe(fmt.Sprintf("Emerging Works %d", round))
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			// A graduation that loses the race is rejected as stale and its
+			// evidence is spent; only what was applied must be journaled.
+			loop.RunOnce(context.Background())
+		}()
+		go func() {
+			defer wg.Done()
+			adminApply(fmt.Sprintf("Admin Works %d", round))
+		}()
+		wg.Wait()
+	}
+
+	sys2 := aida.New(k)
+	n, truncated, err := live.ReplayJournal(journalPath, func(d *kb.Delta) error {
+		_, err := sys2.ApplyDelta(d)
+		return err
+	})
+	if err != nil || truncated {
+		t.Fatalf("ReplayJournal stopped after %d deltas: truncated %v, err %v", n, truncated, err)
+	}
+	if uint64(n) != sys.Generation() || sys2.Generation() != sys.Generation() {
+		t.Fatalf("replayed %d deltas to generation %d, serving generation %d", n, sys2.Generation(), sys.Generation())
 	}
 	if sys2.Store().Fingerprint() != sys.Store().Fingerprint() {
 		t.Fatal("journal replay did not reproduce the serving fingerprint")

@@ -30,7 +30,6 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -140,10 +139,6 @@ type Server struct {
 	canceled   atomic.Int64 // requests abandoned because the client disconnected
 	byEndpoint map[string]*atomic.Int64
 	byLatency  map[string]*latencyHist
-
-	// applyMu pairs a delta apply with its journal append, so the journal
-	// records applies in the order they happened.
-	applyMu sync.Mutex
 }
 
 // New wraps a system in a Server. The system's scoring engine is shared

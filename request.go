@@ -277,10 +277,12 @@ func UseMethodNamed(name string) AnnotateOption {
 	}
 }
 
-// WithParallelism bounds the request's concurrency: for AnnotateCorpus and
-// AnnotateStream it is the document fan-out width, for AnnotateDoc it caps
-// the coherence-edge worker pool. n = 0 means GOMAXPROCS; negative values
-// are rejected during resolution. Parallelism changes scheduling only —
+// WithParallelism bounds the request's concurrency. For AnnotateStream and
+// AnnotateCorpus it is the number of documents annotated at once, each on
+// one goroutine (coherence scoring is not fanned out again under document
+// fan-out); for AnnotateDoc it caps the one document's coherence-edge
+// worker pool. n = 0 means GOMAXPROCS; negative values are rejected during
+// resolution. Parallelism changes scheduling only —
 // the annotations are byte-identical at every setting.
 func WithParallelism(n int) AnnotateOption {
 	return func(o *RequestSpec) {

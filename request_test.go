@@ -7,9 +7,13 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"aida/internal/disambig"
+	"aida/internal/kb"
 )
 
 // TestAnnotateCanceledBeforeStart checks that an already-canceled context
@@ -38,8 +42,8 @@ func TestAnnotateCanceledBeforeStart(t *testing.T) {
 		if yields != 1 {
 			t.Fatalf("parallelism=%d: canceled stream yielded %d times, want exactly the error", parallelism, yields)
 		}
-		if hits, misses := sys.Scorer().CacheStats(); hits+misses != 0 {
-			t.Fatalf("parallelism=%d: engine did %d pair computations after cancellation", parallelism, hits+misses)
+		if st := sys.Scorer().Stats(); st.Hits+st.Misses != 0 {
+			t.Fatalf("parallelism=%d: engine did %d pair computations after cancellation", parallelism, st.Hits+st.Misses)
 		}
 	}
 }
@@ -87,8 +91,31 @@ func TestAnnotateStreamMidwayCancel(t *testing.T) {
 	}
 }
 
+// methodFunc adapts a function to Method: the tests' window into which
+// documents are inside annotateOne.
+type methodFunc func(*disambig.Problem) *disambig.Output
+
+func (methodFunc) Name() string { return "test" }
+
+func (f methodFunc) Disambiguate(p *disambig.Problem) *disambig.Output { return f(p) }
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// before: in-flight documents wind down asynchronously after a stream ends
+// early, so give them a moment.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after the stream ended", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestAnnotateStreamEarlyBreakLeaksNoGoroutines pins the stream's cleanup:
-// breaking out of the range loop must wind down the producer and workers.
+// breaking out of the range loop must wind down the producer and the
+// in-flight documents.
 func TestAnnotateStreamEarlyBreakLeaksNoGoroutines(t *testing.T) {
 	k, docs := batchWorld(t, 10)
 	sys := New(k, WithMaxCandidates(10))
@@ -110,18 +137,131 @@ func TestAnnotateStreamEarlyBreakLeaksNoGoroutines(t *testing.T) {
 			t.Fatalf("round %d: early break consumed %d docs", round, n)
 		}
 	}
+	waitGoroutines(t, before)
+}
 
-	// Workers drain asynchronously after the break; give them a moment.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= before {
+// TestAnnotateStreamFailingDocument fails document k through the channel a
+// remote store uses (a *kb.RemoteError panic inside the method): the stream
+// yields documents 0..k-1 in order, then exactly one (nil, err), and leaves
+// no goroutine behind; AnnotateCorpus returns (nil, err).
+func TestAnnotateStreamFailingDocument(t *testing.T) {
+	kbase, docs := batchWorld(t, 10)
+	const k = 6
+	sys := New(kbase, WithMaxCandidates(10))
+	words := func(p *disambig.Problem) string { return strings.Join(p.ContextWords, " ") }
+	inner := NewAIDAMethod()
+	var bad string
+	annotateDoc(t, sys, docs[k], UseMethod(methodFunc(func(p *disambig.Problem) *disambig.Output {
+		bad = words(p)
+		return inner.Disambiguate(p)
+	})))
+	failing := UseMethod(methodFunc(func(p *disambig.Problem) *disambig.Output {
+		if words(p) == bad {
+			panic(&kb.RemoteError{Op: "candidates", Shard: 1, Errs: []error{errors.New("down")}})
+		}
+		return inner.Disambiguate(p)
+	}))
+	before := runtime.NumGoroutine()
+
+	for _, parallelism := range []int{1, 4} {
+		var remote *kb.RemoteError
+		n := 0
+		for doc, err := range sys.AnnotateStream(context.Background(), slices.Values(docs), failing, WithParallelism(parallelism)) {
+			if remote != nil {
+				t.Fatalf("parallelism=%d: stream went on after its error with (%v, %v)", parallelism, doc, err)
+			}
+			if err != nil {
+				if doc != nil || !errors.As(err, &remote) {
+					t.Fatalf("parallelism=%d: stream yielded (%v, %v), want (nil, *kb.RemoteError)", parallelism, doc, err)
+				}
+				continue
+			}
+			if doc.Index != n {
+				t.Fatalf("parallelism=%d: yielded index %d at position %d", parallelism, doc.Index, n)
+			}
+			n++
+		}
+		if remote == nil || n != k {
+			t.Fatalf("parallelism=%d: %d documents then error %v, want %d then the remote error", parallelism, n, remote, k)
+		}
+		if got, err := sys.AnnotateCorpus(context.Background(), docs, failing, WithParallelism(parallelism)); got != nil || !errors.As(err, &remote) {
+			t.Fatalf("parallelism=%d: AnnotateCorpus = (%v, %v), want (nil, *kb.RemoteError)", parallelism, got, err)
+		}
+	}
+	waitGoroutines(t, before)
+}
+
+// TestAnnotateStreamRunAheadBounded puts one slow document at the head of
+// a long feed of trivial ones: when its result is finally yielded, the
+// stream must have pulled only its run-ahead window, not the feed.
+func TestAnnotateStreamRunAheadBounded(t *testing.T) {
+	k, docs := batchWorld(t, 12)
+	sys := New(k, WithMaxCandidates(10))
+	head := strings.Join(docs, " ")
+	const tail = 5000
+	var pulled atomic.Int64
+	feed := func(yield func(string) bool) {
+		pulled.Add(1)
+		if !yield(head) {
 			return
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before, %d after early breaks", before, runtime.NumGoroutine())
+		for i := 0; i < tail; i++ {
+			pulled.Add(1)
+			if !yield("word") {
+				return
+			}
 		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
+	}
+	for _, p := range []int{1, 2, 4} {
+		pulled.Store(0)
+		n := 0
+		for doc, err := range sys.AnnotateStream(context.Background(), feed, WithParallelism(p)) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if doc.Index == 0 {
+				if got := pulled.Load(); got > int64(1+3*p) {
+					t.Fatalf("parallelism=%d: %d documents pulled when the first was yielded, want at most %d", p, got, 1+3*p)
+				}
+			}
+			n++
+		}
+		if n != 1+tail {
+			t.Fatalf("parallelism=%d: stream yielded %d documents, want %d", p, n, 1+tail)
+		}
+	}
+}
+
+// TestAnnotateStreamSlotBound counts the documents inside the method at
+// once: never more than the stream's parallelism, each with its coherence
+// pool pinned to its own goroutine.
+func TestAnnotateStreamSlotBound(t *testing.T) {
+	k, docs := batchWorld(t, 12)
+	sys := New(k, WithMaxCandidates(10))
+	inner := NewAIDAMethod()
+	for _, p := range []int{1, 2, 4} {
+		var mu sync.Mutex
+		inside, peak, pinned := 0, 0, true
+		counting := UseMethod(methodFunc(func(pr *disambig.Problem) *disambig.Output {
+			mu.Lock()
+			inside++
+			peak = max(peak, inside)
+			pinned = pinned && pr.CoherenceWorkers == 1
+			mu.Unlock()
+			time.Sleep(time.Millisecond) // let the other slots fill
+			out := inner.Disambiguate(pr)
+			mu.Lock()
+			inside--
+			mu.Unlock()
+			return out
+		}))
+		annotateCorpus(t, sys, docs, counting, WithParallelism(p))
+		if peak > p {
+			t.Fatalf("parallelism=%d: %d documents were annotating at once", p, peak)
+		}
+		if !pinned {
+			t.Fatalf("parallelism=%d: a batch document ran with its own coherence pool", p)
+		}
 	}
 }
 

@@ -109,8 +109,9 @@ type (
 	RelatednessKind = relatedness.Kind
 	// Scorer is the long-lived, concurrency-safe scoring engine bound to a
 	// KB: it interns entity profiles, memoizes pairwise relatedness across
-	// documents for all measure kinds, and builds each LSH filter once.
-	// Every System holds one; see (*System).Scorer.
+	// documents for the keyphrase measure kinds (MW is computed on every
+	// call), and builds each LSH filter once. Every System holds one; see
+	// (*System).Scorer.
 	Scorer = relatedness.Scorer
 	// ScorerStats is a snapshot of the engine's caches: interned-profile
 	// count and approximate memory, memoized pair count, and per-kind
@@ -411,10 +412,10 @@ type DeltaReceipt struct {
 // without restart: the delta is validated against the live store, merged
 // into a copy-on-write Overlay, the scoring engine is warm-cloned with
 // every value the update invalidates dropped (profiles and memoized pairs
-// of link-touched entities; all MW values when the entity count changed —
-// see relatedness.CloneFor), every registered domain layer is rebuilt over
-// the overlay, and the new generation — base and layers — is swapped in
-// atomically. In-flight documents finish on the generation they started
+// of touched entities — see relatedness.CloneFor; MW depends on the entity
+// count but is never memoized), every registered domain layer is rebuilt
+// over the overlay, and the new generation — base and layers — is swapped
+// in atomically. In-flight documents finish on the generation they started
 // with; the next request sees the new one — a graduated entity is linkable
 // by name immediately, inside a domain or not.
 //
@@ -442,7 +443,7 @@ func (s *System) ApplyDelta(d *kb.Delta) (DeltaReceipt, error) {
 	st.DeltaRows += uint64(len(d.Rows))
 	next := &liveKB{
 		store:   ov,
-		engine:  cur.engine.CloneFor(ov, ov.Touched(), ov.Added() > 0),
+		engine:  cur.engine.CloneFor(ov, ov.Touched(), false),
 		stats:   st,
 		domains: make(map[string]*liveKB, len(cur.domains)),
 	}
@@ -527,7 +528,8 @@ func WithSurfaceExpansion() Option { return func(s *System) { s.ExpandSurfaces =
 // budget, cold profiles are evicted CLOCK-wise together with their
 // dependent memoized pair values; annotation output never changes — evicted
 // state is recomputed on demand — only the engine's work counters do. See
-// ScorerStats.Evictions.
+// ScorerStats.Evictions. Only the KORE family interns profiles: MW is never
+// memoized and needs no bound; KWCS/KPCS pair rows are not bounded by this.
 func WithMaxProfileBytes(n int64) Option {
 	return func(s *System) { s.Scorer().SetMaxProfileBytes(n) }
 }
@@ -545,7 +547,8 @@ func New(k Store, opts ...Option) *System {
 
 // Scorer returns the serving generation's scoring engine. It accumulates
 // interned profiles and memoized pair scores across every document the
-// system annotates; all its methods are safe for concurrent use. After
+// system annotates under a keyphrase coherence measure (none under the
+// default method's MW); all its methods are safe for concurrent use. After
 // ApplyDelta this returns the new generation's engine — callers that need
 // the engine together with its store should take one Live() snapshot.
 func (s *System) Scorer() *Scorer { return s.live.Load().engine }
@@ -609,8 +612,8 @@ func (s *System) Recognize(text string) []MentionSpan {
 
 // NewProblem builds a disambiguation problem for pre-recognized mention
 // surfaces against the serving KB generation. The problem shares that
-// generation's scoring engine, so coherence values for KB-entity pairs are
-// memoized across documents.
+// generation's scoring engine, so keyphrase-measure coherence values for
+// KB-entity pairs are memoized across documents.
 func (s *System) NewProblem(text string, surfaces []string) *Problem {
 	lv := s.live.Load()
 	if s.ExpandSurfaces {
@@ -627,8 +630,9 @@ func (s *System) Disambiguate(text string, surfaces []string) *Output {
 }
 
 // Relatedness computes the semantic relatedness of two KB entities under
-// the given measure, memoized by the system's shared engine (profiles and
-// LSH filters are built once per KB, not per call).
+// the given measure: the keyphrase measures memoized by the system's shared
+// engine (profiles and LSH filters are built once per KB, not per call), MW
+// computed from the two in-link lists on every call.
 func (s *System) Relatedness(kind RelatednessKind, a, b EntityID) float64 {
 	return s.Scorer().Relatedness(kind, a, b)
 }

@@ -176,7 +176,7 @@ func TestKBSaveLoadThroughFacade(t *testing.T) {
 // (never in the system temp dir), or the final rename could cross devices.
 func TestSaveEngineFile(t *testing.T) {
 	k := demoKB()
-	sys := New(k)
+	sys := New(k, WithMethod(koreMethod())) // the default method's MW leaves nothing to save
 	annotateDoc(t, sys, "They performed Kashmir, written by Page and Plant.")
 	t.Chdir(t.TempDir())
 	n, err := sys.SaveEngineFile("engine.snap") // no directory component

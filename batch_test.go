@@ -85,11 +85,22 @@ func TestAnnotateBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestAnnotateBatchWarmsEngine checks that batch annotation actually fills
-// the shared engine (the cross-document reuse the engine exists for).
+// koreMethod is the full AIDA configuration with KORE coherence. The default
+// method's MW is computed per document and holds no engine state, so tests
+// of the engine's memo, its snapshots and its warm-up annotate through this
+// method.
+func koreMethod() Method {
+	return NewMethod("aida-kore", Config{
+		UsePrior: true, PriorTest: true, UseCoherence: true, CoherenceTest: true, Measure: KORE,
+	})
+}
+
+// TestAnnotateBatchWarmsEngine checks that batch annotation under a
+// keyphrase coherence measure actually fills the shared engine (the
+// cross-document reuse the engine exists for).
 func TestAnnotateBatchWarmsEngine(t *testing.T) {
 	k, docs := batchWorld(t, 8)
-	sys := New(k, WithMaxCandidates(10))
+	sys := New(k, WithMaxCandidates(10), WithMethod(koreMethod()))
 	annotateCorpus(t, sys, docs, WithParallelism(4))
 	misses1 := sys.Scorer().Stats().Misses
 	if misses1 == 0 {
@@ -102,6 +113,30 @@ func TestAnnotateBatchWarmsEngine(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Error("second pass should hit the warm cache")
+	}
+}
+
+// TestDefaultMethodEngineDoesNotGrow bounds the default path's memory: a
+// server under the default method (MW coherence) sees novel documents
+// forever, and nothing evicts pair rows, so the engine must hold nothing for
+// them — however many pairs the documents compared.
+func TestDefaultMethodEngineDoesNotGrow(t *testing.T) {
+	k, docs := batchWorld(t, 300)
+	sys := New(k, WithMaxCandidates(10))
+	got, err := sys.AnnotateCorpus(context.Background(), docs, IncludeStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	comparisons := 0
+	for _, d := range got {
+		comparisons += d.Stats.Comparisons
+	}
+	if comparisons == 0 {
+		t.Fatal("the corpus compared no entity pair; the bound is vacuous")
+	}
+	if st := sys.Scorer().Stats(); st.Pairs != 0 || st.Profiles != 0 {
+		t.Errorf("engine holds %d pairs and %d profiles after %d documents (%d comparisons) under the default method, want none",
+			st.Pairs, st.Profiles, len(docs), comparisons)
 	}
 }
 

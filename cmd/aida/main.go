@@ -30,7 +30,9 @@
 // With -engine-snapshot the scoring engine is durable across invocations:
 // an existing snapshot for the same KB content is loaded before annotating
 // (warm start) and rewritten after a successful run. -engine-max-bytes
-// bounds the engine's interned-profile memory via CLOCK eviction; output is
+// bounds the engine's interned KORE-family profiles (and their dependent
+// memoized pairs) via CLOCK eviction. The default method's MW coherence is
+// never memoized, so it leaves nothing to persist or bound. Output is
 // byte-identical with or without either flag.
 package main
 
@@ -68,7 +70,7 @@ func main() {
 		shardMap = flag.String("shard-map", "", "path to a shard-fleet topology file (JSON): annotate over remote shard hosts instead of a local KB; -kb/-gen are not required")
 		hedge    = flag.Duration("hedge-after", 50*time.Millisecond, "with -shard-map, race a fetch against the next replica after this latency (negative disables hedging)")
 		snapshot = flag.String("engine-snapshot", "", "engine snapshot path: loaded before annotating if present (warm start), rewritten after a successful run")
-		maxProf  = flag.Int64("engine-max-bytes", 0, "approximate interned-profile memory budget in bytes (0 = unbounded)")
+		maxProf  = flag.Int64("engine-max-bytes", 0, "approximate memory budget in bytes for interned KORE-family profiles and their dependent memoized pairs (0 = unbounded); MW is never memoized")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit (pprof format)")
 		ctxKeys  = flag.String("context", "", "comma-separated interest keyphrases, blended into scoring as a request context prior")

@@ -58,9 +58,11 @@
 // caches; a stale or corrupt snapshot is rejected with a log line and the
 // process starts cold), and the warm engine is written back after a
 // graceful drain (and every -snapshot-every interval, when set).
-// -engine-max-bytes bounds the engine's interned-profile memory; over
+// -engine-max-bytes bounds the engine's interned KORE-family profiles; over
 // budget, cold profiles are evicted together with their memoized pair
-// values, without ever changing annotation output.
+// values, without ever changing annotation output. The engine memoizes only
+// the keyphrase measures: under the default method (MW coherence, computed
+// per document) it stays empty — nothing to persist, nothing to bound.
 //
 // The KB itself is live: deltas POSTed to /v1/admin/kb/delta swap in a new
 // copy-on-write generation atomically — in-flight documents finish on the
@@ -126,7 +128,7 @@ func main() {
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 		jsonLog   = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 		snapshot  = flag.String("engine-snapshot", "", "engine snapshot path: loaded at boot if present (warm start), written on graceful shutdown and POST /v1/admin/snapshot")
-		maxProf   = flag.Int64("engine-max-bytes", 0, "approximate interned-profile memory budget in bytes (0 = unbounded); over budget, cold profiles and their memoized pairs are evicted")
+		maxProf   = flag.Int64("engine-max-bytes", 0, "approximate memory budget in bytes for interned KORE-family profiles (0 = unbounded); over budget, cold profiles and the memoized pairs that depend on them are evicted. MW (the default method) is never memoized; KWCS/KPCS pair rows are not bounded by this")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = disabled")
 		shardHost = flag.String("shard-host", "", "serve shard i of an n-wide fleet as \"i/n\": mounts the KB read surface under /v1/store/ for remote routers")
 		shardMap  = flag.String("shard-map", "", "path to a shard-fleet topology file (JSON): the KB is dialed from remote shard hosts instead of loaded locally; -kb/-gen are not required")

@@ -56,11 +56,13 @@
 //
 // Every System holds a Scorer: a long-lived, sharded, concurrency-safe
 // engine bound to its KB that interns per-entity keyphrase profiles and
-// memoizes pairwise relatedness for all six measure kinds across
-// documents. Single-document annotation, System.Relatedness, coherence
-// scoring and the emerging-entity pipeline all draw from it, so repeated
-// candidate entities — the common case over a corpus — are never
-// re-scored.
+// memoizes pairwise relatedness for the keyphrase measure kinds (KWCS,
+// KPCS, KORE and its LSH variants) across documents. Single-document
+// annotation, System.Relatedness, coherence scoring and the
+// emerging-entity pipeline all draw from it, so under those measures
+// repeated candidate entities are never re-scored. The default method's
+// Milne–Witten coherence is cheaper to compute than to remember: each
+// document derives it from an inverted index over its in-link lists.
 //
 // AnnotateCorpus and AnnotateStream are deterministic: the output is
 // byte-identical to a sequential AnnotateDoc loop at any parallelism,

@@ -46,8 +46,9 @@ func exampleKB() *aida.KB {
 
 // ExampleSystem_Relatedness compares entity pairs under two measures: the
 // link-based Milne–Witten (MW) and the keyphrase-overlap KORE, which needs
-// no link structure. Values are memoized by the system's shared engine, so
-// repeated queries (and coherence scoring over the same entities) are free.
+// no link structure. MW is cheap enough to compute on every call; KORE
+// values are memoized by the system's shared engine, so a repeated query
+// (and coherence scoring over the same entities) is a cache hit.
 func ExampleSystem_Relatedness() {
 	k := exampleKB()
 	sys := aida.New(k)
@@ -59,15 +60,17 @@ func ExampleSystem_Relatedness() {
 	fmt.Printf("MW  (Larry Page, Led Zeppelin) = %.3f\n", sys.Relatedness(aida.MW, larry, zep))
 	fmt.Printf("KORE(Jimmy Page, Led Zeppelin) = %.3f\n", sys.Relatedness(aida.KORE, jimmy, zep))
 	fmt.Printf("KORE(Larry Page, Led Zeppelin) = %.3f\n", sys.Relatedness(aida.KORE, larry, zep))
+	fmt.Printf("KORE(Jimmy Page, Led Zeppelin) = %.3f again\n", sys.Relatedness(aida.KORE, jimmy, zep))
 
 	st := sys.Scorer().Stats()
-	fmt.Printf("engine: %d hits, %d misses\n", st.Hits, st.Misses)
+	fmt.Printf("engine: %d pairs memoized, %d hits, %d misses\n", st.Pairs, st.Hits, st.Misses)
 	// Output:
 	// MW  (Jimmy Page, Led Zeppelin) = 0.415
 	// MW  (Larry Page, Led Zeppelin) = 0.000
 	// KORE(Jimmy Page, Led Zeppelin) = 0.018
 	// KORE(Larry Page, Led Zeppelin) = 0.000
-	// engine: 0 hits, 4 misses
+	// KORE(Jimmy Page, Led Zeppelin) = 0.018 again
+	// engine: 2 pairs memoized, 1 hits, 2 misses
 }
 
 // ExampleSystem_AnnotateDoc annotates one document through the

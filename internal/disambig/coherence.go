@@ -2,6 +2,8 @@ package disambig
 
 import (
 	"context"
+	"math"
+	"math/bits"
 	"sync"
 
 	"aida/internal/kb"
@@ -16,10 +18,15 @@ import (
 //
 // Coherence works on Candidate features (keyphrases, in-links) rather than
 // KB ids so that emerging-entity placeholders participate transparently.
-// When the problem carries a shared relatedness engine, pairs of candidates
-// whose features are untouched KB features are delegated to it, so their
-// values are memoized across documents; candidates with per-problem
-// features (placeholders, enriched entities) keep the local path.
+//
+// MW is computed per document and remembered nowhere else: one pass over
+// the candidates' in-link lists (countSharedInLinks) leaves every pair's
+// shared in-link count in the triangle, and finishing a pair is O(1). For
+// the keyphrase kinds, where a cold pair costs microseconds, a problem that
+// carries a shared relatedness engine delegates pairs of candidates whose
+// keyphrases are untouched KB features to it, so their values are memoized
+// across documents; candidates with per-problem features (placeholders,
+// enriched entities) keep the local path.
 //
 // Every distinct candidate (by Label) gets one dense id at construction;
 // ids[i][j] is the id of candidate j of mention i, and everything after
@@ -39,13 +46,13 @@ type cohScorer struct {
 	graphN int
 	n      int // |E| for MW
 
-	// engine is the shared cross-document scorer (nil = per-problem only);
-	// engineID[id] is the delegable KB id, or kb.NoEntity for candidates
-	// that must be scored locally.
+	// For the keyphrase kinds (unset under MW): engine is the shared
+	// cross-document scorer (nil = per-problem only); engineID[id] is the
+	// delegable KB id, or kb.NoEntity for candidates that must be scored
+	// locally.
 	engine   *relatedness.Scorer
 	engineID []kb.EntityID
-
-	weight relatedness.Weighter
+	weight   relatedness.Weighter
 
 	// pmu guards the lazily built KORE profiles, which scoreAll's workers
 	// share across slots.
@@ -53,9 +60,10 @@ type cohScorer struct {
 	profiles []*relatedness.Profile
 
 	// The pair cache is a dense upper triangle over the ids: vals holds the
-	// raw (unscaled by γ) coherence of a slot once its slotHave flag is set.
-	// Pairs the LSH filter rejects start out as slotHave with value 0.
-	// slotNeeded marks the pairs scoreAll has to fill; pending counts them.
+	// raw (unscaled by γ) coherence of a slot once its slotHave flag is set
+	// (until then, under MW, the pair's shared in-link count). Pairs the LSH
+	// filter rejects start out as slotHave with value 0. slotNeeded marks
+	// the pairs scoreAll has to fill; pending counts them.
 	vals    []float64
 	flags   []uint8
 	pending int
@@ -78,13 +86,9 @@ const (
 // enumerated in; candidates that appear only as excluded ones follow.
 func newCohScorer(kind relatedness.Kind, p *Problem, fixed []int) *cohScorer {
 	s := &cohScorer{
-		kind:   kind,
-		ids:    make([][]int, len(p.Mentions)),
-		n:      p.TotalEntities,
-		engine: p.Scorer,
-		weight: func(w string) float64 {
-			return p.wordIDF(w)
-		},
+		kind: kind,
+		ids:  make([][]int, len(p.Mentions)),
+		n:    p.TotalEntities,
 	}
 	total := 0
 	for i := range p.Mentions {
@@ -120,13 +124,19 @@ func newCohScorer(kind relatedness.Kind, p *Problem, fixed []int) *cohScorer {
 	intern(false)
 
 	nc := len(s.cands)
+	s.vals = make([]float64, nc*(nc-1)/2)
+	s.flags = make([]uint8, len(s.vals))
+	if kind == relatedness.KindMW {
+		s.countSharedInLinks()
+		return s
+	}
+	s.engine = p.Scorer
+	s.weight = p.wordIDF
 	s.profiles = make([]*relatedness.Profile, nc)
 	s.engineID = make([]kb.EntityID, nc)
 	for id, c := range s.cands {
 		s.engineID[id] = s.delegableID(c)
 	}
-	s.vals = make([]float64, nc*(nc-1)/2)
-	s.flags = make([]uint8, len(s.vals))
 	if kind.IsLSH() {
 		s.buildFilter()
 	}
@@ -141,10 +151,10 @@ func (s *cohScorer) slot(lo, hi int) int {
 
 // delegableID returns the KB entity id the shared engine may score this
 // candidate under, or kb.NoEntity when the candidate carries per-problem
-// features. Delegation requires the candidate's keyphrase and in-link
-// slices to be the KB entity's own (enrichment and placeholder modeling
-// replace them, which this identity check detects); EdgeScale needs no
-// check because it is applied on top of the raw engine value.
+// features. Delegation requires the candidate's keyphrase slice — all the
+// delegated kinds read — to be the KB entity's own (enrichment and
+// placeholder modeling replace it, which this identity check detects);
+// EdgeScale needs no check because it is applied on top of the raw value.
 func (s *cohScorer) delegableID(c *Candidate) kb.EntityID {
 	if s.engine == nil || c.Entity == kb.NoEntity {
 		return kb.NoEntity
@@ -153,19 +163,10 @@ func (s *cohScorer) delegableID(c *Candidate) kb.EntityID {
 	if int(c.Entity) >= k.NumEntities() {
 		return kb.NoEntity
 	}
-	ent := k.Entity(c.Entity)
-	if !sameFeatureSlice(c.Keyphrases, ent.Keyphrases) || !sameIDSlice(c.InLinks, ent.InLinks) {
+	if own := k.Entity(c.Entity).Keyphrases; len(c.Keyphrases) != len(own) || (len(own) > 0 && &c.Keyphrases[0] != &own[0]) {
 		return kb.NoEntity
 	}
 	return c.Entity
-}
-
-func sameFeatureSlice(a, b []kb.Keyphrase) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-func sameIDSlice(a, b []kb.EntityID) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 func (s *cohScorer) profile(id int) *relatedness.Profile {
@@ -190,10 +191,6 @@ func (s *cohScorer) profile(id int) *relatedness.Profile {
 
 // buildFilter runs the two-stage hashing over all registered candidates.
 func (s *cohScorer) buildFilter() {
-	variant := relatedness.KindKORELSHG
-	if s.kind == relatedness.KindKORELSHF {
-		variant = relatedness.KindKORELSHF
-	}
 	sets := make([][]kb.Keyphrase, len(s.cands))
 	for i, c := range s.cands {
 		sets[i] = c.Keyphrases
@@ -201,7 +198,7 @@ func (s *cohScorer) buildFilter() {
 	for i := range s.flags {
 		s.flags[i] = slotHave
 	}
-	for _, pr := range relatedness.NewLSHFilter(variant).PairsOfSets(sets) {
+	for _, pr := range relatedness.NewLSHFilter(s.kind).PairsOfSets(sets) {
 		s.flags[s.slot(pr[0], pr[1])] = 0
 	}
 }
@@ -227,20 +224,21 @@ func (s *cohScorer) score(a, b int) float64 {
 // distinct slots may be filled concurrently.
 func (s *cohScorer) fill(idx, ia, ib int) {
 	a, b := s.cands[ia], s.cands[ib]
-	s.vals[idx] = s.relatedness(ia, ib, a, b) * a.edgeScale() * b.edgeScale()
+	s.vals[idx] = s.relatedness(idx, ia, ib, a, b) * a.edgeScale() * b.edgeScale()
 	s.flags[idx] |= slotHave
 }
 
-// relatedness computes the raw measure value for an interned pair,
-// delegating to the shared engine when both sides are untouched KB
-// entities.
-func (s *cohScorer) relatedness(ia, ib int, a, b *Candidate) float64 {
+// relatedness computes the raw measure value for an interned pair: MW from
+// the shared in-link count in its slot, a keyphrase kind through the shared
+// engine when both sides are untouched KB entities.
+func (s *cohScorer) relatedness(idx, ia, ib int, a, b *Candidate) float64 {
+	if s.kind == relatedness.KindMW {
+		return mwFromShared(s.vals[idx], len(a.InLinks), len(b.InLinks), s.n)
+	}
 	if ea, eb := s.engineID[ia], s.engineID[ib]; ea != kb.NoEntity && eb != kb.NoEntity {
 		return s.engine.Relatedness(s.kind, ea, eb)
 	}
 	switch s.kind {
-	case relatedness.KindMW:
-		return relatedness.MW(a.InLinks, b.InLinks, s.n)
 	case relatedness.KindKWCS:
 		return relatedness.KeywordCosine(a.Keyphrases, b.Keyphrases, s.weight)
 	case relatedness.KindKPCS:
@@ -248,6 +246,99 @@ func (s *cohScorer) relatedness(ia, ib int, a, b *Candidate) float64 {
 	default:
 		return relatedness.KOREProfiles(s.profile(ia), s.profile(ib))
 	}
+}
+
+// mwFromShared is relatedness.MW (Eq. 3.7) after its sorted merge — the same
+// float operations in the same order, so the same bits — on the sizes of the
+// two in-link lists and of their intersection.
+func mwFromShared(shared float64, lenA, lenB, n int) float64 {
+	if shared == 0 || n <= 1 {
+		return 0
+	}
+	la, lb := float64(lenA), float64(lenB)
+	maxL, minL := math.Max(la, lb), math.Min(la, lb)
+	den := math.Log(float64(n)) - math.Log(minL)
+	if den <= 0 {
+		return 1
+	}
+	v := 1 - (math.Log(maxL)-math.Log(shared))/den
+	if v < 0 {
+		return 0
+	}
+	if v > 1 {
+		return 1
+	}
+	return v
+}
+
+// inlinkIndex is countSharedInLinks' pooled scratch: an open-addressing table
+// from an in-linking entity to the chain of candidates it links to. A bucket
+// is live iff its stamp equals cur, so a recycled table is never cleared.
+type inlinkIndex struct {
+	buckets []inlinkBucket
+	nodes   []inlinkNode
+	cur     uint32
+}
+
+type inlinkBucket struct {
+	linker kb.EntityID
+	stamp  uint32
+	head   int32 // newest node of the chain
+}
+
+type inlinkNode struct{ cand, next int32 } // next: the chain's older node, -1 at its end
+
+var inlinkBufs = pool.Scratch[inlinkIndex]{
+	New: func() *inlinkIndex { return &inlinkIndex{} },
+}
+
+// countSharedInLinks leaves |I(a) ∩ I(b)| in the slot of every candidate
+// pair by inverting the in-link lists once instead of merging two per pair:
+// candidates are walked in ascending id, each is chained onto every entity
+// that links to it, and an earlier candidate met on a chain is one shared
+// in-link of that pair — Σ|in-links| plus the shared links found. Lists are
+// duplicate-free (kb's dedupIDs); a repeated in-linker, from a store that
+// broke that, is counted once rather than indexed out of the triangle.
+func (s *cohScorer) countSharedInLinks() {
+	total := 0
+	for _, c := range s.cands {
+		total += len(c.InLinks)
+	}
+	if total == 0 {
+		return
+	}
+	ix := inlinkBufs.Get()
+	defer inlinkBufs.Put(ix)
+	width := bits.Len(uint(2*total - 1)) // 2^width ≥ 2·total buckets: at most half full
+	size, shift := 1<<width, 32-uint(width)
+	if len(ix.buckets) < size {
+		ix.buckets = make([]inlinkBucket, size)
+	}
+	if ix.cur++; ix.cur == 0 { // stamp wrapped: reset the table once
+		clear(ix.buckets)
+		ix.cur = 1
+	}
+	buckets, mask, cur, nodes := ix.buckets[:size], uint32(size-1), ix.cur, ix.nodes[:0]
+	for id, c := range s.cands {
+		for _, linker := range c.InLinks {
+			h := uint32(linker) * 0x9e3779b1 >> shift
+			for buckets[h].stamp == cur && buckets[h].linker != linker {
+				h = (h + 1) & mask
+			}
+			b := &buckets[h]
+			if b.stamp != cur {
+				*b = inlinkBucket{linker: linker, stamp: cur, head: -1}
+			} else if nodes[b.head].cand == int32(id) {
+				continue
+			}
+			for at := b.head; at >= 0; at = nodes[at].next {
+				s.vals[s.slot(int(nodes[at].cand), id)]++
+			}
+			nodes = append(nodes, inlinkNode{cand: int32(id), next: b.head})
+			b.head = int32(len(nodes) - 1)
+		}
+	}
+	ix.nodes = nodes
 }
 
 // need marks the pair of graph nodes a != b for scoreAll.
@@ -279,15 +370,16 @@ func (s *cohScorer) eachEdge(fn func(lo, hi int, w float64)) {
 // the goroutine overhead exceeds the scoring work.
 const minParallelPairs = 32
 
-// scoreAll fills the slots marked by need with up to workers goroutines,
-// one triangle row per hand-out, so every slot has a single writer. Values
+// scoreAll fills the slots marked by need, one triangle row per hand-out so
+// every slot has a single writer: on up to workers goroutines for the
+// keyphrase kinds, inline for MW, whose slots only need finishing. Values
 // are pure per-pair functions and the comparison counter advances by the
 // number of marked pairs, so cache and stats are identical to evaluating
-// the pairs sequentially. When ctx is canceled the workers stop taking rows
-// promptly and ctx.Err() is returned; the caller must then discard the
-// scorer.
+// the pairs sequentially. ctx is consulted before every row; once it is
+// canceled no further row is taken and ctx.Err() is returned — the caller
+// must then discard the scorer.
 func (s *cohScorer) scoreAll(ctx context.Context, workers int) error {
-	if s.pending < minParallelPairs {
+	if s.pending < minParallelPairs || s.kind == relatedness.KindMW {
 		workers = 1
 	}
 	err := pool.ForEachCtx(ctx, s.graphN, workers, func(lo int) error {

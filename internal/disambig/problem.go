@@ -62,12 +62,14 @@ type Problem struct {
 	// TotalEntities is |E| of the underlying KB (for the MW measure).
 	TotalEntities int
 	// Scorer optionally shares a long-lived relatedness engine across
-	// problems: coherence scoring of candidates whose features are
-	// untouched KB features is delegated to it, memoizing pair values
-	// across documents. Setting it requires WordIDF to be the engine KB's
-	// WordIDF (true for problems built by NewProblem); candidates with
-	// modified features (enriched or placeholder) are always scored
-	// per-problem. Nil disables cross-document sharing.
+	// problems: under a keyphrase coherence measure, scoring of candidates
+	// whose keyphrases are untouched KB features is delegated to it,
+	// memoizing pair values across documents (MW never consults it: every
+	// problem computes MW from its candidates' own in-link lists). Setting
+	// it requires WordIDF to be the engine KB's WordIDF (true for problems
+	// built by NewProblem); candidates with modified features (enriched or
+	// placeholder) are always scored per-problem. Nil disables
+	// cross-document sharing.
 	Scorer *relatedness.Scorer
 	// CoherenceWorkers, when > 0, overrides the method's coherence-edge
 	// worker pool for this problem. Batch annotation sets it to 1 so that

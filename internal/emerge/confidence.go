@@ -89,14 +89,13 @@ func MentionPerturbation(m disambig.Method, p *disambig.Problem, base *disambig.
 		if len(idx) == 0 {
 			continue
 		}
-		sub := &disambig.Problem{
-			ContextWords:  p.ContextWords,
-			WordIDF:       p.WordIDF,
-			TotalEntities: p.TotalEntities,
+		// A clone, so a round runs under the request's cancellation, worker
+		// bound and context prior: survival must compare runs of one model.
+		sub := p.Clone()
+		for pos, i := range idx {
+			sub.Mentions[pos] = sub.Mentions[i]
 		}
-		for _, i := range idx {
-			sub.Mentions = append(sub.Mentions, p.Mentions[i])
-		}
+		sub.Mentions = sub.Mentions[:len(idx)]
 		out := m.Disambiguate(sub)
 		for pos, i := range idx {
 			kept[i]++

@@ -1,6 +1,7 @@
 package emerge
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -77,6 +78,74 @@ func TestMentionPerturbationStableMention(t *testing.T) {
 	// mention dropping.
 	if conf[1] < 0.99 {
 		t.Errorf("single-candidate mention should be fully stable, got %v", conf[1])
+	}
+}
+
+// recordingMethod passes every problem through to the wrapped method and
+// keeps what went in and what came out.
+type recordingMethod struct {
+	disambig.Method
+	problems []*disambig.Problem
+	outputs  []*disambig.Output
+}
+
+func (r *recordingMethod) Disambiguate(p *disambig.Problem) *disambig.Output {
+	out := r.Method.Disambiguate(p)
+	r.problems = append(r.problems, p)
+	r.outputs = append(r.outputs, out)
+	return out
+}
+
+// TestMentionPerturbationKeepsRequestState: every perturbation round runs
+// the request's model — its cancellation context, context prior and worker
+// bound — on a subset of its mentions, so a cancelled request stops every
+// round at once instead of running them all to the end.
+func TestMentionPerturbationKeepsRequestState(t *testing.T) {
+	p := eeProblem(buildEEKB())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p.Context = ctx
+	p.ContextModel = &disambig.ContextModel{Words: []string{"intelligence", "officials"}}
+	p.CoherenceWorkers = 1
+	rec := &recordingMethod{Method: disambig.NewAIDA()}
+	base := rec.Method.Disambiguate(p)
+	cfg := PerturbConfig{Iterations: 15, Seed: 1}
+
+	MentionPerturbation(rec, p, base, cfg)
+	if len(rec.problems) == 0 {
+		t.Fatal("no perturbation round ran")
+	}
+	linked := 0
+	for r, sub := range rec.problems {
+		if sub.Context != p.Context || sub.ContextModel != p.ContextModel || sub.CoherenceWorkers != p.CoherenceWorkers {
+			t.Fatalf("round %d: sub-problem has Context=%v ContextModel=%p CoherenceWorkers=%d, want the request's %v, %p, %d",
+				r, sub.Context, sub.ContextModel, sub.CoherenceWorkers, p.Context, p.ContextModel, p.CoherenceWorkers)
+		}
+		if len(sub.Mentions) == 0 || len(sub.Mentions) > len(p.Mentions) {
+			t.Fatalf("round %d: %d mentions out of %d", r, len(sub.Mentions), len(p.Mentions))
+		}
+		for _, res := range rec.outputs[r].Results {
+			if res.CandidateIndex >= 0 {
+				linked++
+			}
+		}
+	}
+	if linked == 0 {
+		t.Fatal("no round linked a mention before the cancellation; the contrast below is vacuous")
+	}
+
+	cancel()
+	rec.problems, rec.outputs = nil, nil
+	MentionPerturbation(rec, p, base, cfg)
+	if len(rec.outputs) == 0 {
+		t.Fatal("no perturbation round ran")
+	}
+	for r, out := range rec.outputs {
+		for _, res := range out.Results {
+			if res.CandidateIndex != -1 || res.Entity != kb.NoEntity {
+				t.Fatalf("round %d ran to the end under a cancelled context: %+v", r, res)
+			}
+		}
 	}
 }
 

@@ -49,6 +49,49 @@ func TestGoldenCorpusOverlay(t *testing.T) {
 	}
 }
 
+// TestInLinksStrictlyAscending asserts the invariant both MW kernels rest on
+// — disambig's inverted in-link index and kb.IntersectSortedSize: every
+// entity's in-link list is ascending and duplicate-free. It must hold in a
+// generated KB, through an Overlay and after a Rebuild, here for a delta
+// that repeats an edge the base already has, names one new edge twice and
+// lists its additions in descending source order.
+func TestInLinksStrictlyAscending(t *testing.T) {
+	base := GoldenKB()
+	delta := GoldenDelta()
+	var dst kb.EntityID
+	for len(base.Entity(dst).InLinks) == 0 {
+		dst++
+	}
+	added := kb.EntityID(base.NumEntities())
+	delta.Links = append(delta.Links,
+		kb.LinkAddition{Src: added + 1, Dst: dst},
+		kb.LinkAddition{Src: added, Dst: dst},
+		kb.LinkAddition{Src: added, Dst: dst},
+		kb.LinkAddition{Src: base.Entity(dst).InLinks[0], Dst: dst},
+	)
+	ov, err := kb.NewOverlay(base, delta)
+	if err != nil {
+		t.Fatalf("NewOverlay: %v", err)
+	}
+	rebuilt, err := kb.Rebuild(base, delta)
+	if err != nil {
+		t.Fatalf("Rebuild: %v", err)
+	}
+	if got, want := len(ov.Entity(dst).InLinks), len(base.Entity(dst).InLinks)+2; got != want {
+		t.Fatalf("entity %d has %d in-links through the overlay, want %d (two new sources, one repeat of each kind dropped)", dst, got, want)
+	}
+	for _, s := range []NamedStore{{"generated", base}, {"overlay", ov}, {"rebuild", rebuilt}} {
+		for e := range kb.EntityID(s.Store.NumEntities()) {
+			links := s.Store.Entity(e).InLinks
+			for i := 1; i < len(links); i++ {
+				if links[i-1] >= links[i] {
+					t.Fatalf("%s: entity %d: in-links not strictly ascending at %d: %v", s.Name, e, i, links)
+				}
+			}
+		}
+	}
+}
+
 // TestApplyDeltaConcurrent drives annotation traffic through a System
 // while ApplyDelta races it and asserts the no-torn-reads contract: every
 // document's output matches exactly the pre-apply generation or the

@@ -6,10 +6,8 @@ import (
 
 // CloneFor derives the scoring engine of a new KB generation from this
 // one: a fresh Scorer bound to store, warm-started with every cached value
-// a live update cannot have invalidated. It is the engine half of
-// aida.System.ApplyDelta — the store swap installs a new generation, and
-// CloneFor keeps the engine's accumulated heat instead of paying a full
-// cold start per delta.
+// a live update cannot have invalidated, so aida.System.ApplyDelta keeps
+// the engine's accumulated heat instead of paying a cold start per delta.
 //
 // What survives, and why it is safe:
 //
@@ -20,19 +18,18 @@ import (
 //     these profiles are bit-identical under the new store.
 //   - Memoized pairs where neither endpoint is touched: KWCS, KPCS and
 //     KORE values depend only on the two entities' keyphrase features.
-//   - MW pairs additionally depend on |E| (the Milne–Witten normalizer),
-//     so when the generation changed the entity count every MW value is
-//     stale and the whole MW cache row is dropped, touched or not.
 //
-// What is dropped: profiles and all pair rows of touched entities (their
-// link sets changed — the same dependent-pair sweep the eviction machinery
-// performs, see dropPairsOf) and the MW row under entity-count change.
-// Cache hit/miss/eviction counters start at zero on the clone — a
-// generation swap reads as a restart in the engine's observability.
+// Profiles and pair rows of touched entities are dropped (the sweep
+// dropPairsOf performs for eviction), and hit/miss/eviction counters start
+// at zero: a generation swap reads as a restart in the engine's stats. The
+// source engine stays valid for in-flight documents of the old generation;
+// CloneFor only read-locks it.
 //
-// The source engine stays valid and serves in-flight documents of the old
-// generation; CloneFor only read-locks it.
-func (s *Scorer) CloneFor(store kb.Store, touched []kb.EntityID, entityCountChanged bool) *Scorer {
+// The third parameter is dead: it said the entity count changed, which
+// emptied the MW row when MW was memoized, and no cached value depends on
+// |E| now. It stays because the frozen benchmark calls this signature
+// (ROADMAP item 1 drops it with the next benchmark re-cut).
+func (s *Scorer) CloneFor(store kb.Store, touched []kb.EntityID, _ bool) *Scorer {
 	ns := NewScorer(store)
 	gone := make(map[kb.EntityID]bool, len(touched))
 	for _, e := range touched {
@@ -61,9 +58,6 @@ func (s *Scorer) CloneFor(store kb.Store, touched []kb.EntityID, entityCountChan
 		sh.mu.RLock()
 		for key, v := range sh.m {
 			if gone[key.a] || gone[key.b] {
-				continue
-			}
-			if entityCountChanged && key.kind == KindMW {
 				continue
 			}
 			// pairKey.shard is a pure function of the key, so the entry

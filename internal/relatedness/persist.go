@@ -21,6 +21,9 @@ import (
 //	        number is read), memoized pairs as sorted (kind, a, b, value)
 //	        records
 //
+// Save writes no MW record (MW is not memoized); a version-1 snapshot from a
+// build that memoized it still loads, its MW records validated and dropped.
+//
 // Invalidation rules: a snapshot is only as good as the KB it was computed
 // from, so Restore rejects a header whose fingerprint differs from the
 // loading Store's (stale snapshot, different repository content). The
@@ -168,6 +171,9 @@ func (s *Scorer) Restore(r io.Reader) error {
 		}
 	}
 	for _, p := range body.Pairs {
+		if p.Kind == KindMW { // from a build that memoized MW
+			continue
+		}
 		key := pairKey{kind: p.Kind, a: p.A, b: p.B}
 		sh := &s.pairs[key.shard()]
 		sh.mu.Lock()

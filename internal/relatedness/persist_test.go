@@ -3,6 +3,7 @@ package relatedness
 import (
 	"bytes"
 	"encoding/gob"
+	"slices"
 	"strings"
 	"testing"
 
@@ -169,6 +170,55 @@ func TestEngineSnapshotReadsShardGroupedProfiles(t *testing.T) {
 	assertAllHits(t, loaded, donor, ents)
 }
 
+// TestEngineSnapshotSkipsMWRows pins the other half of version-1
+// compatibility: builds that memoized MW wrote MW pair records. Save no
+// longer writes one, even from an engine that served MW traffic; a stream
+// that holds them, hand-built here, still restores — every other record
+// installed, no MW record installed — and a malformed MW record is still
+// rejected like any other.
+func TestEngineSnapshotSkipsMWRows(t *testing.T) {
+	k, _, _ := buildClusterKB()
+	donor := NewScorer(k)
+	ents := warmScorer(donor) // MW traffic included
+	var buf bytes.Buffer
+	if err := donor.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	sorted := slices.Sorted(slices.Values(ents))
+	mwRecords := 0
+	old := corruptBody(t, buf.Bytes(), func(b *snapshotBody) {
+		if len(b.Pairs) == 0 {
+			t.Fatal("Save wrote no pair record")
+		}
+		for _, p := range b.Pairs {
+			if p.Kind == KindMW {
+				t.Fatalf("Save wrote an MW record: %+v", p)
+			}
+		}
+		// MW is the lowest kind, so the old writer's MW records sort first.
+		var mw []pairRecord
+		for i, a := range sorted {
+			for _, c := range sorted[i+1:] {
+				mw = append(mw, pairRecord{Kind: KindMW, A: a, B: c, V: MW(k.Entity(a).InLinks, k.Entity(c).InLinks, k.NumEntities())})
+			}
+		}
+		mwRecords = len(mw)
+		b.Pairs = append(mw, b.Pairs...)
+	})
+
+	loaded, err := LoadScorer(bytes.NewReader(old), k)
+	if err != nil {
+		t.Fatalf("LoadScorer of a snapshot with %d MW records: %v", mwRecords, err)
+	}
+	ds, ls := donor.Stats(), loaded.Stats()
+	if ls.Pairs != ds.Pairs || ls.Profiles != ds.Profiles {
+		t.Fatalf("restored profiles=%d pairs=%d, want the donor's %d and %d (no MW record installed)",
+			ls.Profiles, ls.Pairs, ds.Profiles, ds.Pairs)
+	}
+	assertAllHits(t, loaded, donor, ents)
+	assertRejectsInvalidPairs(t, k, old)
+}
+
 // differentKB builds a KB whose content differs from the cluster KB, so its
 // fingerprint must differ.
 func differentKB() *kb.KB {
@@ -299,29 +349,25 @@ func corruptBody(t *testing.T, full []byte, mutate func(*snapshotBody)) []byte {
 	return out.Bytes()
 }
 
-// TestEngineSnapshotInvalidPairRecords rejects pair records with invalid
-// kinds or unordered/out-of-range entities.
-func TestEngineSnapshotInvalidPairRecords(t *testing.T) {
-	k, _, _ := buildClusterKB()
-	donor := NewScorer(k)
-	warmScorer(donor)
-	var buf bytes.Buffer
-	if err := donor.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	cases := []struct {
-		name    string
-		mutate  func(*snapshotBody)
-		wantErr string
-	}{
-		{"lsh-kind", func(b *snapshotBody) { b.Pairs[0].Kind = KindKORELSHF }, "invalid pair-cache kind"},
-		{"unknown-kind", func(b *snapshotBody) { b.Pairs[0].Kind = Kind(99) }, "invalid pair-cache kind"},
-		{"unordered", func(b *snapshotBody) { b.Pairs[0].A, b.Pairs[0].B = b.Pairs[0].B, b.Pairs[0].A }, "invalid pair"},
-		{"self-pair", func(b *snapshotBody) { b.Pairs[0].B = b.Pairs[0].A }, "invalid pair"},
-		{"out-of-range", func(b *snapshotBody) { b.Pairs[0].B = 1 << 20 }, "invalid pair"},
-	}
-	for _, tc := range cases {
+// invalidPairCases are the mutations of a snapshot's first pair record that
+// Restore must reject.
+var invalidPairCases = []struct {
+	name    string
+	mutate  func(*snapshotBody)
+	wantErr string
+}{
+	{"lsh-kind", func(b *snapshotBody) { b.Pairs[0].Kind = KindKORELSHF }, "invalid pair-cache kind"},
+	{"unknown-kind", func(b *snapshotBody) { b.Pairs[0].Kind = Kind(99) }, "invalid pair-cache kind"},
+	{"unordered", func(b *snapshotBody) { b.Pairs[0].A, b.Pairs[0].B = b.Pairs[0].B, b.Pairs[0].A }, "invalid pair"},
+	{"self-pair", func(b *snapshotBody) { b.Pairs[0].B = b.Pairs[0].A }, "invalid pair"},
+	{"out-of-range", func(b *snapshotBody) { b.Pairs[0].B = 1 << 20 }, "invalid pair"},
+}
+
+// assertRejectsInvalidPairs runs invalidPairCases against the snapshot:
+// each must fail with its error and leave the engine empty.
+func assertRejectsInvalidPairs(t *testing.T, k *kb.KB, full []byte) {
+	t.Helper()
+	for _, tc := range invalidPairCases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewScorer(k)
 			err := s.Restore(bytes.NewReader(corruptBody(t, full, tc.mutate)))
@@ -333,6 +379,19 @@ func TestEngineSnapshotInvalidPairRecords(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEngineSnapshotInvalidPairRecords rejects pair records with invalid
+// kinds or unordered/out-of-range entities.
+func TestEngineSnapshotInvalidPairRecords(t *testing.T) {
+	k, _, _ := buildClusterKB()
+	donor := NewScorer(k)
+	warmScorer(donor)
+	var buf bytes.Buffer
+	if err := donor.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	assertRejectsInvalidPairs(t, k, buf.Bytes())
 }
 
 // TestEngineSaveToFailingWriter covers the Save error path.

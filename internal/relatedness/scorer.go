@@ -91,10 +91,13 @@ type pairShard struct {
 
 // Scorer is a long-lived scoring engine bound to one knowledge base. It
 // serves all six relatedness kinds, interns per-entity keyphrase profiles
-// and memoizes pairwise scores across documents. All methods are safe for
-// concurrent use; every returned value is a pure function of the KB, so
-// results are identical whether the caches are cold or warm, sequential or
-// hammered from many goroutines. Share a single Scorer per KB process-wide.
+// and memoizes the pairwise scores of the keyphrase kinds (KWCS, KPCS, KORE
+// and its LSH variants) across documents; MW is computed on every call (a
+// sorted merge of two in-link lists costs less than a probe into a pair map
+// of |E|²/2 keys). All methods are safe for concurrent use; every returned
+// value is a pure function of the KB, so results are identical whether the
+// caches are cold or warm, sequential or hammered from many goroutines.
+// Share a single Scorer per KB process-wide.
 type Scorer struct {
 	kb     kb.Store
 	weight Weighter
@@ -181,6 +184,8 @@ func (s *Scorer) intern(sh *profileShard, e kb.EntityID, built *Profile) *Profil
 // CLOCK-wise together with their dependent memoized pairs. Shrinking the
 // budget evicts immediately. Eviction never changes any computed value —
 // evicted state is recomputed on demand — only the work counters.
+// Only the KORE family interns profiles, so that is what the budget bounds:
+// MW holds no engine state, and KWCS/KPCS pair rows are not bounded by it.
 func (s *Scorer) SetMaxProfileBytes(n int64) {
 	if n < 0 {
 		n = 0
@@ -252,11 +257,15 @@ func (s *Scorer) dropPairsOf(evicted []kb.EntityID) {
 }
 
 // Relatedness computes the relatedness of two entities under the given
-// kind, memoizing the value across calls and documents. For LSH kinds this
-// is the exact KORE value (pair filtering is LSHFilter's job).
+// kind. The keyphrase kinds are memoized across calls and documents (for
+// LSH kinds this is the exact KORE value; pair filtering is LSHFilter's
+// job); MW is computed directly and touches neither cache nor counters.
 func (s *Scorer) Relatedness(kind Kind, a, b kb.EntityID) float64 {
 	if a == b {
 		return 1
+	}
+	if kind == KindMW {
+		return MW(s.kb.Entity(a).InLinks, s.kb.Entity(b).InLinks, s.kb.NumEntities())
 	}
 	if a > b {
 		a, b = b, a
@@ -299,11 +308,9 @@ func counterKind(kind Kind) Kind {
 	return kind
 }
 
-// compute evaluates one pair without touching the pair cache.
+// compute evaluates one keyphrase-kind pair without touching the pair cache.
 func (s *Scorer) compute(kind Kind, a, b kb.EntityID) float64 {
 	switch kind {
-	case KindMW:
-		return MW(s.kb.Entity(a).InLinks, s.kb.Entity(b).InLinks, s.kb.NumEntities())
 	case KindKWCS:
 		return KeywordCosine(s.kb.Entity(a).Keyphrases, s.kb.Entity(b).Keyphrases, s.weight)
 	case KindKPCS:

@@ -3,8 +3,10 @@ package relatedness
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"aida/internal/kb"
@@ -34,6 +36,53 @@ func TestScorerMatchesFreshMeasures(t *testing.T) {
 	}
 	if s.Stats().Hits == 0 {
 		t.Error("warm pass should report cache hits")
+	}
+}
+
+// TestScorerMWIsComputedNotMemoized: MW through the engine is the MW
+// function on the two entities' in-link lists, bit for bit, for every pair
+// of the cluster KB in both argument orders and from 8 goroutines at once
+// (the -race half) — and it holds no engine state: no pair row, no counter,
+// no allocation.
+func TestScorerMWIsComputedNotMemoized(t *testing.T) {
+	k, music, physics := buildClusterKB()
+	ents := append(append([]kb.EntityID{}, music...), physics...)
+	s := NewScorer(k)
+	s.Relatedness(KindKORE, ents[0], ents[1]) // state a stray MW write would disturb
+	before := s.Stats()
+
+	var positive atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, a := range ents {
+				for _, b := range ents {
+					want := 1.0
+					if a != b {
+						want = MW(k.Entity(a).InLinks, k.Entity(b).InLinks, k.NumEntities())
+					}
+					got := s.Relatedness(KindMW, a, b)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("Relatedness(MW, %d, %d) = %v, MW on the in-link lists = %v", a, b, got, want)
+					}
+					if a != b && got > 0 {
+						positive.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if positive.Load() == 0 {
+		t.Fatal("no pair of the cluster KB has positive MW; the comparison is vacuous")
+	}
+	if after := s.Stats(); !reflect.DeepEqual(before, after) {
+		t.Errorf("MW traffic moved the engine's stats:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Relatedness(KindMW, ents[0], ents[1]) }); allocs != 0 {
+		t.Errorf("Relatedness(MW) allocates %v times per call, want 0", allocs)
 	}
 }
 

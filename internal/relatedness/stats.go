@@ -5,6 +5,7 @@ import "unsafe"
 // KindStats are one measure kind's pair-cache counters since engine
 // creation. LSH kinds share KORE's cache rows (their exact values are
 // identical), but traffic is counted under the kind the caller asked for.
+// MW is never memoized, so its entry stays zero.
 type KindStats struct {
 	Kind   Kind   `json:"-"`
 	Name   string `json:"kind"`
@@ -33,13 +34,14 @@ type Stats struct {
 	// ProfileBytes approximates the heap footprint of the interned
 	// profiles (see Profile.ApproxBytes).
 	ProfileBytes int64 `json:"profile_bytes"`
-	// Pairs is the number of memoized pair values across all kinds.
+	// Pairs is the number of memoized pair values (KWCS, KPCS and KORE
+	// rows; MW is never memoized).
 	Pairs int `json:"pairs"`
-	// Hits and Misses are pair-cache totals across all kinds.
+	// Hits and Misses are pair-cache totals across the memoized kinds.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// MaxProfileBytes is the configured profile-memory budget (0 =
-	// unbounded; see Scorer.SetMaxProfileBytes).
+	// unbounded; what it bounds: see Scorer.SetMaxProfileBytes).
 	MaxProfileBytes int64 `json:"max_profile_bytes"`
 	// Evictions counts profiles evicted to honor MaxProfileBytes, and
 	// PairsEvicted the memoized pairs dropped because one of their

@@ -7,7 +7,8 @@ import (
 )
 
 // TestScorerStatsPerKind drives known traffic per kind and checks the
-// per-kind hit/miss attribution, profile accounting and totals.
+// per-kind hit/miss attribution, profile accounting and totals. MW is
+// computed on every call and never memoized, so its entry stays zero.
 func TestScorerStatsPerKind(t *testing.T) {
 	k, music, physics := buildClusterKB()
 	ents := append(append([]kb.EntityID{}, music...), physics...)
@@ -18,9 +19,11 @@ func TestScorerStatsPerKind(t *testing.T) {
 	}
 
 	a, b := ents[0], ents[1]
-	s.Relatedness(KindMW, a, b)   // miss
-	s.Relatedness(KindMW, a, b)   // hit
-	s.Relatedness(KindMW, a, b)   // hit
+	s.Relatedness(KindMW, a, b)   // computed: no row, no counter
+	s.Relatedness(KindMW, a, b)   // computed again
+	s.Relatedness(KindKWCS, a, b) // miss
+	s.Relatedness(KindKWCS, a, b) // hit
+	s.Relatedness(KindKWCS, a, b) // hit
 	s.Relatedness(KindKORE, a, b) // miss (own cache row)
 
 	st := s.Stats()
@@ -28,8 +31,11 @@ func TestScorerStatsPerKind(t *testing.T) {
 	for _, ks := range st.ByKind {
 		byKind[ks.Kind] = ks
 	}
-	if got := byKind[KindMW]; got.Hits != 2 || got.Misses != 1 {
-		t.Errorf("MW counters = %d hits/%d misses, want 2/1", got.Hits, got.Misses)
+	if got := byKind[KindMW]; got.Name != "MW" || got.Hits != 0 || got.Misses != 0 || got.HitRate() != 0 {
+		t.Errorf("MW entry = %+v, want a zero entry named MW", got)
+	}
+	if got := byKind[KindKWCS]; got.Hits != 2 || got.Misses != 1 {
+		t.Errorf("KWCS counters = %d hits/%d misses, want 2/1", got.Hits, got.Misses)
 	}
 	if got := byKind[KindKORE]; got.Hits != 0 || got.Misses != 1 {
 		t.Errorf("KORE counters = %d hits/%d misses, want 0/1", got.Hits, got.Misses)
@@ -38,10 +44,10 @@ func TestScorerStatsPerKind(t *testing.T) {
 		t.Errorf("totals = %d hits/%d misses, want 2/2", st.Hits, st.Misses)
 	}
 	if st.Pairs != 2 {
-		t.Errorf("Pairs = %d, want 2 (one MW row, one KORE row)", st.Pairs)
+		t.Errorf("Pairs = %d, want 2 (one KWCS row, one KORE row)", st.Pairs)
 	}
-	if got, want := byKind[KindMW].HitRate(), 2.0/3.0; got != want {
-		t.Errorf("MW hit rate = %v, want %v", got, want)
+	if got, want := byKind[KindKWCS].HitRate(), 2.0/3.0; got != want {
+		t.Errorf("KWCS hit rate = %v, want %v", got, want)
 	}
 
 	// KORE computed profiles for a and b; their footprint must be counted.

@@ -280,9 +280,11 @@ func BenchmarkAnnotateBatch(b *testing.B) {
 }
 
 // BenchmarkAnnotateDocAllocs isolates the per-document allocation budget of
-// the hot path — one document, sequential, warm engine — so allocs/op in
-// the committed bench JSON tracks exactly what one AnnotateDoc costs the
-// heap, with no batch machinery in the numbers.
+// the hot path — one document, sequential, warm engine — so B/op and
+// allocs/op are exactly what one AnnotateDoc costs the heap, with no batch
+// machinery in the numbers. TestAnnotateDocAllocBudget asserts a ceiling on
+// the same document; this benchmark is for looking at the number while
+// working on it.
 func BenchmarkAnnotateDocAllocs(b *testing.B) {
 	s := benchSuite()
 	docs := s.World.GenerateCorpus(wiki.CoNLLSpec(4, 123))

@@ -209,7 +209,9 @@ func (a *AIDA) Disambiguate(p *Problem) *Output {
 	}
 
 	scorer := newCohScorer(a.Config.Measure, p, fixed)
+	defer scorer.release()
 	g := a.buildGraph(p, weights, fixed, scorer)
+	defer g.Release()
 	if p.Ctx().Err() != nil {
 		// Canceled while scoring coherence edges: stop promptly. The
 		// output is incomplete and the caller must discard it after

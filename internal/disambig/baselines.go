@@ -186,6 +186,7 @@ func (k *Kulkarni) Disambiguate(p *Problem) *Output {
 	}
 
 	scorer := newCohScorer(relatedness.KindMW, p, nil)
+	defer scorer.release()
 	assign := make([]int, len(p.Mentions))
 	for i := range p.Mentions {
 		assign[i] = argmax(local[i])
@@ -245,6 +246,7 @@ func (TagMe) Name() string { return "TagMe" }
 // Disambiguate implements Method.
 func (t TagMe) Disambiguate(p *Problem) *Output {
 	scorer := newCohScorer(relatedness.KindMW, p, nil)
+	defer scorer.release()
 	out := &Output{Results: make([]Result, len(p.Mentions))}
 	for i := range p.Mentions {
 		m := &p.Mentions[i]
@@ -297,6 +299,7 @@ func (Wikifier) Name() string { return "IW" }
 // Disambiguate implements Method.
 func (Wikifier) Disambiguate(p *Problem) *Output {
 	scorer := newCohScorer(relatedness.KindMW, p, nil)
+	defer scorer.release()
 	// Stage 1: local disambiguation by prior + context similarity.
 	sims := simScores(p)
 	tops := make([]int, 0, len(p.Mentions)) // candidate ids

@@ -63,9 +63,11 @@ type cohScorer struct {
 	// raw (unscaled by γ) coherence of a slot once its slotHave flag is set
 	// (until then, under MW, the pair's shared in-link count). Pairs the LSH
 	// filter rejects start out as slotHave with value 0. slotNeeded marks
-	// the pairs scoreAll has to fill; pending counts them.
+	// the pairs scoreAll has to fill; pending counts them. Both arrays are
+	// views into tri, pooled scratch that release gives back.
 	vals    []float64
 	flags   []uint8
+	tri     *triangle
 	pending int
 	// comparisons counts exact pairwise relatedness computations: one per
 	// distinct allowed pair requested in this problem (engine cache hits
@@ -77,6 +79,23 @@ const (
 	slotHave uint8 = 1 << iota
 	slotNeeded
 )
+
+// triangle is the backing of one scorer's pair cache. The two arrays are by
+// far the largest thing a document allocates (n² in its distinct candidates),
+// so they are recycled across documents rather than left to the collector.
+type triangle struct {
+	vals  []float64
+	flags []uint8
+}
+
+var triangles = pool.Scratch[triangle]{New: func() *triangle { return &triangle{} }}
+
+// release returns the scorer's pair cache to the pool. The scorer must not
+// be used afterwards; one that is never released is simply collected.
+func (s *cohScorer) release() {
+	triangles.Put(s.tri)
+	s.tri, s.vals, s.flags = nil, nil, nil
+}
 
 // newCohScorer interns the distinct candidates of the problem. fixed[i],
 // when >= 0, is the only candidate of mention i that enters the graph (nil
@@ -124,8 +143,10 @@ func newCohScorer(kind relatedness.Kind, p *Problem, fixed []int) *cohScorer {
 	intern(false)
 
 	nc := len(s.cands)
-	s.vals = make([]float64, nc*(nc-1)/2)
-	s.flags = make([]uint8, len(s.vals))
+	s.tri = triangles.Get()
+	s.tri.vals = pool.Zeroed(s.tri.vals, nc*(nc-1)/2)
+	s.tri.flags = pool.Zeroed(s.tri.flags, len(s.tri.vals))
+	s.vals, s.flags = s.tri.vals, s.tri.flags
 	if kind == relatedness.KindMW {
 		s.countSharedInLinks()
 		return s

@@ -1,10 +1,9 @@
 package disambig
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"aida/internal/kb"
-	"aida/internal/textstat"
 )
 
 // DefaultContextWeight is the blend weight used when a context model does
@@ -34,8 +33,9 @@ type ContextModel struct {
 	// Weight is the blend weight in (0,1]; 0 means DefaultContextWeight.
 	Weight float64
 
-	matcherOnce sync.Once
-	matcher     *textstat.Matcher
+	// index is Words by word id, under the vocabulary of the generation
+	// that last asked (see wordsFor).
+	index atomic.Pointer[wordIndex]
 }
 
 // weight resolves the effective blend weight.
@@ -46,14 +46,19 @@ func (cm *ContextModel) weight() float64 {
 	return cm.Weight
 }
 
-// contextMatcher lazily builds the cover matcher over the context words,
-// once per request (the model is shared across a corpus fan-out's worker
-// goroutines, hence the sync.Once).
-func (cm *ContextModel) contextMatcher() *textstat.Matcher {
-	cm.matcherOnce.Do(func() {
-		cm.matcher = textstat.NewMatcher(cm.Words)
-	})
-	return cm.matcher
+// wordsFor returns the index of the context words under a problem's
+// vocabulary, built on first use. The model is shared across a corpus
+// fan-out's worker goroutines, and a delta applied mid-request can put two of
+// its documents on different generations: word ids are only comparable under
+// one vocabulary, so the index is rebuilt when the vocabulary is not the one
+// it was built under (racing builders store equal indexes).
+func (cm *ContextModel) wordsFor(p *Problem) *wordIndex {
+	wi := cm.index.Load()
+	if wi == nil || wi.vocab != p.vocab {
+		wi = newWordIndex(p.vocab, cm.Words)
+		cm.index.Store(wi)
+	}
+	return wi
 }
 
 // scores computes the per-candidate context affinity for one mention, in
@@ -67,10 +72,10 @@ func (cm *ContextModel) scores(p *Problem, m *Mention) []float64 {
 	useEnts := len(cm.Entities) > 0
 	var sim []float64
 	if useWords {
-		matcher := cm.contextMatcher()
+		wi := cm.wordsFor(p)
 		raw := make([]float64, len(m.Candidates))
 		for j := range m.Candidates {
-			raw[j] = candidateSim(matcher, &m.Candidates[j], p.wordIDF)
+			raw[j], _ = wi.cover(p, &m.Candidates[j])
 		}
 		sim = normalizeSum(raw)
 	}

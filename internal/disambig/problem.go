@@ -16,7 +16,6 @@ import (
 
 	"aida/internal/kb"
 	"aida/internal/relatedness"
-	"aida/internal/textstat"
 	"aida/internal/tokenizer"
 )
 
@@ -58,6 +57,10 @@ type Problem struct {
 	Mentions     []Mention
 	// WordIDF is the collection-wide keyword IDF used as the fallback
 	// weight in cover scoring (Eq. 3.4) and as the KORE keyword weight.
+	// A problem built from a store scores that store's untouched entities
+	// from keyphrases the store compiled with its own IDF table, which is
+	// what NewProblem sets here; only candidates with features of their
+	// own are weighted through this function.
 	WordIDF func(string) float64
 	// TotalEntities is |E| of the underlying KB (for the MW measure).
 	TotalEntities int
@@ -87,7 +90,11 @@ type Problem struct {
 	// without the field.
 	ContextModel *ContextModel
 
-	matcher *textstat.Matcher
+	// vocab is the scoring state of the store the problem was built from
+	// (nil for a hand-built problem): candidates that are that store's
+	// untouched entities are scored from its compiled keyphrases.
+	vocab *kb.Vocab
+	words *wordIndex // ContextWords by word id, built on first use
 }
 
 // Ctx is the nil-safe accessor for Problem.Context.
@@ -98,12 +105,19 @@ func (p *Problem) Ctx() context.Context {
 	return p.Context
 }
 
-// Matcher returns the lazily built cover matcher over the context words.
-func (p *Problem) Matcher() *textstat.Matcher {
-	if p.matcher == nil {
-		p.matcher = textstat.NewMatcher(p.ContextWords)
+// index returns the lazily built word-id index over the context words.
+func (p *Problem) index() *wordIndex {
+	if p.words == nil {
+		p.words = newWordIndex(p.vocab, p.ContextWords)
 	}
-	return p.matcher
+	return p.words
+}
+
+// ForText returns a mention-less problem over other context words against
+// the same KB generation: what scoring one of p's candidates against a part
+// of the document (a sentence) needs.
+func (p *Problem) ForText(contextWords []string) *Problem {
+	return &Problem{ContextWords: contextWords, WordIDF: p.WordIDF, TotalEntities: p.TotalEntities, vocab: p.vocab}
 }
 
 // wordIDF is the nil-safe accessor for Problem.WordIDF.
@@ -138,6 +152,7 @@ func NewProblemFromWords(k kb.Store, contextWords, surfaces []string, maxCandida
 		Mentions:      make([]Mention, 0, len(surfaces)),
 		WordIDF:       k.WordIDF,
 		TotalEntities: k.NumEntities(),
+		vocab:         k.Vocabulary(),
 	}
 	var lists [][]kb.Candidate
 	if bs, ok := k.(kb.BulkCandidateStore); ok {
@@ -212,7 +227,8 @@ func (p *Problem) Clone() *Problem {
 		CoherenceWorkers: p.CoherenceWorkers,
 		Context:          p.Context,
 		ContextModel:     p.ContextModel,
-		matcher:          p.matcher,
+		vocab:            p.vocab,
+		words:            p.words,
 	}
 	for i, m := range p.Mentions {
 		q.Mentions[i] = Mention{

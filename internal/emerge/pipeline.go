@@ -153,8 +153,7 @@ func (pl *Pipeline) harvestChunkDoc(m disambig.Method, d ChunkDoc) *HarvestContr
 		if c == nil {
 			return false
 		}
-		sub := &disambig.Problem{ContextWords: sentenceWords, WordIDF: p.WordIDF}
-		return disambig.BestPhraseCover(sub, c) >= pl.minCover()
+		return disambig.BestPhraseCover(p.ForText(sentenceWords), c) >= pl.minCover()
 	}
 	return CollectHighConfidence(&h, d.Text, out, conf, pl.minConfidence())
 }

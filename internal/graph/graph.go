@@ -15,6 +15,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"aida/internal/pool"
 )
 
 // Edge is a weighted mention→entity candidate edge.
@@ -32,17 +34,36 @@ type Graph struct {
 	mentionEdges [][]Edge
 	// coh is the symmetric coherence matrix as a flat upper triangle:
 	// slot(a, b) holds the weight between a and b, 0 when there is no edge.
+	// It is a view into buf, pooled scratch that Release gives back.
 	coh []float64
+	buf *cohBuf
 }
+
+// cohBuf is the backing of one graph's coherence triangle: quadratic in the
+// entity count and the graph's one large allocation, so it is recycled.
+type cohBuf struct{ w []float64 }
+
+var cohBufs = pool.Scratch[cohBuf]{New: func() *cohBuf { return &cohBuf{} }}
 
 // New creates a graph with the given node counts.
 func New(mentions, entities int) *Graph {
+	buf := cohBufs.Get()
+	buf.w = pool.Zeroed(buf.w, entities*(entities-1)/2)
 	return &Graph{
 		mentions:     mentions,
 		entities:     entities,
 		mentionEdges: make([][]Edge, mentions),
-		coh:          make([]float64, entities*(entities-1)/2),
+		coh:          buf.w,
+		buf:          buf,
 	}
+}
+
+// Release returns the graph's coherence triangle to the pool it came from.
+// The graph must not be used afterwards — a Result keeps nothing of it. A
+// graph that is never released is simply collected.
+func (g *Graph) Release() {
+	cohBufs.Put(g.buf)
+	g.buf, g.coh = nil, nil
 }
 
 // slot maps the unordered pair a != b to its index in coh; slots ascend

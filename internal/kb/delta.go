@@ -279,7 +279,6 @@ func Rebuild(k *KB, d *Delta) (*KB, error) {
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Entity < entries[j].Entity })
 		nk.dict[key] = entries
 	}
-	nk.cands = precomputeCandidates(nk.dict)
 	// A delta IDF entry takes effect wherever the base lookup yields 0:
 	// overwrite stored zeros too, so the rebuilt table agrees with the
 	// overlay's base-then-delta lookup chain bit for bit.
@@ -295,5 +294,5 @@ func Rebuild(k *KB, d *Delta) (*KB, error) {
 			nk.wordIDF[lw] = v
 		}
 	}
-	return nk, nil
+	return nk.finish(), nil
 }

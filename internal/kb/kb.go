@@ -71,12 +71,29 @@ type KB struct {
 	entities  []Entity
 	byName    map[string]EntityID    // canonical name → id
 	dict      map[string][]nameEntry // normalized surface → entries
-	cands     map[string][]Candidate // normalized surface → materialized candidates
 	phraseIDF map[string]float64
 	wordIDF   map[string]float64
 
+	// Derived from the fields above by finish, never stored or compared.
+	cands map[string][]Candidate // normalized surface → materialized candidates
+	vocab *Vocab
+
 	fp fingerprintOnce // lazily computed content hash
 }
+
+// finish derives the lookup state every way of making a KB owes it — Build,
+// Load and Rebuild all end here — from the content fields. Compiling the
+// entities' keyphrases is not part of it (a server's boot does not wait for
+// that): the vocabulary does it on demand and, from the first demand on, in
+// bulk in the background.
+func (k *KB) finish() *KB {
+	k.cands = precomputeCandidates(k.dict)
+	k.vocab = newVocab(k, k.wordIDF, len(k.entities), true)
+	return k
+}
+
+// Vocabulary implements Store.
+func (k *KB) Vocabulary() *Vocab { return k.vocab }
 
 // NumEntities returns |E|.
 func (k *KB) NumEntities() int { return len(k.entities) }
@@ -248,7 +265,6 @@ func (b *Builder) Build() *KB {
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Entity < entries[j].Entity })
 		k.dict[key] = entries
 	}
-	k.cands = precomputeCandidates(k.dict)
 
 	// Link sets.
 	inLinks := make(map[EntityID][]EntityID)
@@ -333,7 +349,7 @@ func (b *Builder) Build() *KB {
 			}
 		}
 	}
-	return k
+	return k.finish()
 }
 
 // superdoc returns {e} ∪ IN(e) as a sorted slice.

@@ -48,6 +48,9 @@ type Overlay struct {
 	// sets — the scorer-invalidation set of this generation.
 	touchedIDs []EntityID
 
+	// vocab is the base's, extended by the delta's words and entities.
+	vocab *Vocab
+
 	fp        fingerprintOnce
 	namesOnce sync.Once
 	names     []string
@@ -112,6 +115,7 @@ func NewOverlay(base Store, d *Delta) (*Overlay, error) {
 	for key, adds := range d.rowAdds() {
 		o.rows[key] = mergeRows(base.Candidates(key), adds)
 	}
+	o.vocab = base.Vocabulary().extend(o, d)
 	return o, nil
 }
 
@@ -239,6 +243,9 @@ func (o *Overlay) WordIDF(word string) float64 {
 	}
 	return lowerIDF(o.wordIDF, word)
 }
+
+// Vocabulary implements Store.
+func (o *Overlay) Vocabulary() *Vocab { return o.vocab }
 
 // NumShards implements Store: the overlay preserves the base's shard
 // geometry (added entities fall into shard id % NumShards like any other).

@@ -40,6 +40,5 @@ func Load(r io.Reader) (*KB, error) {
 	for i := range k.entities {
 		k.byName[k.entities[i].Name] = k.entities[i].ID
 	}
-	k.cands = precomputeCandidates(k.dict)
-	return k, nil
+	return k.finish(), nil
 }

@@ -133,6 +133,7 @@ type RemoteStore struct {
 	nameSet map[string]struct{}
 	idfP    map[string]float64
 	idfW    map[string]float64
+	vocab   *Vocab // built from idfW; compiles entities as they are fetched and first scored
 
 	mu       sync.RWMutex
 	entities map[EntityID]*Entity
@@ -204,6 +205,7 @@ func DialFleet(ctx context.Context, m ShardMap, opts RemoteOptions) (*RemoteStor
 		return nil, fmt.Errorf("kb: dial: replicate IDF tables: %v", err)
 	}
 	r.idfP, r.idfW = idf.Phrase, idf.Word
+	r.vocab = newVocab(r, r.idfW, r.numEntities, false)
 
 	// Mirror the dictionary key set: HasName is the recognition hot path
 	// and must never cost a round trip.
@@ -418,6 +420,9 @@ func (r *RemoteStore) PhraseIDF(phrase string) float64 { return lowerIDF(r.idfP,
 
 // WordIDF returns the global IDF of a keyword (dial-replicated).
 func (r *RemoteStore) WordIDF(word string) float64 { return lowerIDF(r.idfW, word) }
+
+// Vocabulary implements Store.
+func (r *RemoteStore) Vocabulary() *Vocab { return r.vocab }
 
 // Entity returns the entity with the given id, fetching it from its owning
 // shard on first use. It panics on ids outside the repository, matching

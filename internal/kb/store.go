@@ -54,6 +54,11 @@ type Store interface {
 	// for a plain *KB). Entity e belongs to shard
 	// EntityShard(e, NumShards()).
 	NumShards() int
+	// Vocabulary returns the generation's derived scoring state: keyword
+	// ids and the entities' keyphrases compiled against them. It is a
+	// method of Store, not an optional extension, so that a wrapper
+	// embedding a Store serves the same path the wrapped store does.
+	Vocabulary() *Vocab
 	// Fingerprint returns a deterministic hash of the repository content.
 	// It is shard-layout-independent: the KB, any placement view of it and
 	// a fleet serving it return the same value, so state derived from the

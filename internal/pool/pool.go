@@ -47,6 +47,18 @@ func (s *Scratch[T]) Put(v *T) {
 	s.p.Put(v)
 }
 
+// Zeroed returns a zeroed slice of length n, on buf's array when that is
+// large enough and on a new one otherwise: how pooled scratch hands out an
+// array whose size changes from one use to the next.
+func Zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // ForEach runs fn(i) for every i in [0, n) on up to workers goroutines and
 // returns when all calls have completed. workers ≤ 1 (or n ≤ 1) runs
 // inline. Indices are handed out through a shared counter, so workers

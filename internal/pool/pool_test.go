@@ -112,3 +112,20 @@ func TestForEachCtxFirstError(t *testing.T) {
 		}
 	}
 }
+
+func TestZeroed(t *testing.T) {
+	buf := []int{1, 2, 3, 4}
+	got := Zeroed(buf, 3)
+	if len(got) != 3 || &got[0] != &buf[0] || got[0]+got[1]+got[2] != 0 {
+		t.Fatalf("Zeroed(4-cap, 3) = %v on a new array: %v", got, &got[0] != &buf[0])
+	}
+	if buf[3] != 4 {
+		t.Fatal("Zeroed cleared past the requested length")
+	}
+	if got = Zeroed(buf, 9); len(got) != 9 || got[8] != 0 {
+		t.Fatalf("Zeroed(4-cap, 9) = %v", got)
+	}
+	if got = Zeroed[int](nil, 0); len(got) != 0 {
+		t.Fatalf("Zeroed(nil, 0) = %v", got)
+	}
+}

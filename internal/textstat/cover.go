@@ -1,10 +1,6 @@
 package textstat
 
-import (
-	"slices"
-
-	"aida/internal/pool"
-)
+import "slices"
 
 // A Matcher scores partial keyphrase matches against one document, following
 // Section 3.3.4: for each keyphrase it finds the shortest token window (the
@@ -14,6 +10,11 @@ import (
 //
 // where z = #matching-words / cover-length (Eq. 3.4). The squared factor
 // penalizes phrases with missing words superlinearly.
+//
+// The Matcher works on strings and is the readable reference: the pipeline
+// scores through Index, the same computation over word ids, which
+// TestCompiledCoverMatchesScorePhrase holds to FindCover and ScoreCover bit
+// for bit.
 type Matcher struct {
 	positions map[string][]int // lower-cased word → sorted token positions
 	length    int
@@ -27,9 +28,6 @@ func NewMatcher(docWords []string) *Matcher {
 	}
 	return m
 }
-
-// Contains reports whether word occurs in the document.
-func (m *Matcher) Contains(word string) bool { return len(m.positions[word]) > 0 }
 
 // Cover describes the best partial match of one phrase.
 type Cover struct {
@@ -131,106 +129,6 @@ func ScoreCover(c Cover, phraseWords []string, weight Weighter) float64 {
 		return 0
 	}
 	z := float64(c.Matched) / float64(c.Length)
-	frac := matchedW / totalW
-	return z * frac * frac
-}
-
-// coverScratch holds the per-call buffers of ScorePhrase. Keyphrase
-// scoring runs once per (candidate, keyphrase) pair — tens of thousands of
-// calls per document — so the distinct-word list, occurrence list and
-// window counters are recycled instead of reallocated per call.
-type coverScratch struct {
-	words  []string
-	occs   []occurrence
-	counts []int
-}
-
-var coverBufs = pool.Scratch[coverScratch]{
-	New: func() *coverScratch { return &coverScratch{} },
-	// Drop the string references so a pooled scratch cannot pin phrase
-	// words of a finished document in memory.
-	Reset: func(sc *coverScratch) {
-		clear(sc.words)
-		sc.words = sc.words[:0]
-		sc.occs = sc.occs[:0]
-		sc.counts = sc.counts[:0]
-	},
-}
-
-// ScorePhrase indexes and scores a phrase against the document in one step.
-// It computes exactly ScoreCover(m.FindCover(phraseWords), ...) but fuses
-// the two passes over pooled scratch, with no per-call map or slice
-// allocations: the dominant cost of the naive form.
-func (m *Matcher) ScorePhrase(phraseWords []string, weight Weighter) float64 {
-	sc := coverBufs.Get()
-	words := sc.words[:0] // distinct phrase words, in phrase order
-	occs := sc.occs[:0]
-	need := 0
-	var matchedW, totalW float64
-	for _, w := range phraseWords {
-		dup := false
-		for _, d := range words {
-			if d == w {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		words = append(words, w)
-		wt := weight(w)
-		totalW += wt
-		if p := m.positions[w]; len(p) > 0 {
-			matchedW += wt
-			for _, pos := range p {
-				occs = append(occs, occurrence{pos: pos, word: need})
-			}
-			need++
-		}
-	}
-	if need == 0 {
-		sc.words, sc.occs = words, occs
-		coverBufs.Put(sc)
-		return 0
-	}
-	// Positions are distinct across words (one token per position), so the
-	// sort order is unique and matches FindCover's.
-	slices.SortFunc(occs, func(a, b occurrence) int { return a.pos - b.pos })
-	counts := sc.counts
-	for len(counts) < need {
-		counts = append(counts, 0)
-	}
-	counts = counts[:need]
-	for i := range counts {
-		counts[i] = 0
-	}
-	have := 0
-	best := -1
-	lo := 0
-	for hi := 0; hi < len(occs); hi++ {
-		if counts[occs[hi].word] == 0 {
-			have++
-		}
-		counts[occs[hi].word]++
-		for have == need {
-			span := occs[hi].pos - occs[lo].pos + 1
-			if best < 0 || span < best {
-				best = span
-			}
-			counts[occs[lo].word]--
-			if counts[occs[lo].word] == 0 {
-				have--
-			}
-			lo++
-		}
-	}
-	sc.words, sc.occs, sc.counts = words, occs, counts
-	coverBufs.Put(sc)
-	if best <= 0 || totalW <= 0 {
-		return 0
-	}
-	z := float64(need) / float64(best)
 	frac := matchedW / totalW
 	return z * frac * frac
 }

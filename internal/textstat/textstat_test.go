@@ -79,6 +79,33 @@ func TestContingencyMIRange(t *testing.T) {
 
 func unitWeight(string) float64 { return 1 }
 
+// scorePhrase is Eq. 3.4 of one phrase against a document through the
+// integer kernel, held bit-equal to the string reference on the way.
+func scorePhrase(t testing.TB, doc, phrase []string, weight Weighter) float64 {
+	t.Helper()
+	ids := map[string]WordID{}
+	tokens := make([]WordID, len(doc))
+	for i, w := range doc {
+		if _, ok := ids[w]; !ok {
+			ids[w] = WordID(len(ids))
+		}
+		tokens[i] = ids[w]
+	}
+	var ps Phrases
+	ps.Append(phrase, func(w string) (WordID, float64) {
+		id, ok := ids[w]
+		if !ok {
+			id = NoWord
+		}
+		return id, weight(w)
+	})
+	got, _ := NewIndex(tokens).Cover(&ps)
+	if want := ScoreCover(NewMatcher(doc).FindCover(phrase), phrase, weight); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("doc %q phrase %q: kernel %v, reference %v", doc, phrase, got, want)
+	}
+	return got
+}
+
 func TestFindCoverExact(t *testing.T) {
 	m := NewMatcher([]string{"grammy", "award", "winner", "of", "prizes"})
 	c := m.FindCover([]string{"grammy", "award", "winner"})
@@ -131,8 +158,7 @@ func TestFindCoverDuplicatePhraseWords(t *testing.T) {
 }
 
 func TestScoreCoverFullMatch(t *testing.T) {
-	m := NewMatcher([]string{"hard", "rock"})
-	got := m.ScorePhrase([]string{"hard", "rock"}, unitWeight)
+	got := scorePhrase(t, []string{"hard", "rock"}, []string{"hard", "rock"}, unitWeight)
 	if !almost(got, 1) { // z = 2/2, frac = 1
 		t.Fatalf("full adjacent match should score 1, got %v", got)
 	}
@@ -140,8 +166,7 @@ func TestScoreCoverFullMatch(t *testing.T) {
 
 func TestScoreCoverPartialPenalty(t *testing.T) {
 	doc := []string{"winner", "of", "many", "prizes", "including", "the", "grammy"}
-	m := NewMatcher(doc)
-	got := m.ScorePhrase([]string{"grammy", "award", "winner"}, unitWeight)
+	got := scorePhrase(t, doc, []string{"grammy", "award", "winner"}, unitWeight)
 	want := (2.0 / 7.0) * (2.0 / 3.0) * (2.0 / 3.0)
 	if !almost(got, want) {
 		t.Fatalf("got %v want %v", got, want)
@@ -150,14 +175,13 @@ func TestScoreCoverPartialPenalty(t *testing.T) {
 
 func TestScoreCoverWeighted(t *testing.T) {
 	doc := []string{"engine", "stuff"}
-	m := NewMatcher(doc)
 	w := func(word string) float64 {
 		if word == "engine" {
 			return 3
 		}
 		return 1
 	}
-	got := m.ScorePhrase([]string{"search", "engine"}, w)
+	got := scorePhrase(t, doc, []string{"search", "engine"}, w)
 	want := (1.0 / 1.0) * (3.0 / 4.0) * (3.0 / 4.0)
 	if !almost(got, want) {
 		t.Fatalf("got %v want %v", got, want)
@@ -166,10 +190,8 @@ func TestScoreCoverWeighted(t *testing.T) {
 
 func TestScoreMonotoneInMatches(t *testing.T) {
 	// More matched words must never reduce the score when the cover is tight.
-	full := NewMatcher([]string{"grammy", "award", "winner"})
-	partial := NewMatcher([]string{"grammy", "award"})
 	phrase := []string{"grammy", "award", "winner"}
-	if full.ScorePhrase(phrase, unitWeight) <= partial.ScorePhrase(phrase, unitWeight) {
+	if scorePhrase(t, phrase, phrase, unitWeight) <= scorePhrase(t, phrase[:2], phrase, unitWeight) {
 		t.Fatal("full match should outscore partial match")
 	}
 }
@@ -180,8 +202,7 @@ func TestScoreRange(t *testing.T) {
 		if len(phrase) == 0 {
 			return true
 		}
-		m := NewMatcher(doc)
-		s := m.ScorePhrase(phrase, unitWeight)
+		s := scorePhrase(t, doc, phrase, unitWeight)
 		return s >= 0 && s <= 1+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -108,10 +106,9 @@ type (
 	// RelatednessKind selects an entity-relatedness measure.
 	RelatednessKind = relatedness.Kind
 	// Scorer is the long-lived, concurrency-safe scoring engine bound to a
-	// KB: it interns entity profiles, memoizes pairwise relatedness across
-	// documents for the keyphrase measure kinds (MW is computed on every
-	// call), and builds each LSH filter once. Every System holds one; see
-	// (*System).Scorer.
+	// KB generation: it interns entity profiles and memoizes pairwise
+	// relatedness across documents for the keyphrase measure kinds (MW is
+	// computed on every call). Every System holds one; see (*System).Scorer.
 	Scorer = relatedness.Scorer
 	// ScorerStats is a snapshot of the engine's caches: interned-profile
 	// count and approximate memory, memoized pair count, and per-kind
@@ -523,17 +520,6 @@ func WithMaxCandidates(n int) Option { return func(s *System) { s.MaxCandidates 
 // document containing them ("Carter" → "Rubin Carter").
 func WithSurfaceExpansion() Option { return func(s *System) { s.ExpandSurfaces = true } }
 
-// WithMaxProfileBytes bounds the approximate heap footprint of the scoring
-// engine's interned entity profiles (0, the default, is unbounded). Over
-// budget, cold profiles are evicted CLOCK-wise together with their
-// dependent memoized pair values; annotation output never changes — evicted
-// state is recomputed on demand — only the engine's work counters do. See
-// ScorerStats.Evictions. Only the KORE family interns profiles: MW is never
-// memoized and needs no bound; KWCS/KPCS pair rows are not bounded by this.
-func WithMaxProfileBytes(n int64) Option {
-	return func(s *System) { s.Scorer().SetMaxProfileBytes(n) }
-}
-
 // New creates a System over the knowledge base store.
 func New(k Store, opts ...Option) *System {
 	s := &System{KB: k, Method: disambig.NewAIDA()}
@@ -552,55 +538,6 @@ func New(k Store, opts ...Option) *System {
 // ApplyDelta this returns the new generation's engine — callers that need
 // the engine together with its store should take one Live() snapshot.
 func (s *System) Scorer() *Scorer { return s.live.Load().engine }
-
-// SaveEngine writes the scoring engine's accumulated state — interned
-// profiles and memoized pair values — as a versioned snapshot bound to the
-// KB's content fingerprint. A fresh process over the same KB can LoadEngine
-// it and serve its first request with a warm engine. Safe to call
-// concurrently with annotation traffic.
-func (s *System) SaveEngine(w io.Writer) error { return s.Scorer().Save(w) }
-
-// SaveEngineFile writes the engine snapshot to path atomically: a temp
-// file in the target's directory is written first and renamed over it, so
-// a crash mid-write can never leave a truncated snapshot where the next
-// boot would read it. It returns the snapshot size in bytes. Both binaries
-// and the server's admin endpoint persist through this one function.
-func (s *System) SaveEngineFile(path string) (int64, error) {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "." // keep temp and target on one filesystem (rename must not cross devices)
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := s.SaveEngine(tmp); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	n, err := tmp.Seek(0, io.SeekCurrent)
-	if err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// LoadEngine warm-starts the scoring engine from a snapshot written by
-// SaveEngine. The snapshot must come from the same KB content (its
-// fingerprint is checked; the shard count may differ). Errors — truncated
-// or corrupt streams, unsupported versions, stale snapshots for a different
-// KB — leave the engine untouched and usable cold. Annotations after a
-// warm start are byte-identical to a cold engine's (the golden-corpus
-// suite pins this); only the cache hit/miss counters differ.
-func (s *System) LoadEngine(r io.Reader) error { return s.Scorer().Restore(r) }
 
 // Recognize runs named entity recognition only, over the serving
 // generation's dictionary.
@@ -631,7 +568,7 @@ func (s *System) Disambiguate(text string, surfaces []string) *Output {
 
 // Relatedness computes the semantic relatedness of two KB entities under
 // the given measure: the keyphrase measures memoized by the system's shared
-// engine (profiles and LSH filters are built once per KB, not per call), MW
+// engine (profiles are built once per KB generation, not per call), MW
 // computed from the two in-link lists on every call.
 func (s *System) Relatedness(kind RelatednessKind, a, b EntityID) float64 {
 	return s.Scorer().Relatedness(kind, a, b)

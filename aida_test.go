@@ -2,7 +2,6 @@ package aida
 
 import (
 	"bytes"
-	"os"
 	"testing"
 )
 
@@ -168,47 +167,5 @@ func TestKBSaveLoadThroughFacade(t *testing.T) {
 	out := sys.Disambiguate("Page played unusual chords on his Gibson.", []string{"Page"})
 	if out.Results[0].Label != "Jimmy Page" {
 		t.Errorf("loaded KB misbehaves: %q", out.Results[0].Label)
-	}
-}
-
-// TestSaveEngineFile covers the atomic snapshot file write, including the
-// bare-filename case: the temp file must be created next to the target
-// (never in the system temp dir), or the final rename could cross devices.
-func TestSaveEngineFile(t *testing.T) {
-	k := demoKB()
-	sys := New(k, WithMethod(koreMethod())) // the default method's MW leaves nothing to save
-	annotateDoc(t, sys, "They performed Kashmir, written by Page and Plant.")
-	t.Chdir(t.TempDir())
-	n, err := sys.SaveEngineFile("engine.snap") // no directory component
-	if err != nil {
-		t.Fatalf("SaveEngineFile: %v", err)
-	}
-	fi, err := os.Stat("engine.snap")
-	if err != nil {
-		t.Fatalf("snapshot file: %v", err)
-	}
-	if fi.Size() != n {
-		t.Fatalf("snapshot is %d bytes, SaveEngineFile reported %d", fi.Size(), n)
-	}
-	// No temp droppings left behind.
-	entries, err := os.ReadDir(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory holds %d entries after snapshot, want just the file: %v", len(entries), entries)
-	}
-	// The file loads back into a fresh system.
-	warm := New(k)
-	f, err := os.Open("engine.snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := warm.LoadEngine(f); err != nil {
-		t.Fatalf("LoadEngine: %v", err)
-	}
-	if st := warm.Scorer().Stats(); st.Pairs == 0 {
-		t.Fatalf("loaded engine is cold: %+v", st)
 	}
 }

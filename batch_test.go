@@ -118,7 +118,7 @@ func TestAnnotateBatchWarmsEngine(t *testing.T) {
 
 // TestDefaultMethodEngineDoesNotGrow bounds the default path's memory: a
 // server under the default method (MW coherence) sees novel documents
-// forever, and nothing evicts pair rows, so the engine must hold nothing for
+// forever, and the engine has no memory bound, so it must hold nothing for
 // them — however many pairs the documents compared.
 func TestDefaultMethodEngineDoesNotGrow(t *testing.T) {
 	k, docs := batchWorld(t, 300)

@@ -7,7 +7,6 @@ package aida
 // cmd/experiments prints the same rows in the paper's layout.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -303,60 +302,4 @@ func BenchmarkAnnotateDocAllocs(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkWarmStart measures what an engine snapshot is worth at boot: a
-// cold process pays profile construction and pair computation on its first
-// corpus, a warm-started one loads the snapshot (KB fingerprint check,
-// profile rebuild, pair install) and then serves mostly cache hits. The
-// snapshot/load sub-benchmarks isolate the persistence round-trip itself.
-func BenchmarkWarmStart(b *testing.B) {
-	s := benchSuite()
-	docs := make([]string, 16)
-	for i, d := range s.World.GenerateCorpus(wiki.CoNLLSpec(len(docs), 321)) {
-		docs[i] = d.Text
-	}
-	// One donor run prepares the snapshot all warm iterations load.
-	donor := New(s.World.KB, WithMaxCandidates(10))
-	annotateCorpus(b, donor, docs, WithParallelism(1))
-	var snap bytes.Buffer
-	if err := donor.SaveEngine(&snap); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("cold-boot", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sys := New(s.World.KB, WithMaxCandidates(10))
-			annotateCorpus(b, sys, docs, WithParallelism(1))
-		}
-	})
-	b.Run("warm-boot", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sys := New(s.World.KB, WithMaxCandidates(10))
-			if err := sys.LoadEngine(bytes.NewReader(snap.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-			annotateCorpus(b, sys, docs, WithParallelism(1))
-		}
-	})
-	b.Run("snapshot-save", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := donor.SaveEngine(&buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("snapshot-load", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sys := New(s.World.KB, WithMaxCandidates(10))
-			if err := sys.LoadEngine(bytes.NewReader(snap.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

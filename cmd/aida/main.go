@@ -26,14 +26,6 @@
 // domains.json and -domain <name> annotation routes through a per-domain
 // dictionary layer composed over the KB. Without either flag the output
 // is byte-identical to builds that predate them.
-//
-// With -engine-snapshot the scoring engine is durable across invocations:
-// an existing snapshot for the same KB content is loaded before annotating
-// (warm start) and rewritten after a successful run. -engine-max-bytes
-// bounds the engine's interned KORE-family profiles (and their dependent
-// memoized pairs) via CLOCK eviction. The default method's MW coherence is
-// never memoized, so it leaves nothing to persist or bound. Output is
-// byte-identical with or without either flag.
 package main
 
 import (
@@ -69,8 +61,6 @@ func main() {
 		shards   = flag.Int("shards", 1, "report N-shard placement; reads are the KB's own (output is byte-identical at any count)")
 		shardMap = flag.String("shard-map", "", "path to a shard-fleet topology file (JSON): annotate over remote shard hosts instead of a local KB; -kb/-gen are not required")
 		hedge    = flag.Duration("hedge-after", 50*time.Millisecond, "with -shard-map, race a fetch against the next replica after this latency (negative disables hedging)")
-		snapshot = flag.String("engine-snapshot", "", "engine snapshot path: loaded before annotating if present (warm start), rewritten after a successful run")
-		maxProf  = flag.Int64("engine-max-bytes", 0, "approximate memory budget in bytes for interned KORE-family profiles and their dependent memoized pairs (0 = unbounded); MW is never memoized")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit (pprof format)")
 		ctxKeys  = flag.String("context", "", "comma-separated interest keyphrases, blended into scoring as a request context prior")
@@ -102,9 +92,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	sys := aida.New(store, aida.WithMethod(m), aida.WithMaxCandidates(20),
-		aida.WithMaxProfileBytes(*maxProf))
-	loadEngineSnapshot(sys, *snapshot)
+	sys := aida.New(store, aida.WithMethod(m), aida.WithMaxCandidates(20))
 	if *domains != "" {
 		dicts, err := aida.LoadDomainDictionaries(*domains)
 		if err != nil {
@@ -137,7 +125,6 @@ func main() {
 				printResult(a.Mention.Text, a.Label, a.Entity, a.Score)
 			}
 		}
-		saveEngineSnapshot(sys, *snapshot)
 		return
 	}
 	if *mentions != "" {
@@ -152,7 +139,6 @@ func main() {
 		for _, r := range out.Results {
 			printResult(r.Surface, r.Label, r.Entity, r.Score)
 		}
-		saveEngineSnapshot(sys, *snapshot)
 		return
 	}
 	doc, err := sys.AnnotateDoc(ctx, text, opts...)
@@ -162,7 +148,6 @@ func main() {
 	for _, a := range doc.Annotations {
 		printResult(a.Mention.Text, a.Label, a.Entity, a.Score)
 	}
-	saveEngineSnapshot(sys, *snapshot)
 }
 
 // requestOptions translates the -context/-context-weight/-domain flags
@@ -229,39 +214,6 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 			log.Printf("write -memprofile: %v", err)
 		}
 	}, nil
-}
-
-// loadEngineSnapshot warm-starts the system's scoring engine from path. A
-// missing file is a normal cold start; a stale or corrupt snapshot is
-// reported and skipped — it must never block annotation.
-func loadEngineSnapshot(sys *aida.System, path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return
-	}
-	if err != nil {
-		log.Printf("engine snapshot unreadable, starting cold: %v", err)
-		return
-	}
-	defer f.Close()
-	if err := sys.LoadEngine(f); err != nil {
-		log.Printf("engine snapshot rejected, starting cold: %v", err)
-	}
-}
-
-// saveEngineSnapshot persists the warm engine to path (atomic temp file +
-// rename via SaveEngineFile) after a successful run, so the next
-// invocation over the same KB starts hot.
-func saveEngineSnapshot(sys *aida.System, path string) {
-	if path == "" {
-		return
-	}
-	if _, err := sys.SaveEngineFile(path); err != nil {
-		log.Printf("write engine snapshot: %v", err)
-	}
 }
 
 func loadKB(path string, gen int, seed int64) (*aida.KB, error) {

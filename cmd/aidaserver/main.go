@@ -1,7 +1,7 @@
 // Command aidaserver runs the AIDA annotation pipeline as a long-running
-// HTTP service: the knowledge base is loaded once, one System (and its
-// warm scoring engine) is shared across all requests, and annotation
-// responses are byte-identical to the in-process API at any parallelism.
+// HTTP service: the knowledge base is loaded once, one System is shared
+// across all requests, and annotation responses are byte-identical to the
+// in-process API at any parallelism.
 //
 // Usage:
 //
@@ -26,8 +26,6 @@
 //	                         per-tenant and canceled-request totals);
 //	                         ?format=prometheus for the Prometheus text
 //	                         exposition
-//	POST /v1/admin/snapshot  persist the warm scoring engine to the
-//	                         -engine-snapshot path (atomic write)
 //	POST /v1/admin/kb/delta  apply a live KB delta (new entities, rows,
 //	                         links) without restart; journaled when
 //	                         -delta-journal is set
@@ -52,17 +50,6 @@
 // router, annotating over remote shard hosts instead of a locally loaded
 // KB (hedged fetches after -hedge-after, retry and replica failover on
 // error or fingerprint mismatch; output is byte-identical to a local KB).
-//
-// With -engine-snapshot the scoring engine is made durable: an existing
-// snapshot is loaded at boot (a warm start — the first request hits hot
-// caches; a stale or corrupt snapshot is rejected with a log line and the
-// process starts cold), and the warm engine is written back after a
-// graceful drain (and every -snapshot-every interval, when set).
-// -engine-max-bytes bounds the engine's interned KORE-family profiles; over
-// budget, cold profiles are evicted together with their memoized pair
-// values, without ever changing annotation output. The engine memoizes only
-// the keyphrase measures: under the default method (MW coherence, computed
-// per document) it stays empty — nothing to persist, nothing to bound.
 //
 // The KB itself is live: deltas POSTed to /v1/admin/kb/delta swap in a new
 // copy-on-write generation atomically — in-flight documents finish on the
@@ -127,15 +114,12 @@ func main() {
 		maxBatch  = flag.Int("max-batch", 1024, "max documents per batch request")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 		jsonLog   = flag.Bool("log-json", false, "emit logs as JSON instead of text")
-		snapshot  = flag.String("engine-snapshot", "", "engine snapshot path: loaded at boot if present (warm start), written on graceful shutdown and POST /v1/admin/snapshot")
-		maxProf   = flag.Int64("engine-max-bytes", 0, "approximate memory budget in bytes for interned KORE-family profiles (0 = unbounded); over budget, cold profiles and the memoized pairs that depend on them are evicted. MW (the default method) is never memoized; KWCS/KPCS pair rows are not bounded by this")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = disabled")
 		shardHost = flag.String("shard-host", "", "serve shard i of an n-wide fleet as \"i/n\": mounts the KB read surface under /v1/store/ for remote routers")
 		shardMap  = flag.String("shard-map", "", "path to a shard-fleet topology file (JSON): the KB is dialed from remote shard hosts instead of loaded locally; -kb/-gen are not required")
 		hedge     = flag.Duration("hedge-after", 50*time.Millisecond, "with -shard-map, race a fetch against the next replica after this latency (negative disables hedging)")
 		journal   = flag.String("delta-journal", "", "append-only journal of applied KB deltas: replayed at boot, appended on every apply (live updates survive restarts)")
 		graduate  = flag.Duration("graduate", 0, "run the emerging-entity graduation loop at this interval (0 = disabled): documents with out-of-KB mentions feed discovery, repeated confident discoveries join the KB live")
-		snapEvery = flag.Duration("snapshot-every", 0, "with -engine-snapshot, additionally persist the warm engine at this interval (0 = only on shutdown and POST /v1/admin/snapshot)")
 		tenants   = flag.String("tenants", "", "path to a tenants file (JSON): per-tenant API keys, token-bucket rates and max-concurrent quotas; hot-reloaded on SIGHUP (empty = open server, no auth)")
 		domains   = flag.String("domains", "", "path to a domain dictionaries file (JSON): each named surface→entity dictionary is composed over the base KB as a per-domain layer, selectable per request via \"domain\"")
 	)
@@ -199,25 +183,7 @@ func main() {
 		}
 		logger.Info("hosting KB shard", "shard", shard, "shards", width, "names", host.NumNames())
 	}
-	sys := aida.New(store, aida.WithMethod(m), aida.WithMaxCandidates(*maxCand),
-		aida.WithMaxProfileBytes(*maxProf))
-	if *snapshot != "" {
-		// A missing file is a normal cold boot; any other failure (corrupt
-		// stream, stale fingerprint, unsupported version) is logged and the
-		// engine stays usable cold — a bad snapshot must never block boot.
-		if f, err := os.Open(*snapshot); err == nil {
-			loadErr := sys.LoadEngine(f)
-			f.Close()
-			if loadErr != nil {
-				logger.Warn("engine snapshot rejected, starting cold", "path", *snapshot, "err", loadErr)
-			} else {
-				st := sys.Scorer().Stats()
-				logger.Info("engine warm-started", "path", *snapshot, "profiles", st.Profiles, "pairs", st.Pairs)
-			}
-		} else if !os.IsNotExist(err) {
-			logger.Warn("engine snapshot unreadable, starting cold", "path", *snapshot, "err", err)
-		}
-	}
+	sys := aida.New(store, aida.WithMethod(m), aida.WithMaxCandidates(*maxCand))
 
 	var deltaJournal *live.Journal
 	if *journal != "" {
@@ -298,7 +264,6 @@ func main() {
 		MaxParallelism:     *maxPar,
 		DefaultParallelism: *defPar,
 		Logger:             logger,
-		EngineSnapshotPath: *snapshot,
 		ShardHost:          host,
 		DeltaJournal:       deltaJournal,
 		Tenants:            registry,
@@ -335,21 +300,9 @@ func main() {
 		logger.Info("graduation loop running", "every", *graduate)
 		go loop.Run(ctx, *graduate)
 	}
-	if *snapEvery > 0 {
-		go srv.SnapshotEvery(ctx, *snapEvery)
-	}
 	if err := srv.Serve(ctx, l, *drain); err != nil {
 		logger.Error("serve", "err", err)
 		os.Exit(1)
-	}
-	if *snapshot != "" {
-		// Graceful drain completed: persist the warm engine so the next
-		// boot starts where this process left off.
-		if n, err := sys.SaveEngineFile(*snapshot); err != nil {
-			logger.Error("write engine snapshot", "path", *snapshot, "err", err)
-		} else {
-			logger.Info("engine snapshot written", "path", *snapshot, "bytes", n)
-		}
 	}
 	logger.Info("stopped")
 }

@@ -47,7 +47,7 @@
 // UseMethodNamed), parallelism (WithParallelism), candidate cap
 // (CapCandidates), surface expansion (SurfaceExpansion) and opt-in result
 // extras (IncludeCandidates, IncludeConfidence, IncludeStats) without
-// touching the System, so one warm process serves heterogeneous traffic:
+// touching the System, so one process serves heterogeneous traffic:
 //
 //	docs, err := sys.AnnotateCorpus(ctx, texts, aida.WithParallelism(8))
 //	for doc, err := range sys.AnnotateStream(ctx, feed, aida.UseMethodNamed("prior")) { ... }
@@ -62,7 +62,8 @@
 // emerging-entity pipeline all draw from it, so under those measures
 // repeated candidate entities are never re-scored. The default method's
 // Milne–Witten coherence is cheaper to compute than to remember: each
-// document derives it from an inverted index over its in-link lists.
+// document derives it from an inverted index over its in-link lists. The
+// memo is neither bounded nor persisted: a process boots cold.
 //
 // AnnotateCorpus and AnnotateStream are deterministic: the output is
 // byte-identical to a sequential AnnotateDoc loop at any parallelism,

@@ -8,9 +8,9 @@ import (
 	"strings"
 )
 
-// Live-update deltas (ROADMAP item 1, grounded by "Occurrence Statistics of
-// Entities, Relations and Types on the Web"): a Delta is a batch of new
-// facts — entities with their keyphrase features, dictionary-row count
+// Live-update deltas (grounded by "Occurrence Statistics of Entities,
+// Relations and Types on the Web"): a Delta is a batch of new facts —
+// entities with their keyphrase features, dictionary-row count
 // additions, link edges, and IDF entries for vocabulary the base has never
 // seen — that can be applied to any serving Store without a rebuild. The
 // two consumers are NewOverlay (copy-on-write view, the serving path) and

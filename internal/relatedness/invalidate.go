@@ -19,11 +19,10 @@ import (
 //   - Memoized pairs where neither endpoint is touched: KWCS, KPCS and
 //     KORE values depend only on the two entities' keyphrase features.
 //
-// Profiles and pair rows of touched entities are dropped (the sweep
-// dropPairsOf performs for eviction), and hit/miss/eviction counters start
-// at zero: a generation swap reads as a restart in the engine's stats. The
-// source engine stays valid for in-flight documents of the old generation;
-// CloneFor only read-locks it.
+// Profiles and pair rows of touched entities are dropped, and hit/miss
+// counters start at zero: a generation swap reads as a restart in the
+// engine's stats. The source engine stays valid for in-flight documents of
+// the old generation; CloneFor only read-locks it.
 //
 // The third parameter is dead: it said the entity count changed, which
 // emptied the MW row when MW was memoized, and no cached value depends on
@@ -41,15 +40,13 @@ func (s *Scorer) CloneFor(store kb.Store, touched []kb.EntityID, _ bool) *Scorer
 		sh := &s.profiles[i]
 		nsh := &ns.profiles[i]
 		sh.mu.RLock()
-		for e, ent := range sh.m {
+		nsh.bytes = sh.bytes
+		for e, p := range sh.m {
 			if gone[e] {
+				nsh.bytes -= p.ApproxBytes()
 				continue
 			}
-			ne := &profileEntry{p: ent.p, bytes: ent.bytes}
-			ne.ref.Store(true) // one CLOCK round of grace, like a fresh intern
-			nsh.m[e] = ne
-			nsh.ring = append(nsh.ring, e)
-			nsh.bytes += ne.bytes
+			nsh.m[e] = p
 		}
 		sh.mu.RUnlock()
 	}
@@ -66,7 +63,5 @@ func (s *Scorer) CloneFor(store kb.Store, touched []kb.EntityID, _ bool) *Scorer
 		}
 		sh.mu.RUnlock()
 	}
-	// Carry the budget over.
-	ns.SetMaxProfileBytes(s.maxProfileBytes.Load())
 	return ns
 }

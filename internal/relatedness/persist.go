@@ -124,8 +124,7 @@ func (s *Scorer) Save(w io.Writer) error {
 // pure, so merge order cannot change results). The stream is fully decoded
 // and validated first — magic, format version, KB fingerprint, entity-id
 // ranges — and any failure returns a descriptive error with the Scorer
-// untouched and usable cold. A configured MaxProfileBytes budget is
-// enforced after the merge.
+// untouched and usable cold.
 func (s *Scorer) Restore(r io.Reader) error {
 	dec := gob.NewDecoder(r)
 	var h snapshotHeader

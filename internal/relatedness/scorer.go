@@ -25,58 +25,13 @@ func (k pairKey) shard() uint64 {
 	return (h ^ h>>29) % scorerShards
 }
 
-// profileEntry is one interned profile plus the bookkeeping the CLOCK
-// eviction policy needs: its accounted footprint and a reference bit set on
-// every cache hit (atomically, so the read-locked fast path can set it).
-type profileEntry struct {
-	p     *Profile
-	bytes int64
-	ref   atomic.Bool
-}
-
+// profileShard is one lock stripe of the profile intern table.
 type profileShard struct {
 	mu sync.RWMutex
-	m  map[kb.EntityID]*profileEntry
+	m  map[kb.EntityID]*Profile
 	// bytes is the approximate heap footprint of the interned profiles of
-	// this shard (guarded by mu, updated on insert and eviction).
+	// this shard (guarded by mu, updated on insert).
 	bytes int64
-	// ring and hand implement the CLOCK sweep: ring holds the shard's
-	// interned entity ids in insertion order (always exactly the keys of
-	// m), hand is the next sweep position. Guarded by mu.
-	ring []kb.EntityID
-	hand int
-	// evictions counts profiles evicted from this shard (guarded by mu).
-	evictions int64
-}
-
-// evictLocked sweeps the CLOCK hand until the shard's accounted bytes fit
-// the budget, giving referenced entries a second chance. Caller holds mu.
-// It returns the evicted entity ids so the caller can drop their dependent
-// memoized pairs after releasing the lock. Two full passes bound the walk:
-// the first at worst clears every reference bit, the second then evicts.
-func (sh *profileShard) evictLocked(budget int64) []kb.EntityID {
-	if budget <= 0 || sh.bytes <= budget {
-		return nil
-	}
-	var evicted []kb.EntityID
-	for steps := 2 * len(sh.ring); steps > 0 && sh.bytes > budget && len(sh.ring) > 0; steps-- {
-		if sh.hand >= len(sh.ring) {
-			sh.hand = 0
-		}
-		e := sh.ring[sh.hand]
-		ent := sh.m[e]
-		if ent.ref.Load() {
-			ent.ref.Store(false)
-			sh.hand++
-			continue
-		}
-		delete(sh.m, e)
-		sh.bytes -= ent.bytes
-		sh.evictions++
-		evicted = append(evicted, e)
-		sh.ring = append(sh.ring[:sh.hand], sh.ring[sh.hand+1:]...)
-	}
-	return evicted
 }
 
 type pairShard struct {
@@ -106,13 +61,6 @@ type Scorer struct {
 	// stripe e mod scorerShards.
 	profiles [scorerShards]profileShard
 
-	// maxProfileBytes is the approximate global budget for interned
-	// profiles (0 = unbounded); each profile stripe gets an equal slice.
-	// pairsEvicted counts memoized pairs dropped because one of their
-	// entities was evicted.
-	maxProfileBytes atomic.Int64
-	pairsEvicted    atomic.Int64
-
 	pairs [scorerShards]pairShard
 }
 
@@ -128,7 +76,7 @@ func NewScorer(k kb.Store) *Scorer {
 		return v
 	}
 	for i := range s.profiles {
-		s.profiles[i].m = make(map[kb.EntityID]*profileEntry)
+		s.profiles[i].m = make(map[kb.EntityID]*Profile)
 	}
 	for i := range s.pairs {
 		s.pairs[i].m = make(map[pairKey]float64)
@@ -141,119 +89,24 @@ func (s *Scorer) KB() kb.Store { return s.kb }
 
 // Profile returns the interned keyphrase profile of a KB entity, building
 // it on first use. Duplicate builds under concurrency are possible but
-// harmless (profiles are immutable); exactly one copy is retained. When a
-// MaxProfileBytes budget is set, interning a profile may evict cold ones
-// (and their dependent memoized pairs) — never changing any value, only
-// what is cached.
+// harmless (profiles are immutable); exactly one copy is retained.
 func (s *Scorer) Profile(e kb.EntityID) *Profile {
 	sh := &s.profiles[uint64(e)%scorerShards]
 	sh.mu.RLock()
-	if ent, ok := sh.m[e]; ok {
-		ent.ref.Store(true)
-		sh.mu.RUnlock()
-		return ent.p
-	}
+	p, ok := sh.m[e]
 	sh.mu.RUnlock()
+	if ok {
+		return p
+	}
 	built := NewProfile(s.kb.Entity(e).Keyphrases, s.weight)
-	return s.intern(sh, e, built)
-}
-
-// intern inserts a freshly built profile (first writer wins), enforces the
-// stripe's eviction budget, and drops the evicted entities' memoized pairs.
-func (s *Scorer) intern(sh *profileShard, e kb.EntityID, built *Profile) *Profile {
 	sh.mu.Lock()
-	if ent, ok := sh.m[e]; ok {
-		ent.ref.Store(true)
-		sh.mu.Unlock()
-		return ent.p
+	defer sh.mu.Unlock()
+	if p, ok := sh.m[e]; ok {
+		return p
 	}
-	ent := &profileEntry{p: built, bytes: built.ApproxBytes()}
-	ent.ref.Store(true) // a fresh entry gets one CLOCK round of grace
-	sh.m[e] = ent
-	sh.ring = append(sh.ring, e)
-	sh.bytes += ent.bytes
-	evicted := sh.evictLocked(s.stripeBudget())
-	sh.mu.Unlock()
-	s.dropPairsOf(evicted)
+	sh.m[e] = built
+	sh.bytes += built.ApproxBytes()
 	return built
-}
-
-// SetMaxProfileBytes bounds the approximate heap footprint of the interned
-// profiles (0 restores the default: unbounded). The budget is divided
-// evenly across the profile stripes; exceeding it evicts cold profiles
-// CLOCK-wise together with their dependent memoized pairs. Shrinking the
-// budget evicts immediately. Eviction never changes any computed value —
-// evicted state is recomputed on demand — only the work counters.
-// Only the KORE family interns profiles, so that is what the budget bounds:
-// MW holds no engine state, and KWCS/KPCS pair rows are not bounded by it.
-func (s *Scorer) SetMaxProfileBytes(n int64) {
-	if n < 0 {
-		n = 0
-	}
-	s.maxProfileBytes.Store(n)
-	budget := s.stripeBudget()
-	for i := range s.profiles {
-		sh := &s.profiles[i]
-		sh.mu.Lock()
-		evicted := sh.evictLocked(budget)
-		sh.mu.Unlock()
-		s.dropPairsOf(evicted)
-	}
-}
-
-// MaxProfileBytes returns the configured profile-memory budget (0 =
-// unbounded).
-func (s *Scorer) MaxProfileBytes() int64 { return s.maxProfileBytes.Load() }
-
-// stripeBudget is the per-stripe slice of the global profile budget (0 =
-// unbounded). A budget smaller than the stripe count still evicts (every
-// stripe keeps at most one small profile's worth of slack).
-func (s *Scorer) stripeBudget() int64 {
-	limit := s.maxProfileBytes.Load()
-	if limit <= 0 {
-		return 0
-	}
-	b := limit / int64(len(s.profiles))
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
-// dropPairsOf removes every memoized pair involving an evicted entity, for
-// all measure kinds: an evicted entity's cached state leaves the engine
-// entirely. Values are pure functions of the KB, so a later request simply
-// recomputes them (a miss, never a different answer).
-//
-// The sweep walks the full pair cache (all shards, one write lock each): a
-// deliberate trade-off that keeps the hot path free of any per-entity pair
-// index. Eviction is the slow path — with a sane budget it fires rarely,
-// and under sustained thrash the sweep itself keeps the pair maps small.
-// If a workload ever needs a budget far below its working set, a
-// per-entity key index is the upgrade path.
-func (s *Scorer) dropPairsOf(evicted []kb.EntityID) {
-	if len(evicted) == 0 {
-		return
-	}
-	gone := make(map[kb.EntityID]bool, len(evicted))
-	for _, e := range evicted {
-		gone[e] = true
-	}
-	var dropped int64
-	for i := range s.pairs {
-		sh := &s.pairs[i]
-		sh.mu.Lock()
-		for key := range sh.m {
-			if gone[key.a] || gone[key.b] {
-				delete(sh.m, key)
-				dropped++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if dropped > 0 {
-		s.pairsEvicted.Add(dropped)
-	}
 }
 
 // Relatedness computes the relatedness of two entities under the given

@@ -40,15 +40,6 @@ type Stats struct {
 	// Hits and Misses are pair-cache totals across the memoized kinds.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// MaxProfileBytes is the configured profile-memory budget (0 =
-	// unbounded; what it bounds: see Scorer.SetMaxProfileBytes).
-	MaxProfileBytes int64 `json:"max_profile_bytes"`
-	// Evictions counts profiles evicted to honor MaxProfileBytes, and
-	// PairsEvicted the memoized pairs dropped because one of their
-	// entities was evicted. Eviction changes only these counters (and
-	// future hit/miss traffic), never a computed value.
-	Evictions    int64 `json:"evictions"`
-	PairsEvicted int64 `json:"pairs_evicted"`
 	// ByKind holds one entry per measure kind, in Kind order.
 	ByKind []KindStats `json:"by_kind"`
 }
@@ -66,14 +57,11 @@ func (s Stats) HitRate() float64 {
 // is proportional to the shard count, not the cache size.
 func (s *Scorer) Stats() Stats {
 	var st Stats
-	st.MaxProfileBytes = s.maxProfileBytes.Load()
-	st.PairsEvicted = s.pairsEvicted.Load()
 	for i := range s.profiles {
 		sh := &s.profiles[i]
 		sh.mu.RLock()
 		st.Profiles += len(sh.m)
 		st.ProfileBytes += sh.bytes
-		st.Evictions += sh.evictions
 		sh.mu.RUnlock()
 	}
 	st.ByKind = make([]KindStats, numKinds)
@@ -107,9 +95,9 @@ const (
 
 // ApproxBytes estimates the heap footprint of the profile: struct and
 // slice headers, phrase word strings, and the word→phrase index. It is an
-// estimate for observability (capacity planning, eviction thresholds), not
-// an exact allocation count; string contents shared with the KB's
-// keyphrase storage are attributed to the profile.
+// estimate for observability (capacity planning), not an exact allocation
+// count; string contents shared with the KB's keyphrase storage are
+// attributed to the profile.
 func (p *Profile) ApproxBytes() int64 {
 	b := int64(unsafe.Sizeof(*p))
 	for i := range p.phrases {

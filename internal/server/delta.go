@@ -1,9 +1,7 @@
 package server
 
 import (
-	"context"
 	"net/http"
-	"time"
 
 	"aida/internal/kb"
 )
@@ -69,30 +67,4 @@ func (s *Server) handleDeltaApply(w http.ResponseWriter, r *http.Request) {
 		KBEntities: receipt.KBEntities,
 		Journaled:  journaled,
 	})
-}
-
-// SnapshotEvery persists the warm scoring engine to the configured
-// snapshot path every interval until ctx is canceled (the -snapshot-every
-// flag of cmd/aidaserver). It is a no-op when the server has no snapshot
-// path or the interval is not positive, so callers can start it
-// unconditionally. Write failures are logged and do not stop the loop.
-func (s *Server) SnapshotEvery(ctx context.Context, every time.Duration) {
-	if s.cfg.EngineSnapshotPath == "" || every <= 0 {
-		return
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			n, err := s.sys.SaveEngineFile(s.cfg.EngineSnapshotPath)
-			if err != nil {
-				s.log.Error("periodic engine snapshot failed", "path", s.cfg.EngineSnapshotPath, "err", err)
-				continue
-			}
-			s.log.Info("periodic engine snapshot written", "path", s.cfg.EngineSnapshotPath, "bytes", n)
-		}
-	}
 }

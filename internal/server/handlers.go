@@ -496,44 +496,6 @@ func wantsPrometheus(r *http.Request) bool {
 		"application/json", "text/plain") == "text/plain"
 }
 
-// snapshotResponse is the body of a successful POST /v1/admin/snapshot.
-type snapshotResponse struct {
-	Path string `json:"path"`
-	// Bytes is the size of the written snapshot file.
-	Bytes int64 `json:"bytes"`
-	// Profiles and Pairs report the engine state that was captured.
-	Profiles int `json:"profiles"`
-	Pairs    int `json:"pairs"`
-}
-
-// handleSnapshot persists the warm scoring engine to the configured
-// snapshot path, atomically (temp file + rename), so a restarting process
-// can -engine-snapshot it back in and skip the cold start. 409 when the
-// server was started without a snapshot path.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.clientGone(w, r) {
-		return
-	}
-	if s.cfg.EngineSnapshotPath == "" {
-		writeError(w, http.StatusConflict, "no engine snapshot path configured (start the server with -engine-snapshot)")
-		return
-	}
-	n, err := s.sys.SaveEngineFile(s.cfg.EngineSnapshotPath)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "write engine snapshot: "+err.Error())
-		return
-	}
-	st := s.sys.Scorer().Stats()
-	s.log.Info("engine snapshot written", "path", s.cfg.EngineSnapshotPath, "bytes", n,
-		"profiles", st.Profiles, "pairs", st.Pairs)
-	writeJSON(w, http.StatusOK, snapshotResponse{
-		Path:     s.cfg.EngineSnapshotPath,
-		Bytes:    n,
-		Profiles: st.Profiles,
-		Pairs:    st.Pairs,
-	})
-}
-
 type healthResponse struct {
 	Status   string `json:"status"`
 	Entities int    `json:"entities"`

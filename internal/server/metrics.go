@@ -108,12 +108,6 @@ func (s *Server) writeMetrics(w http.ResponseWriter) {
 		"Approximate heap footprint of the interned profiles.", float64(st.Engine.ProfileBytes))
 	writeMetric(w, "aida_engine_pairs_cached", "gauge",
 		"Memoized entity-pair relatedness values across all measure kinds.", float64(st.Engine.Pairs))
-	writeMetric(w, "aida_engine_max_profile_bytes", "gauge",
-		"Configured interned-profile memory budget (0 = unbounded).", float64(st.Engine.MaxProfileBytes))
-	writeMetric(w, "aida_engine_evictions_total", "counter",
-		"Interned profiles evicted to honor the profile-memory budget.", float64(st.Engine.Evictions))
-	writeMetric(w, "aida_engine_pairs_evicted_total", "counter",
-		"Memoized pair values dropped because one of their entities was evicted.", float64(st.Engine.PairsEvicted))
 
 	header(w, "aida_engine_kind_hits_total", "counter",
 		"Pair-cache hits by measure kind.")

@@ -1,7 +1,6 @@
 // Package server implements the long-running HTTP annotation service: one
-// process loads the knowledge base once, holds one aida.System (and thus
-// one warm scoring engine), and serves JSON annotation, relatedness and
-// observability endpoints. Responses are byte-identical to the in-process
+// process loads the knowledge base once, holds one aida.System, and serves
+// JSON annotation, relatedness and observability endpoints. Responses are byte-identical to the in-process
 // Annotate output for the same KB at any parallelism, so replicas behind a
 // load balancer agree byte-for-byte.
 //
@@ -11,7 +10,6 @@
 //	POST /v1/annotate/batch  annotate many documents (JSON array or NDJSON stream)
 //	GET  /v1/relatedness     entity-entity relatedness under one measure
 //	GET  /v1/stats           engine + server counters (JSON or Prometheus text)
-//	POST /v1/admin/snapshot  persist the warm scoring engine to disk
 //	POST /v1/admin/kb/delta  apply a live KB delta without restart
 //	GET  /demo               static browser demo driving the API
 //	GET  /healthz            liveness
@@ -58,10 +56,6 @@ type Config struct {
 	DefaultParallelism int
 	// Logger receives structured request logs (default slog.Default()).
 	Logger *slog.Logger
-	// EngineSnapshotPath is where POST /v1/admin/snapshot persists the
-	// scoring engine (the -engine-snapshot flag of cmd/aidaserver). Empty
-	// disables the endpoint (it answers 409).
-	EngineSnapshotPath string
 	// ShardHost, when set, mounts the remote KB read surface under
 	// /v1/store/ (the -shard-host flag of cmd/aidaserver): this process
 	// serves its shard of the KB to remote routers alongside — or instead
@@ -113,7 +107,6 @@ var endpoints = []string{
 	"/v1/annotate/batch",
 	"/v1/relatedness",
 	"/v1/stats",
-	"/v1/admin/snapshot",
 	"/v1/admin/kb/delta",
 	"/v1/store",
 	"/demo",
@@ -142,7 +135,7 @@ type Server struct {
 }
 
 // New wraps a system in a Server. The system's scoring engine is shared
-// across all requests, so the service gets warmer with traffic.
+// across all requests.
 func New(sys *aida.System, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{sys: sys, cfg: cfg, log: cfg.Logger, start: time.Now(),
@@ -182,7 +175,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/annotate/batch", s.handleAnnotateBatch)
 	mux.HandleFunc("GET /v1/relatedness", s.handleRelatedness)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("POST /v1/admin/snapshot", s.handleSnapshot)
 	mux.HandleFunc("POST /v1/admin/kb/delta", s.handleDeltaApply)
 	mux.HandleFunc("GET /demo", s.handleDemo)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)

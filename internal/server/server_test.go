@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -290,8 +292,9 @@ func TestErrorPaths(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	k, docs := testWorld(t, 4)
 	_, ts := newTestServer(t, k, Config{})
-	// Drive traffic so every counter moves: a batch fills the MW pair
-	// cache (AIDA coherence), a KORE relatedness lookup interns profiles.
+	// Drive traffic so every counter moves: a batch moves the server
+	// counters (its MW coherence leaves the engine empty), a KORE
+	// relatedness lookup interns profiles and memoizes one pair.
 	readAll(t, postJSON(t, ts.URL+"/v1/annotate/batch", batchRequest{Docs: docs, RequestSpec: aida.RequestSpec{Parallelism: 2}}))
 	if r, err := http.Get(ts.URL + "/v1/relatedness?kind=KORE&a=0&b=1"); err == nil {
 		readAll(t, r)
@@ -342,9 +345,6 @@ func TestStatsEndpoint(t *testing.T) {
 		"aida_engine_profiles",
 		"aida_engine_profile_bytes",
 		"aida_engine_pairs_cached",
-		"aida_engine_max_profile_bytes",
-		"aida_engine_evictions_total",
-		"aida_engine_pairs_evicted_total",
 		// The tenant families are always present (values only under a
 		// tenanted config), so dashboards can predeclare them.
 		"aida_server_tenant_requests_total",
@@ -358,6 +358,55 @@ func TestStatsEndpoint(t *testing.T) {
 		if !strings.Contains(prom, metric) {
 			t.Errorf("prometheus output missing %s", metric)
 		}
+	}
+	// The engine has no memory budget, so no budget or eviction families.
+	for _, metric := range []string{
+		"aida_engine_max_profile_bytes",
+		"aida_engine_evictions_total",
+		"aida_engine_pairs_evicted_total",
+	} {
+		if strings.Contains(prom, metric) {
+			t.Errorf("prometheus output still carries %s", metric)
+		}
+	}
+}
+
+// TestStatsWireContract pins the /v1/stats keys clients decode: the engine
+// object is exactly relatedness.Stats' six fields (the repo benchmark
+// decodes it as that type), the kb object carries entities and generation,
+// and the removed engine-snapshot endpoint answers 404.
+func TestStatsWireContract(t *testing.T) {
+	k, _ := testWorld(t, 1)
+	_, ts := newTestServer(t, k, Config{})
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Engine map[string]json.RawMessage `json:"engine"`
+		KB     map[string]json.RawMessage `json:"kb"`
+	}
+	if err := json.Unmarshal(readAll(t, resp), &st); err != nil {
+		t.Fatal(err)
+	}
+	got := slices.Sorted(maps.Keys(st.Engine))
+	want := []string{"by_kind", "hits", "misses", "pairs", "profile_bytes", "profiles"}
+	if !slices.Equal(got, want) {
+		t.Errorf("engine keys = %v, want %v", got, want)
+	}
+	for _, key := range []string{"entities", "generation"} {
+		if _, ok := st.KB[key]; !ok {
+			t.Errorf("kb object lacks %q: %v", key, slices.Sorted(maps.Keys(st.KB)))
+		}
+	}
+
+	snap, err := http.Post(ts.URL+"/v1/admin/snapshot", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readAll(t, snap)
+	if snap.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/admin/snapshot: status %d, want 404", snap.StatusCode)
 	}
 }
 

@@ -2,8 +2,8 @@
 # Coverage gate for the KB substrate (local, sharded and remote stores),
 # the disambiguation core and the scoring engine: the packages the
 # sharding router, the remote fleet client/host, the scoring layers and
-# the engine persistence/eviction machinery live in — plus the live-KB
-# graduation loop and the HTTP serving layer (content negotiation,
+# the engine's memo, snapshots and generation clone live in — plus the
+# live-KB graduation loop and the HTTP serving layer (content negotiation,
 # multi-tenant admission, tracing, HTML rendering) — must stay above the
 # checked-in threshold. Run from the repository root:
 #

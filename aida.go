@@ -14,7 +14,6 @@ import (
 	"aida/internal/disambig"
 	"aida/internal/emerge"
 	"aida/internal/kb"
-	"aida/internal/nec"
 	"aida/internal/ner"
 	"aida/internal/relatedness"
 )
@@ -130,14 +129,7 @@ type (
 	ChunkDoc = emerge.ChunkDoc
 	// Enricher accumulates harvested keyphrases for existing entities.
 	Enricher = emerge.Enricher
-	// TypeClassifier predicts a mention context's coarse semantic type and
-	// can pre-filter candidates (named entity classification, Sec. 2.4.4).
-	TypeClassifier = nec.Classifier
 )
-
-// TrainTypeClassifier builds a TypeClassifier from the KB's type-keyword
-// statistics.
-func TrainTypeClassifier(k Store) *TypeClassifier { return nec.Train(k) }
 
 // NoEntity marks a mention whose entity is not in the knowledge base.
 const NoEntity = kb.NoEntity

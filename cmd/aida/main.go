@@ -54,7 +54,7 @@ func main() {
 		gen      = flag.Int("gen", 0, "generate a synthetic KB with this many entities")
 		seed     = flag.Int64("seed", 42, "seed for -gen")
 		mentions = flag.String("mentions", "", "comma-separated mention surfaces (skip NER)")
-		method   = flag.String("method", "aida", "method: aida, prior, sim, cuc, kul-ci, tagme, iw")
+		method   = flag.String("method", "aida", "method: "+strings.Join(aida.MethodNames(), ", "))
 		batch    = flag.Bool("batch", false, "treat input as blank-line-separated documents")
 		inPath   = flag.String("in", "", "read input from this file instead of args/stdin")
 		workers  = flag.Int("j", 0, "annotation parallelism for -batch (0 = GOMAXPROCS)")

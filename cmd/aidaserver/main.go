@@ -90,6 +90,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -105,7 +106,7 @@ func main() {
 		kbPath    = flag.String("kb", "", "path to a KB snapshot (gob)")
 		gen       = flag.Int("gen", 0, "generate a synthetic KB with this many entities")
 		seed      = flag.Int64("seed", 42, "seed for -gen")
-		method    = flag.String("method", "aida", "method: aida, prior, sim, cuc, kul-ci, tagme, iw")
+		method    = flag.String("method", "aida", "method: "+strings.Join(aida.MethodNames(), ", "))
 		shards    = flag.Int("shards", 1, "report N-shard placement; reads are the KB's own (responses are byte-identical at any count)")
 		maxCand   = flag.Int("max-candidates", 20, "candidates per mention (0 = no cap)")
 		defPar    = flag.Int("j", 0, "default per-request parallelism (0 = GOMAXPROCS)")

@@ -10,15 +10,28 @@ import (
 	"aida/internal/relatedness"
 )
 
-// Config parameterizes the AIDA framework (Sec. 3.6.1 defaults).
+// The paper's fixed parameters (Sec. 3.6.1): the prior and coherence
+// robustness-test thresholds ρ and λ, the prior's share of a mention–entity
+// weight, and γ, which balances entity–entity edges (·γ) against
+// mention–entity edges (·(1−γ)). They are typed float64 so that constant
+// expressions such as 1−priorWeight round like float64 arithmetic: the
+// untyped 1−0.566 is exact and rounds to a different float64.
+const (
+	rho         float64 = 0.9
+	lambda      float64 = 0.9
+	priorWeight float64 = 0.566
+	gamma       float64 = 0.40
+)
+
+// Config selects a variant of the AIDA framework. The numeric parameters
+// are the paper's and fixed (see rho, lambda, priorWeight and gamma).
 type Config struct {
 	// UsePrior enables the popularity prior in mention–entity weights.
 	UsePrior bool
 	// PriorTest applies the prior robustness test (Sec. 3.5.1): the prior
 	// is only combined with similarity when the best candidate's prior is
-	// at least Rho; otherwise similarity alone is used.
+	// at least ρ; otherwise similarity alone is used.
 	PriorTest bool
-	Rho       float64 // prior test threshold ρ (default 0.9)
 
 	// UseCoherence enables joint inference over the coherence graph.
 	UseCoherence bool
@@ -26,47 +39,11 @@ type Config struct {
 	// mentions whose prior and similarity distributions agree (L1 < λ)
 	// are fixed to their local best before running the graph algorithm.
 	CoherenceTest bool
-	Lambda        float64 // coherence test threshold λ (default 0.9)
 
 	// Measure selects the coherence relatedness measure (default MW).
 	Measure relatedness.Kind
 
-	// Feature combination weights (Sec. 3.6.1): when the prior test
-	// passes, the mention–entity weight is PriorWeight·prior +
-	// (1−PriorWeight)·sim; edges are then balanced with Gamma:
-	// entity–entity · Gamma, mention–entity · (1−Gamma).
-	PriorWeight float64 // default 0.566
-	Gamma       float64 // default 0.40
-
 	Graph graph.Options
-}
-
-func (c Config) rho() float64 {
-	if c.Rho <= 0 {
-		return 0.9
-	}
-	return c.Rho
-}
-
-func (c Config) lambda() float64 {
-	if c.Lambda <= 0 {
-		return 0.9
-	}
-	return c.Lambda
-}
-
-func (c Config) priorWeight() float64 {
-	if c.PriorWeight <= 0 {
-		return 0.566
-	}
-	return c.PriorWeight
-}
-
-func (c Config) gamma() float64 {
-	if c.Gamma <= 0 {
-		return 0.40
-	}
-	return c.Gamma
 }
 
 // AIDA is the dissertation's disambiguation method. Depending on the
@@ -117,14 +94,13 @@ func (a *AIDA) Name() string {
 }
 
 // localWeights computes the mention–entity edge weights with the prior
-// robustness test applied: w = pw·prior + (1−pw)·sim when the mention's
-// best prior passes ρ (or the test is disabled), else w = sim.
+// robustness test applied: w = priorWeight·prior + (1−priorWeight)·sim when
+// the mention's best prior passes ρ (or the test is disabled), else w = sim.
 // The returned sims are per-mention sum-normalized similarity distributions.
 func (a *AIDA) localWeights(p *Problem) (weights, sims [][]float64) {
 	raw := simScores(p)
 	weights = make([][]float64, len(p.Mentions))
 	sims = make([][]float64, len(p.Mentions))
-	pw := a.Config.priorWeight()
 	for i := range p.Mentions {
 		m := &p.Mentions[i]
 		sim := normalizeSum(raw[i])
@@ -138,14 +114,14 @@ func (a *AIDA) localWeights(p *Problem) (weights, sims [][]float64) {
 					maxPrior = c.Prior
 				}
 			}
-			usePrior = maxPrior >= a.Config.rho()
+			usePrior = maxPrior >= rho
 		}
 		for j := range m.Candidates {
 			// Placeholder (out-of-KB) candidates have no meaningful
 			// prior; their weight is pure similarity evidence, balanced
 			// only by the γ_EE edge scale (Sec. 5.6).
 			if usePrior && m.Candidates[j].Entity != kb.NoEntity {
-				w[j] = pw*m.Candidates[j].Prior + (1-pw)*sim[j]
+				w[j] = priorWeight*m.Candidates[j].Prior + (1-priorWeight)*sim[j]
 			} else {
 				w[j] = sim[j]
 			}
@@ -192,7 +168,7 @@ func (a *AIDA) Disambiguate(p *Problem) *Output {
 			if len(m.Candidates) <= 1 {
 				continue
 			}
-			if l1Distance(priorVector(m), sims[i]) < a.Config.lambda() {
+			if l1Distance(priorVector(m), sims[i]) < lambda {
 				fixed[i] = argmax(weights[i])
 			}
 		}
@@ -225,7 +201,6 @@ func (a *AIDA) Disambiguate(p *Problem) *Output {
 	out.Stats.Comparisons = scorer.comparisons
 	out.Stats.GraphEntities = g.Entities()
 
-	gamma := a.Config.gamma()
 	for i := range p.Mentions {
 		if p.Ctx().Err() != nil {
 			abstainFrom(i)
@@ -272,7 +247,6 @@ func (a *AIDA) buildGraph(p *Problem, weights [][]float64, fixed []int, scorer *
 		}
 		return scorer.ids[i], 0
 	}
-	gamma := a.Config.gamma()
 	g := graph.New(len(p.Mentions), scorer.graphN)
 	var meSum float64
 	var meCount int

@@ -126,10 +126,13 @@ func (Cucerzan) Disambiguate(p *Problem) *Output {
 type Kulkarni struct {
 	UsePrior     bool
 	UseCoherence bool
-	// Iters is the hill-climbing budget for the CI variant (default 400).
-	Iters int
-	Seed  int64
 }
+
+// The CI variant's hill-climbing budget and the seed of its move sequence.
+const (
+	kulkarniIters = 400
+	kulkarniSeed  = 11
+)
 
 // Name implements Method.
 func (k *Kulkarni) Name() string {
@@ -141,13 +144,6 @@ func (k *Kulkarni) Name() string {
 	default:
 		return "Kul s"
 	}
-}
-
-func (k *Kulkarni) iters() int {
-	if k.Iters <= 0 {
-		return 400
-	}
-	return k.Iters
 }
 
 // localScores computes the per-candidate scores of the sp stage.
@@ -207,9 +203,9 @@ func (k *Kulkarni) Disambiguate(p *Problem) *Output {
 		}
 		return total
 	}
-	rng := rand.New(rand.NewSource(k.Seed + 11))
+	rng := rand.New(rand.NewSource(kulkarniSeed))
 	cur := objective(assign)
-	for it := 0; it < k.iters(); it++ {
+	for it := 0; it < kulkarniIters; it++ {
 		i := rng.Intn(len(p.Mentions))
 		if len(p.Mentions[i].Candidates) < 2 {
 			continue

@@ -281,7 +281,7 @@ func TestMWKernelMatchesPairwiseMW(t *testing.T) {
 		fixed := make([]int, len(p.Mentions))
 		for i := range p.Mentions {
 			fixed[i] = -1
-			if m := &p.Mentions[i]; len(m.Candidates) > 1 && l1Distance(priorVector(m), sims[i]) < aida.Config.lambda() {
+			if m := &p.Mentions[i]; len(m.Candidates) > 1 && l1Distance(priorVector(m), sims[i]) < lambda {
 				fixed[i] = argmax(weights[i])
 			}
 		}

@@ -19,20 +19,21 @@ import (
 	"aida/internal/tokenizer"
 )
 
-// Candidate is one disambiguation target for a mention, with all features
-// the methods consume. For knowledge-base entities the fields mirror the KB
-// entry; for emerging-entity placeholders Entity is kb.NoEntity and the
-// keyphrase model is supplied by the caller.
+// Candidate is one disambiguation target for a mention, with the features
+// the methods consume. For knowledge-base entities they are the KB entry's
+// name, keyphrases, keyword weights and in-links; for emerging-entity
+// placeholders Entity is kb.NoEntity and the keyphrase model is supplied by
+// the caller.
 type Candidate struct {
 	Entity      kb.EntityID
 	Label       string // canonical name, or "<name>_EE" for placeholders
 	Prior       float64
-	Types       []string // semantic types (for NEC-style filtering)
 	Keyphrases  []kb.Keyphrase
 	KeywordNPMI map[string]float64
 	InLinks     []kb.EntityID
-	// EdgeScale scales this candidate's edge weights (γ_EE balancing of
-	// Sec. 5.6 for placeholder candidates; 1 for KB entities).
+	// EdgeScale scales this candidate's edge weights: the γ_EE balance of
+	// Sec. 5.6 for placeholder candidates, which emerge.BuildEEModel sets
+	// to 1. Zero (every KB entity) means 1.
 	EdgeScale float64
 }
 
@@ -206,7 +207,6 @@ func fillCandidates(k kb.Store, cands []kb.Candidate, dst []Candidate) {
 			Entity:      c.Entity,
 			Label:       ent.Name,
 			Prior:       c.Prior,
-			Types:       ent.Types,
 			Keyphrases:  ent.Keyphrases,
 			KeywordNPMI: ent.KeywordNPMI,
 			InLinks:     ent.InLinks,

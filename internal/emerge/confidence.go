@@ -48,24 +48,20 @@ type PerturbConfig struct {
 	// Iterations is the number of perturbed NED runs (default 20; the
 	// dissertation uses up to 500 — quality saturates much earlier).
 	Iterations int
-	// KeepProb is the probability of keeping each mention in a
-	// mention-perturbation round (default 0.7).
-	KeepProb float64
-	// ForceFrac is the fraction of mentions force-mapped to alternate
-	// entities in an entity-perturbation round (default 0.2).
-	ForceFrac float64
-	Seed      int64
+	Seed       int64
 }
+
+// The perturbation fractions (Sec. 5.4): the probability of keeping each
+// mention in a mention-perturbation round, and of force-mapping each
+// ambiguous mention to an alternate entity in an entity-perturbation round.
+const (
+	keepProb  = 0.7
+	forceFrac = 0.2
+)
 
 func (c PerturbConfig) withDefaults() PerturbConfig {
 	if c.Iterations <= 0 {
 		c.Iterations = 20
-	}
-	if c.KeepProb <= 0 || c.KeepProb >= 1 {
-		c.KeepProb = 0.7
-	}
-	if c.ForceFrac <= 0 || c.ForceFrac >= 1 {
-		c.ForceFrac = 0.2
 	}
 	return c
 }
@@ -82,7 +78,7 @@ func MentionPerturbation(m disambig.Method, p *disambig.Problem, base *disambig.
 	for it := 0; it < cfg.Iterations; it++ {
 		var idx []int
 		for i := 0; i < n; i++ {
-			if rng.Float64() < cfg.KeepProb {
+			if rng.Float64() < keepProb {
 				idx = append(idx, i)
 			}
 		}
@@ -127,7 +123,7 @@ func EntityPerturbation(m disambig.Method, p *disambig.Problem, base *disambig.O
 		forced := make([]bool, n)
 		var forcedIdx []int
 		for i := 0; i < n; i++ {
-			if len(p.Mentions[i].Candidates) > 1 && rng.Float64() < cfg.ForceFrac {
+			if len(p.Mentions[i].Candidates) > 1 && rng.Float64() < forceFrac {
 				forced[i] = true
 				forcedIdx = append(forcedIdx, i)
 			}

@@ -6,18 +6,18 @@ import (
 )
 
 // Discoverer implements Algorithm 3: a general emerging-entity discovery
-// wrapper around any keyphrase-based NED method. Mentions below the lower
-// confidence threshold are declared emerging; mentions above the upper
-// threshold are fixed; the remaining mentions are re-disambiguated with an
-// explicit EE placeholder candidate added to their candidate space.
+// wrapper around any keyphrase-based NED method. It runs the algorithm in its
+// placeholder form, the special case of confidence thresholds (t_l, t_u) =
+// (0, 1): no mention is declared emerging or fixed by a first-stage
+// confidence, and NED runs once on the problem extended with an explicit EE
+// placeholder candidate per mention that has one. Every caller runs this
+// form: the pipeline, the live graduation loop and Table 5.3's placeholder
+// systems. Table 5.3's threshold baselines apply their confidence thresholds
+// to a plain NED run themselves.
 type Discoverer struct {
+	// Method disambiguates the extended problem (nil = the pipeline's
+	// default, r-prior sim-k).
 	Method disambig.Method
-	// Lower/Upper are the confidence thresholds t_l/t_u. The defaults
-	// (0, 1) reduce Algorithm 3 to its pure-placeholder special case:
-	// NED runs once on the EE-extended problem.
-	Lower, Upper float64
-	// Confidence assesses the first-stage output; nil uses NormConfidence.
-	Confidence func(m disambig.Method, p *disambig.Problem, out *disambig.Output) []float64
 }
 
 // Discovery is the outcome of Discoverer.Discover.
@@ -42,62 +42,24 @@ func IsEE(r disambig.Result) bool {
 
 // Discover runs Algorithm 3. eeModels maps a mention surface to its
 // placeholder candidate (from BuildEEModel); mentions without a model get
-// no placeholder and can only become EE by having no candidates or by
-// thresholding.
+// no placeholder and can only become EE by having no candidates.
 func (d *Discoverer) Discover(p *disambig.Problem, eeModels map[string]disambig.Candidate) *Discovery {
-	lower, upper := d.Lower, d.Upper
-	if upper <= 0 {
-		upper = 1
-	}
-	emerging := make([]bool, len(p.Mentions))
-	fixed := make(map[int]disambig.Result)
-
 	work := p.Clone()
-	if lower > 0 || upper < 1 {
-		// Stage 1: plain NED + confidence thresholds.
-		base := d.Method.Disambiguate(p)
-		conf := NormConfidence(base)
-		if d.Confidence != nil {
-			conf = d.Confidence(d.Method, p, base)
-		}
-		for i, r := range base.Results {
-			switch {
-			case r.CandidateIndex < 0:
-				emerging[i] = true
-				fixed[i] = r
-			case conf[i] <= lower:
-				emerging[i] = true
-				ee := r
-				ee.CandidateIndex = -1
-				ee.Entity = kb.NoEntity
-				ee.Label = r.Surface + "_EE"
-				fixed[i] = ee
-			case conf[i] >= upper:
-				fixed[i] = r
-				work.Mentions[i].Candidates = []disambig.Candidate{p.Mentions[i].Candidates[r.CandidateIndex]}
-			}
-		}
-	}
-
-	// Stage 2: extend the unresolved mentions with EE placeholders.
 	for i := range work.Mentions {
-		if _, done := fixed[i]; done {
-			continue
-		}
 		if ee, ok := eeModels[work.Mentions[i].Surface]; ok {
 			work.Mentions[i].Candidates = append(work.Mentions[i].Candidates, ee)
 		}
 	}
-	out := d.Method.Disambiguate(work)
+	m := d.Method
+	if m == nil {
+		m = defaultMethod()
+	}
+	out := m.Disambiguate(work)
 
-	// Merge: fixed mentions keep their stage-1 results; placeholder wins
-	// become EE.
+	// Placeholder wins become EE.
+	emerging := make([]bool, len(p.Mentions))
 	final := &disambig.Output{Results: make([]disambig.Result, len(p.Mentions)), Stats: out.Stats}
 	for i := range p.Mentions {
-		if r, done := fixed[i]; done {
-			final.Results[i] = r
-			continue
-		}
 		r := out.Results[i]
 		if r.CandidateIndex >= 0 && work.Mentions[i].Candidates[r.CandidateIndex].Entity == kb.NoEntity {
 			emerging[i] = true

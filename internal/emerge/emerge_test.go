@@ -289,7 +289,7 @@ func TestDiscoverPlaceholderWins(t *testing.T) {
 	models := map[string]disambig.Candidate{}
 	for _, name := range []string{"Snowden", "Prism"} {
 		cands := disambig.MaterializeCandidates(k, name, 0)
-		models[name] = BuildEEModel(name, hv, cands, ModelConfig{KBSize: k.NumEntities(), GammaEE: 1})
+		models[name] = BuildEEModel(name, hv, cands, ModelConfig{KBSize: k.NumEntities()})
 	}
 	d := &Discoverer{Method: simMethod()}
 	p := eeProblem(k)
@@ -326,20 +326,6 @@ func TestDiscoverKeepsKBEntityOnKBEvidence(t *testing.T) {
 	}
 	if disc.Output.Results[0].Label != "Snowden, WA" {
 		t.Fatalf("wrong entity: %q", disc.Output.Results[0].Label)
-	}
-}
-
-func TestDiscoverThresholds(t *testing.T) {
-	k := buildEEKB()
-	p := eeProblem(k)
-	d := &Discoverer{Method: simMethod(), Lower: 1.0, Upper: 2}
-	// With the maximal lower threshold every mention becomes EE even
-	// without placeholder models.
-	disc := d.Discover(p, nil)
-	for i := range disc.Emerging {
-		if !disc.Emerging[i] {
-			t.Errorf("mention %d should be forced to EE by the threshold", i)
-		}
 	}
 }
 

@@ -42,7 +42,6 @@ type Harvester struct {
 	// keyphrase enrichment of Sec. 5.5.1 uses it to harvest only
 	// sentences carrying verbatim evidence for the disambiguated entity.
 	SentenceFilter func(name string, sentenceWords []string) bool
-	Tagger         postag.Tagger
 }
 
 func (h *Harvester) window() int {
@@ -98,7 +97,8 @@ func (h *Harvester) harvestDoc(doc string, nameKey map[string]string, maxNameTok
 		return
 	}
 	// Keyphrases per sentence, extracted once.
-	tagged := h.Tagger.TagTokens(toks)
+	var tagger postag.Tagger
+	tagged := tagger.TagTokens(toks)
 	phrasesBySentence := map[int][]string{}
 	numSentences := 0
 	for _, span := range postag.ExtractKeyphrases(tagged) {

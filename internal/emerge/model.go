@@ -16,13 +16,6 @@ type ModelConfig struct {
 	// MaxKeyphrases caps the placeholder's keyphrase set (default 3000,
 	// Sec. 5.7.2), keeping popular names from drowning the graph.
 	MaxKeyphrases int
-	// GammaEE balances placeholder edge weights against KB-entity edge
-	// weights (Sec. 5.6). The dissertation tunes it on withheld data
-	// (0.04–0.06 for its raw news-count weights); since this
-	// implementation normalizes EE phrase weights to the KB scale, the
-	// neutral default is 1. Set below 1 to make placeholders more
-	// conservative.
-	GammaEE float64
 	// MinCount drops phrases observed fewer times (default 1).
 	MinCount int
 }
@@ -30,9 +23,6 @@ type ModelConfig struct {
 func (c ModelConfig) withDefaults() ModelConfig {
 	if c.MaxKeyphrases <= 0 {
 		c.MaxKeyphrases = 3000
-	}
-	if c.GammaEE <= 0 {
-		c.GammaEE = 1
 	}
 	if c.MinCount <= 0 {
 		c.MinCount = 1
@@ -148,7 +138,12 @@ func BuildEEModel(name string, hv *Harvest, kbCands []disambig.Candidate, cfg Mo
 		Entity:      kb.NoEntity,
 		Label:       name + "_EE",
 		KeywordNPMI: make(map[string]float64),
-		EdgeScale:   cfg.GammaEE,
+		// γ_EE (Sec. 5.6) balances placeholder edges against KB-entity
+		// edges. The dissertation tunes it on withheld data (0.04–0.06 for
+		// its raw news-count weights); this implementation normalizes EE
+		// phrase weights to the KB scale, so the neutral scale is 1.
+		// Callers tuning γ_EE set EdgeScale on their copies.
+		EdgeScale: 1,
 	}
 	for _, w := range ws {
 		mi := w.d / maxD
@@ -222,16 +217,16 @@ type Enricher struct {
 	// extra[e] are the harvested keyphrases (deduplicated).
 	extra map[kb.EntityID][]kb.Keyphrase
 	seen  map[kb.EntityID]map[string]bool
-	// MaxPerEntity caps the harvested set per entity (default 200).
-	MaxPerEntity int
 }
+
+// maxPerEntity caps the harvested keyphrase set per entity.
+const maxPerEntity = 200
 
 // NewEnricher returns an empty enricher.
 func NewEnricher() *Enricher {
 	return &Enricher{
-		extra:        make(map[kb.EntityID][]kb.Keyphrase),
-		seen:         make(map[kb.EntityID]map[string]bool),
-		MaxPerEntity: 200,
+		extra: make(map[kb.EntityID][]kb.Keyphrase),
+		seen:  make(map[kb.EntityID]map[string]bool),
 	}
 }
 
@@ -267,7 +262,7 @@ func (e *Enricher) Add(id kb.EntityID, phrases map[string]int) {
 		return ordered[i].p < ordered[j].p
 	})
 	for _, x := range ordered {
-		if len(e.extra[id]) >= e.MaxPerEntity {
+		if len(e.extra[id]) >= maxPerEntity {
 			break
 		}
 		key := normPhrase(x.p)

@@ -24,11 +24,9 @@ type Pipeline struct {
 	// KB is the knowledge base store the pipeline harvests against: any
 	// kb.Store, with identical results for the same content.
 	KB kb.Store
-	// Method disambiguates the extended problems (default: r-prior sim-k).
+	// Method disambiguates the chunk documents harvested for enrichment
+	// and the extended problems (default: r-prior sim-k).
 	Method disambig.Method
-	// HarvestMethod disambiguates chunk documents for enrichment
-	// (default: same family as Method).
-	HarvestMethod disambig.Method
 	// Model tunes placeholder construction.
 	Model ModelConfig
 	// MaxCandidates caps dictionary candidates per mention (0 = no cap).
@@ -36,14 +34,6 @@ type Pipeline struct {
 	// HarvestWindow is the sentence window of the harvester (0 = the
 	// dissertation's ±5; negative = same sentence only).
 	HarvestWindow int
-	// MinCover gates enrichment: a sentence contributes evidence for a
-	// disambiguated entity only if it covers one of the entity's known
-	// keyphrases at least this well (default 0.9). Zero-evidence
-	// "confident" assignments must never enrich (see Sec. 5.7.3 on
-	// keyphrases for existing entities).
-	MinCover float64
-	// MinConfidence is the harvesting confidence threshold (default 0.95).
-	MinConfidence float64
 	// Parallelism bounds the worker pools of chunk harvesting and
 	// enrichment (≤ 1 = sequential). Per-document work runs concurrently;
 	// accumulation stays in document order, so results are identical at
@@ -73,29 +63,24 @@ func (pl *Pipeline) method() disambig.Method {
 	if pl.Method != nil {
 		return pl.Method
 	}
+	return defaultMethod()
+}
+
+// defaultMethod is the pipeline's and the Discoverer's method when none is
+// set: prior-backed keyphrase similarity with the prior robustness test.
+func defaultMethod() disambig.Method {
 	return disambig.NewAIDAVariant("ee-sim", disambig.Config{UsePrior: true, PriorTest: true})
 }
 
-func (pl *Pipeline) harvestMethod() disambig.Method {
-	if pl.HarvestMethod != nil {
-		return pl.HarvestMethod
-	}
-	return pl.method()
-}
-
-func (pl *Pipeline) minCover() float64 {
-	if pl.MinCover <= 0 {
-		return 0.9
-	}
-	return pl.MinCover
-}
-
-func (pl *Pipeline) minConfidence() float64 {
-	if pl.MinConfidence <= 0 {
-		return 0.95
-	}
-	return pl.MinConfidence
-}
+// Enrichment gates (Sec. 5.5.1). A chunk mention is harvested only when
+// its normalized confidence is at least minConfidence, and one of its
+// sentences contributes evidence only when it covers one of the chosen
+// entity's known keyphrases at least minCover well: zero-evidence
+// "confident" assignments must never enrich (Sec. 5.7.3).
+const (
+	minConfidence = 0.95
+	minCover      = 0.9
+)
 
 func (pl *Pipeline) harvester() Harvester {
 	return Harvester{Window: pl.HarvestWindow, Lexicon: pl.KB}
@@ -108,7 +93,7 @@ func (pl *Pipeline) harvester() Harvester {
 // processed by up to Parallelism workers; contributions are folded in
 // document order, so the enricher is identical to a sequential build.
 func (pl *Pipeline) BuildEnricher(chunk []ChunkDoc) *Enricher {
-	m := pl.harvestMethod()
+	m := pl.method()
 	contribs := make([]*HarvestContribution, len(chunk))
 	pl.eachDoc(len(chunk), func(i int) {
 		contribs[i] = pl.harvestChunkDoc(m, chunk[i])
@@ -153,9 +138,9 @@ func (pl *Pipeline) harvestChunkDoc(m disambig.Method, d ChunkDoc) *HarvestContr
 		if c == nil {
 			return false
 		}
-		return disambig.BestPhraseCover(p.ForText(sentenceWords), c) >= pl.minCover()
+		return disambig.BestPhraseCover(p.ForText(sentenceWords), c) >= minCover
 	}
-	return CollectHighConfidence(&h, d.Text, out, conf, pl.minConfidence())
+	return CollectHighConfidence(&h, d.Text, out, conf, minConfidence)
 }
 
 // eachDoc runs fn(i) for i in [0, n) on up to Parallelism workers,

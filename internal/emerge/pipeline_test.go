@@ -129,11 +129,8 @@ func TestPipelineEnrichedSubtraction(t *testing.T) {
 
 func TestPipelineDefaults(t *testing.T) {
 	pl := &Pipeline{KB: buildEEKB()}
-	if pl.minCover() != 0.9 || pl.minConfidence() != 0.95 {
-		t.Fatalf("defaults wrong: %v %v", pl.minCover(), pl.minConfidence())
-	}
-	if pl.method() == nil || pl.harvestMethod() == nil {
-		t.Fatal("default methods missing")
+	if pl.method() == nil {
+		t.Fatal("default method missing")
 	}
 	p := pl.Problem("Snowden spoke.", []string{"Snowden"}, nil)
 	if len(p.Mentions) != 1 {

@@ -200,7 +200,6 @@ func (s *Suite) eePipeline() *emerge.Pipeline {
 			KBSize:        s.World.KB.NumEntities(),
 			MaxKeyphrases: 25,
 			MinCount:      2,
-			GammaEE:       1,
 		},
 	}
 }

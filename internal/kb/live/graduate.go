@@ -1,5 +1,5 @@
 // Package live closes the emerging-entity feedback loop of the live KB:
-// it accumulates confident emerging-entity discoveries (emerge.Discovery)
+// it accumulates emerging-entity discoveries (emerge.Discovery)
 // across documents, graduates the ones with enough independent evidence
 // into kb.Delta facts, and persists applied deltas in a replayable journal
 // so a restarted server recovers every graduated entity.
@@ -21,50 +21,26 @@ import (
 	"aida/internal/textstat"
 )
 
-// Config gates graduation: how much independent evidence an emerging
-// surface needs before it becomes a KB entity.
-type Config struct {
-	// MinOccurrences is the number of emerging observations a surface
-	// needs across documents before it graduates (default 3). One
-	// low-confidence document must never mint an entity.
-	MinOccurrences int
-	// MinKeyphrases is the minimum harvested-model size (default 3): a
-	// placeholder with fewer keyphrases has too little context to be a
-	// useful repository entry.
-	MinKeyphrases int
-	// MinConfidence drops observations whose discovery confidence is
-	// below the threshold (default 0 = keep all; emerging placeholders
-	// win with modest confidence by construction).
-	MinConfidence float64
-	// MaxPending bounds the tracked surface set (default 1024). At the
-	// bound, observations of unseen surfaces are dropped — memory stays
-	// bounded under adversarial input.
-	MaxPending int
-	// Domain and Types label graduated entities (defaults "emerging" and
-	// ["emerging"]), so downstream consumers can tell graduated entries
-	// from curated ones.
-	Domain string
-	Types  []string
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinOccurrences <= 0 {
-		c.MinOccurrences = 3
-	}
-	if c.MinKeyphrases <= 0 {
-		c.MinKeyphrases = 3
-	}
-	if c.MaxPending <= 0 {
-		c.MaxPending = 1024
-	}
-	if c.Domain == "" {
-		c.Domain = "emerging"
-	}
-	if c.Types == nil {
-		c.Types = []string{"emerging"}
-	}
-	return c
-}
+// Graduation gates: how much independent evidence an emerging surface needs
+// before it becomes a KB entity.
+const (
+	// minOccurrences is the number of emerging observations a surface needs
+	// across documents before it graduates: one document must never mint
+	// an entity.
+	minOccurrences = 3
+	// minKeyphrases is the minimum harvested-model size: a placeholder with
+	// fewer keyphrases has too little context to be a useful repository
+	// entry.
+	minKeyphrases = 3
+	// maxPending bounds the tracked surface set. At the bound, observations
+	// of unseen surfaces are dropped, so memory stays bounded under
+	// adversarial input.
+	maxPending = 1024
+	// graduatedLabel is the domain and the one type of every graduated
+	// entity, so downstream consumers can tell graduated entries from
+	// curated ones.
+	graduatedLabel = "emerging"
+)
 
 // candidateEntity is one surface's accumulated evidence: how many
 // documents declared it emerging, and the richest placeholder model seen.
@@ -77,16 +53,13 @@ type candidateEntity struct {
 // graduates surfaces that cross the evidence thresholds into a kb.Delta.
 // All methods are safe for concurrent use.
 type Graduator struct {
-	cfg Config
-
 	mu      sync.Mutex
 	pending map[string]*candidateEntity
 }
 
-// NewGraduator returns an empty graduator with the given gates (zero
-// fields take the documented defaults).
-func NewGraduator(cfg Config) *Graduator {
-	return &Graduator{cfg: cfg.withDefaults(), pending: make(map[string]*candidateEntity)}
+// NewGraduator returns an empty graduator.
+func NewGraduator() *Graduator {
+	return &Graduator{pending: make(map[string]*candidateEntity)}
 }
 
 // Pending reports how many surfaces are accumulating evidence.
@@ -97,12 +70,13 @@ func (g *Graduator) Pending() int {
 }
 
 // Observe folds one discovery result into the pending evidence: every
-// mention declared emerging whose confidence clears MinConfidence and
-// whose placeholder model carries at least MinKeyphrases keyphrases counts
-// as one occurrence of its surface. conf may be nil (no confidence gate).
-// Mentions without a harvested model are skipped — an emerging verdict
-// with no global evidence is not graduation material.
-func (g *Graduator) Observe(d *emerge.Discovery, conf []float64) {
+// mention declared emerging whose placeholder model carries at least
+// minKeyphrases keyphrases counts as one occurrence of its surface.
+// Confidence does not gate an observation: emerging placeholders win with
+// modest confidence by construction. Mentions without a harvested model are
+// skipped — an emerging verdict with no global evidence is not graduation
+// material.
+func (g *Graduator) Observe(d *emerge.Discovery) {
 	if d == nil || d.Output == nil {
 		return
 	}
@@ -112,16 +86,13 @@ func (g *Graduator) Observe(d *emerge.Discovery, conf []float64) {
 		if i >= len(d.Emerging) || !d.Emerging[i] {
 			continue
 		}
-		if conf != nil && i < len(conf) && conf[i] < g.cfg.MinConfidence {
-			continue
-		}
 		model, ok := d.Models[r.Surface]
-		if !ok || model.Entity != kb.NoEntity || len(model.Keyphrases) < g.cfg.MinKeyphrases {
+		if !ok || model.Entity != kb.NoEntity || len(model.Keyphrases) < minKeyphrases {
 			continue
 		}
 		ce := g.pending[r.Surface]
 		if ce == nil {
-			if len(g.pending) >= g.cfg.MaxPending {
+			if len(g.pending) >= maxPending {
 				continue
 			}
 			ce = &candidateEntity{}
@@ -137,7 +108,7 @@ func (g *Graduator) Observe(d *emerge.Discovery, conf []float64) {
 }
 
 // Graduate drains every surface whose occurrence count reached
-// MinOccurrences and returns them as one kb.Delta against base (nil when
+// minOccurrences and returns them as one kb.Delta against base (nil when
 // nothing is ready). Graduated surfaces leave the pending set whether or
 // not the caller applies the delta.
 //
@@ -169,8 +140,8 @@ func (g *Graduator) Graduate(base kb.Store) *kb.Delta {
 		id := kb.EntityID(d.BaseEntities + len(d.Entities))
 		ne := kb.NewEntity{
 			Name:        name,
-			Domain:      g.cfg.Domain,
-			Types:       append([]string(nil), g.cfg.Types...),
+			Domain:      graduatedLabel,
+			Types:       []string{graduatedLabel},
 			KeywordNPMI: make(map[string]float64, len(r.model.KeywordNPMI)),
 		}
 		for w, v := range r.model.KeywordNPMI {
@@ -221,7 +192,7 @@ func (g *Graduator) takeReady() []readySurface {
 	defer g.mu.Unlock()
 	var ready []readySurface
 	for s, ce := range g.pending {
-		if ce.occurrences >= g.cfg.MinOccurrences {
+		if ce.occurrences >= minOccurrences {
 			ready = append(ready, readySurface{surface: s, occurrences: ce.occurrences, model: ce.model})
 			delete(g.pending, s)
 		}

@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -55,13 +56,23 @@ func discovery(surface string, phrases ...string) *emerge.Discovery {
 	}
 }
 
+// enough is a placeholder model of exactly minKeyphrases keyphrases.
+var enough = []string{"synth lab", "drum clinic", "tape loop"}
+
+// observeReady observes d as often as graduation requires.
+func observeReady(g *Graduator, d *emerge.Discovery) {
+	for range minOccurrences {
+		g.Observe(d)
+	}
+}
+
 func TestGraduatorThresholds(t *testing.T) {
 	base := testKB()
-	g := NewGraduator(Config{MinOccurrences: 3, MinKeyphrases: 2})
-	obs := discovery("Novatrix Sound", "hard rock", "synthwave pioneers")
+	g := NewGraduator()
+	obs := discovery("Novatrix Sound", "hard rock", "synthwave pioneers", "analog tape")
 
-	for i := 0; i < 2; i++ {
-		g.Observe(obs, nil)
+	for i := 0; i < minOccurrences-1; i++ {
+		g.Observe(obs)
 		if d := g.Graduate(base); d != nil {
 			t.Fatalf("graduated after %d observations, want threshold 3", i+1)
 		}
@@ -69,10 +80,10 @@ func TestGraduatorThresholds(t *testing.T) {
 	if got := g.Pending(); got != 1 {
 		t.Fatalf("Pending() = %d, want 1", got)
 	}
-	g.Observe(obs, nil)
+	g.Observe(obs)
 	d := g.Graduate(base)
 	if d == nil {
-		t.Fatal("no delta after reaching MinOccurrences")
+		t.Fatal("no delta after reaching minOccurrences")
 	}
 	if g.Pending() != 0 {
 		t.Fatalf("Pending() = %d after graduation, want 0 (drained)", g.Pending())
@@ -129,69 +140,66 @@ func TestGraduatorGates(t *testing.T) {
 	base := testKB()
 
 	t.Run("non-emerging skipped", func(t *testing.T) {
-		g := NewGraduator(Config{MinOccurrences: 1, MinKeyphrases: 1})
-		d := discovery("Novatrix", "synth lab")
+		g := NewGraduator()
+		d := discovery("Novatrix", enough...)
 		d.Emerging[0] = false
-		g.Observe(d, nil)
+		g.Observe(d)
 		if g.Pending() != 0 {
 			t.Fatal("non-emerging mention accumulated evidence")
 		}
 	})
-	t.Run("confidence gate", func(t *testing.T) {
-		g := NewGraduator(Config{MinOccurrences: 1, MinKeyphrases: 1, MinConfidence: 0.5})
-		d := discovery("Novatrix", "synth lab")
-		g.Observe(d, []float64{0.1})
-		if g.Pending() != 0 {
-			t.Fatal("low-confidence observation accumulated evidence")
-		}
-		g.Observe(d, []float64{0.9})
-		if g.Pending() != 1 {
-			t.Fatal("confident observation was dropped")
-		}
-	})
 	t.Run("keyphrase floor", func(t *testing.T) {
-		g := NewGraduator(Config{MinOccurrences: 1}) // default MinKeyphrases 3
-		g.Observe(discovery("Novatrix", "synth lab"), nil)
+		g := NewGraduator()
+		g.Observe(discovery("Novatrix", enough[:minKeyphrases-1]...))
 		if g.Pending() != 0 {
-			t.Fatal("model below MinKeyphrases accumulated evidence")
+			t.Fatal("model below minKeyphrases accumulated evidence")
+		}
+		g.Observe(discovery("Novatrix", enough...))
+		if g.Pending() != 1 {
+			t.Fatal("model at minKeyphrases was dropped")
 		}
 	})
 	t.Run("in-KB model skipped", func(t *testing.T) {
-		g := NewGraduator(Config{MinOccurrences: 1, MinKeyphrases: 1})
-		d := discovery("Novatrix", "synth lab")
+		g := NewGraduator()
+		d := discovery("Novatrix", enough...)
 		m := d.Models["Novatrix"]
 		m.Entity = 1 // not a placeholder
 		d.Models["Novatrix"] = m
-		g.Observe(d, nil)
+		g.Observe(d)
 		if g.Pending() != 0 {
 			t.Fatal("in-KB model accumulated evidence")
 		}
 	})
 	t.Run("missing model skipped", func(t *testing.T) {
-		g := NewGraduator(Config{MinOccurrences: 1, MinKeyphrases: 1})
-		d := discovery("Novatrix", "synth lab")
+		g := NewGraduator()
+		d := discovery("Novatrix", enough...)
 		delete(d.Models, "Novatrix")
-		g.Observe(d, nil)
+		g.Observe(d)
 		if g.Pending() != 0 {
 			t.Fatal("mention without a model accumulated evidence")
 		}
 	})
 	t.Run("max pending bound", func(t *testing.T) {
-		g := NewGraduator(Config{MinOccurrences: 2, MinKeyphrases: 1, MaxPending: 1})
-		g.Observe(discovery("Alpha Works", "synth lab"), nil)
-		g.Observe(discovery("Beta Works", "drum clinic"), nil)
-		if got := g.Pending(); got != 1 {
-			t.Fatalf("Pending() = %d, want 1 (MaxPending bound)", got)
+		g := NewGraduator()
+		for i := range maxPending {
+			g.Observe(discovery(fmt.Sprintf("Works %04d", i), enough...))
+		}
+		g.Observe(discovery("Overflow Works", enough...))
+		if got := g.Pending(); got != maxPending {
+			t.Fatalf("Pending() = %d, want %d (maxPending bound)", got, maxPending)
 		}
 		// A tracked surface still accumulates at the bound.
-		g.Observe(discovery("Alpha Works", "synth lab"), nil)
-		if d := g.Graduate(testKB()); d == nil || d.Entities[0].Name != "Alpha Works" {
+		first := discovery("Works 0000", enough...)
+		for range minOccurrences - 1 {
+			g.Observe(first)
+		}
+		if d := g.Graduate(testKB()); d == nil || len(d.Entities) != 1 || d.Entities[0].Name != "Works 0000" {
 			t.Fatalf("tracked surface did not graduate at the bound: %+v", d)
 		}
 	})
 	t.Run("name collision suffixed", func(t *testing.T) {
-		g := NewGraduator(Config{MinOccurrences: 1, MinKeyphrases: 1})
-		g.Observe(discovery("Jimmy Page", "session guitarist"), nil)
+		g := NewGraduator()
+		observeReady(g, discovery("Jimmy Page", enough...))
 		d := g.Graduate(base)
 		if d == nil || len(d.Entities) != 1 {
 			t.Fatalf("unexpected delta: %+v", d)
@@ -335,7 +343,7 @@ func TestJournalCorruptFrame(t *testing.T) {
 }
 
 func TestLoopNote(t *testing.T) {
-	l := &Loop{MaxDocs: 2}
+	var l Loop
 	span := func(s string) aida.MentionSpan { return aida.MentionSpan{Text: s} }
 
 	// Fully linked documents carry no emerging evidence.
@@ -350,11 +358,14 @@ func TestLoopNote(t *testing.T) {
 	ee := func(s string) []aida.Annotation {
 		return []aida.Annotation{{Mention: span(s), Entity: aida.NoEntity}}
 	}
-	l.Note("a", ee("Alpha Works"))
-	l.Note("b", ee("Beta Works"))
-	l.Note("c", ee("Gamma Works"))
-	if got := l.Buffered(); got != 2 {
-		t.Fatalf("Buffered() = %d, want 2 (MaxDocs ring)", got)
+	for i := range maxDocs + 1 {
+		l.Note(fmt.Sprint(i), ee("Alpha Works"))
+	}
+	if got := l.Buffered(); got != maxDocs {
+		t.Fatalf("Buffered() = %d, want %d (maxDocs ring)", got, maxDocs)
+	}
+	if l.docs[0].text != "1" {
+		t.Fatalf("oldest buffered document is %q, want %q (the first was dropped)", l.docs[0].text, "1")
 	}
 }
 
@@ -364,8 +375,8 @@ func TestLoopNote(t *testing.T) {
 // System reproduces the exact same store.
 func TestLoopRunOnceGraduates(t *testing.T) {
 	sys := aida.New(testKB())
-	g := NewGraduator(Config{MinOccurrences: 1, MinKeyphrases: 1})
-	g.Observe(discovery("Novatrix Sound", "hard rock", "synthwave pioneers"), nil)
+	g := NewGraduator()
+	observeReady(g, discovery("Novatrix Sound", "hard rock", "synthwave pioneers", "analog tape"))
 
 	path := filepath.Join(t.TempDir(), "deltas.journal")
 	j, err := OpenJournal(path)
@@ -441,8 +452,8 @@ func TestLoopRunOnceDrainsBuffer(t *testing.T) {
 func TestJournalApply(t *testing.T) {
 	sys := aida.New(testKB())
 	graduate := func(surface string) *kb.Delta {
-		g := NewGraduator(Config{MinOccurrences: 1, MinKeyphrases: 1})
-		g.Observe(discovery(surface, "hard rock"), nil)
+		g := NewGraduator()
+		observeReady(g, discovery(surface, "hard rock", "synth lab", "tape loop"))
 		return g.Graduate(sys.Store())
 	}
 	path := filepath.Join(t.TempDir(), "deltas.journal")

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"aida"
-	"aida/internal/disambig"
 	"aida/internal/emerge"
 	"aida/internal/kb"
 )
@@ -22,7 +21,7 @@ type noteDoc struct {
 // Loop drives the graduation feedback cycle against a serving System:
 // annotated documents containing out-of-KB mentions are buffered (Note),
 // periodically re-run through the emerging-entity discovery pipeline
-// against the serving KB generation, confident discoveries accumulate in
+// against the serving KB generation, the discoveries accumulate in
 // a Graduator, and graduated entities are installed via ApplyDelta and
 // journaled. The very next annotation request after an apply can link the
 // graduated entity by name.
@@ -33,16 +32,8 @@ type Loop struct {
 	Graduator *Graduator
 	// Journal, when set, records every applied delta for replay on boot.
 	Journal *Journal
-	// Method disambiguates the EE-extended problems (nil = the emerge
-	// pipeline's default, a prior-backed similarity variant).
-	Method disambig.Method
 	// MaxCandidates caps dictionary candidates per mention (0 = no cap).
 	MaxCandidates int
-	// Parallelism bounds the discovery pipeline's harvest workers.
-	Parallelism int
-	// MaxDocs bounds the buffered document window (default 64); beyond
-	// it the oldest documents are dropped.
-	MaxDocs int
 	// Logger receives progress lines (nil = silent).
 	Logger *log.Logger
 
@@ -54,17 +45,14 @@ func (l *Loop) graduator() *Graduator {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.Graduator == nil {
-		l.Graduator = NewGraduator(Config{})
+		l.Graduator = NewGraduator()
 	}
 	return l.Graduator
 }
 
-func (l *Loop) maxDocs() int {
-	if l.MaxDocs <= 0 {
-		return 64
-	}
-	return l.MaxDocs
-}
+// maxDocs bounds the buffered document window; beyond it the oldest
+// documents are dropped.
+const maxDocs = 64
 
 func (l *Loop) logf(format string, args ...any) {
 	if l.Logger != nil {
@@ -95,7 +83,7 @@ func (l *Loop) Note(text string, anns []aida.Annotation) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.docs = append(l.docs, noteDoc{text: text, surfaces: surfaces})
-	if over := len(l.docs) - l.maxDocs(); over > 0 {
+	if over := len(l.docs) - maxDocs; over > 0 {
 		l.docs = append(l.docs[:0:0], l.docs[over:]...)
 	}
 }
@@ -128,9 +116,7 @@ func (l *Loop) RunOnce(ctx context.Context) (aida.DeltaReceipt, bool, error) {
 		lv := l.System.Live()
 		pl := &emerge.Pipeline{
 			KB:            lv.Store,
-			Method:        l.Method,
 			MaxCandidates: l.MaxCandidates,
-			Parallelism:   l.Parallelism,
 			Scorer:        lv.Engine,
 			Context:       ctx,
 		}
@@ -152,17 +138,13 @@ func (l *Loop) RunOnce(ctx context.Context) (aida.DeltaReceipt, bool, error) {
 		if ctx.Err() != nil {
 			return aida.DeltaReceipt{}, false, ctx.Err()
 		}
-		disc := &emerge.Discoverer{Method: pl.Method}
-		if disc.Method == nil {
-			disc.Method = disambig.NewAIDAVariant("ee-sim", disambig.Config{UsePrior: true, PriorTest: true})
-		}
+		var disc emerge.Discoverer
 		for _, d := range docs {
 			if ctx.Err() != nil {
 				return aida.DeltaReceipt{}, false, ctx.Err()
 			}
 			p := pl.Problem(d.text, d.surfaces, nil)
-			out := disc.Discover(p, models)
-			g.Observe(out, emerge.NormConfidence(out.Output))
+			g.Observe(disc.Discover(p, models))
 		}
 	}
 

@@ -19,8 +19,8 @@ package kb
 //   - Slices returned by Names(), Candidates() and Entity() stay valid and
 //     constant forever — but they describe the generation they were read
 //     from. State derived from a Store at construction time (a StoreHost's
-//     name mirror, a RemoteStore's dialed dictionary, nec.Train statistics,
-//     an engine's profiles and LSH filters) is bound to that generation and
+//     name mirror, a RemoteStore's dialed dictionary, a relatedness engine's
+//     interned profiles and memoized pairs) is bound to that generation and
 //     must be rebuilt — or swapped alongside — when a new generation is
 //     installed; it must never be cached across an apply and replayed
 //     against the new store.

@@ -56,16 +56,10 @@ func (f LexiconFunc) HasName(n string) bool { return f(n) }
 // rules only; set Lexicon to prefer dictionary-confirmed spans.
 type Recognizer struct {
 	Lexicon Lexicon
-	// MaxTokens bounds the length of a mention in tokens (default 5).
-	MaxTokens int
 }
 
-func (r *Recognizer) maxTokens() int {
-	if r.MaxTokens <= 0 {
-		return 5
-	}
-	return r.MaxTokens
-}
+// maxTokens bounds the length of a mention in tokens.
+const maxTokens = 5
 
 // isNameToken reports whether the token can be part of an entity name.
 func isNameToken(t tokenizer.Token, sentenceStart bool) bool {
@@ -107,7 +101,7 @@ func (r *Recognizer) RecognizeTokens(text string, tokens []tokenizer.Token) []Me
 			continue
 		}
 		// Extend to the longest plausible name span within the sentence.
-		limit := i + r.maxTokens()
+		limit := i + maxTokens
 		j := i + 1
 		for j < len(tokens) && j < limit && tokens[j].Sentence == t.Sentence {
 			if isNameToken(tokens[j], false) {

@@ -111,12 +111,11 @@ func TestIsAcronym(t *testing.T) {
 }
 
 func TestMaxTokens(t *testing.T) {
-	r := Recognizer{MaxTokens: 2}
-	ms := r.Recognize("the International Business Machines Corporation building")
-	for _, m := range ms {
-		if n := len(strings.Fields(m.Text)); n > 2 {
-			t.Errorf("mention %q exceeds MaxTokens", m.Text)
-		}
+	var r Recognizer
+	ms := r.Recognize("the Royal Bank Holding Company Trust Limited building")
+	want := []string{"Royal Bank Holding Company Trust", "Limited"}
+	if !reflect.DeepEqual(surfaces(ms), want) {
+		t.Fatalf("got %v want %v: a six-token run must split after %d tokens", surfaces(ms), want, maxTokens)
 	}
 }
 

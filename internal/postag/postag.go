@@ -103,11 +103,9 @@ var verbSuffixes = []string{"ing", "ize", "ise", "ated", "ates"}
 // adverbSuffix marks adverbs.
 const adverbSuffix = "ly"
 
-// Tagger assigns coarse POS tags. The zero value is ready to use; Lexicon
-// entries (lower-cased word → tag) may be added to override the defaults.
-type Tagger struct {
-	Lexicon map[string]Tag
-}
+// Tagger assigns coarse POS tags from the closed-class lexicon and the
+// suffix and shape rules. The zero value is ready to use.
+type Tagger struct{}
 
 // Tag tags a single token given whether it starts a sentence.
 func (tg *Tagger) tagOne(tok tokenizer.Token, sentenceStart bool) Tag {
@@ -118,11 +116,6 @@ func (tg *Tagger) tagOne(tok tokenizer.Token, sentenceStart bool) Tag {
 	}
 	if tok.IsNumeric() {
 		return Number
-	}
-	if tg != nil && tg.Lexicon != nil {
-		if t, ok := tg.Lexicon[lower]; ok {
-			return t
-		}
 	}
 	if t, ok := lexicon[lower]; ok {
 		return t

@@ -68,14 +68,6 @@ func TestTagNumberAndSuffixes(t *testing.T) {
 	}
 }
 
-func TestTaggerLexiconOverride(t *testing.T) {
-	tg := Tagger{Lexicon: map[string]Tag{"rock": Adjective}}
-	tagged := tg.TagText("loud rock music")
-	if tagged[1].Tag != Adjective {
-		t.Errorf("override ignored: rock tagged %v", tagged[1].Tag)
-	}
-}
-
 func TestExtractKeyphrasesProperNouns(t *testing.T) {
 	var tg Tagger
 	got := ExtractKeyphraseStrings(&tg, "officials at the Bank of England met Robert Plant")

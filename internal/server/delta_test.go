@@ -224,14 +224,18 @@ func TestDeltaJournalOrderAcrossAppliers(t *testing.T) {
 		t.Errorf("admin apply %q never landed", name)
 	}
 
-	g := live.NewGraduator(live.Config{MinOccurrences: 1, MinKeyphrases: 1})
+	g := live.NewGraduator()
+	// observe gives a surface the evidence graduation requires: three
+	// emerging observations of a three-keyphrase placeholder model.
 	observe := func(surface string) {
-		model := disambig.Candidate{Entity: kb.NoEntity, Label: surface + "_EE", Keyphrases: k.Entity(7).Keyphrases[:1]}
-		g.Observe(&emerge.Discovery{
-			Output:   &disambig.Output{Results: []disambig.Result{{Surface: surface, CandidateIndex: -1, Entity: kb.NoEntity}}},
-			Emerging: []bool{true},
-			Models:   map[string]disambig.Candidate{surface: model},
-		}, nil)
+		model := disambig.Candidate{Entity: kb.NoEntity, Label: surface + "_EE", Keyphrases: k.Entity(7).Keyphrases[:3]}
+		for range 3 {
+			g.Observe(&emerge.Discovery{
+				Output:   &disambig.Output{Results: []disambig.Result{{Surface: surface, CandidateIndex: -1, Entity: kb.NoEntity}}},
+				Emerging: []bool{true},
+				Models:   map[string]disambig.Candidate{surface: model},
+			})
+		}
 	}
 	forced := false
 	loop := &live.Loop{System: sys, Graduator: g, Journal: j,

@@ -3,6 +3,7 @@
 # the disambiguation core and the scoring engine: the packages the
 # sharding router, the remote fleet client/host, the scoring layers and
 # the engine's memo, snapshots and generation clone live in — plus the
+# emerging-entity discovery that serves CONF confidence, the
 # live-KB graduation loop and the HTTP serving layer (content negotiation,
 # multi-tenant admission, tracing, HTML rendering) — must stay above the
 # checked-in threshold. Run from the repository root:
@@ -33,7 +34,7 @@ covered() {
     esac
 }
 
-PACKAGES="./internal/kb ./internal/kb/live ./internal/disambig ./internal/relatedness ./internal/server ./internal/eval"
+PACKAGES="./internal/kb ./internal/kb/live ./internal/disambig ./internal/emerge ./internal/relatedness ./internal/server ./internal/eval"
 
 status=0
 failed_profiles=""

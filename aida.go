@@ -354,9 +354,10 @@ type KBLiveStats struct {
 
 // LiveKB is a consistent snapshot of a System's serving generation: the
 // store and the scoring engine belong together (the engine is bound to
-// exactly that store). Callers that need both — e.g. to run an emerge
-// pipeline against the serving KB — must take one snapshot rather than
-// calling Store() and Scorer() separately, which could straddle an apply.
+// exactly that store). Callers that need both — e.g. to report the engine's
+// counters beside the generation they belong to — must take one snapshot
+// rather than calling Store() and Scorer() separately, which could straddle
+// an apply.
 type LiveKB struct {
 	Store  Store
 	Engine *Scorer
@@ -405,8 +406,8 @@ type DeltaReceipt struct {
 // count but is never memoized), every registered domain layer is rebuilt
 // over the overlay, and the new generation — base and layers — is swapped
 // in atomically. In-flight documents finish on the generation they started
-// with; the next request sees the new one — a graduated entity is linkable
-// by name immediately, inside a domain or not.
+// with; the next request sees the new one — an added entity is linkable by
+// name immediately, inside a domain or not.
 //
 // The overlay's fingerprint differs from the old generation's whenever the
 // delta changes logical content, so derived state bound to the old

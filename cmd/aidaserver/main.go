@@ -55,11 +55,7 @@
 // copy-on-write generation atomically — in-flight documents finish on the
 // generation they started with, the next request links the new entities.
 // -delta-journal makes applies durable (replayed at boot; a torn tail
-// frame from a crash is truncated with a warning). -graduate <interval>
-// closes the emerging-entity loop: annotated documents with out-of-KB
-// mentions are buffered, periodically re-run through emerging-entity
-// discovery, and confidently repeated discoveries graduate into the KB
-// automatically.
+// frame from a crash is truncated with a warning).
 //
 // Annotation requests are full aida.RequestSpec documents: besides "text"
 // and "docs" every JSON field of the spec applies per request — "method"
@@ -120,7 +116,6 @@ func main() {
 		shardMap  = flag.String("shard-map", "", "path to a shard-fleet topology file (JSON): the KB is dialed from remote shard hosts instead of loaded locally; -kb/-gen are not required")
 		hedge     = flag.Duration("hedge-after", 50*time.Millisecond, "with -shard-map, race a fetch against the next replica after this latency (negative disables hedging)")
 		journal   = flag.String("delta-journal", "", "append-only journal of applied KB deltas: replayed at boot, appended on every apply (live updates survive restarts)")
-		graduate  = flag.Duration("graduate", 0, "run the emerging-entity graduation loop at this interval (0 = disabled): documents with out-of-KB mentions feed discovery, repeated confident discoveries join the KB live")
 		tenants   = flag.String("tenants", "", "path to a tenants file (JSON): per-tenant API keys, token-bucket rates and max-concurrent quotas; hot-reloaded on SIGHUP (empty = open server, no auth)")
 		domains   = flag.String("domains", "", "path to a domain dictionaries file (JSON): each named surface→entity dictionary is composed over the base KB as a per-domain layer, selectable per request via \"domain\"")
 	)
@@ -189,7 +184,7 @@ func main() {
 	var deltaJournal *live.Journal
 	if *journal != "" {
 		// Replay first: every delta applied in previous lives is reinstalled
-		// before traffic starts, so graduated entities survive restarts. A
+		// before traffic starts, so applied deltas survive restarts. A
 		// delta that no longer validates (a journal edited by hand or written
 		// for another KB) is skipped with a warning rather than blocking boot.
 		applied, truncated, err := live.ReplayJournal(*journal, func(d *aida.Delta) error {
@@ -269,16 +264,6 @@ func main() {
 		DeltaJournal:       deltaJournal,
 		Tenants:            registry,
 	}
-	var loop *live.Loop
-	if *graduate > 0 {
-		loop = &live.Loop{
-			System:        sys,
-			Journal:       deltaJournal,
-			MaxCandidates: *maxCand,
-			Logger:        slog.NewLogLogger(logger.Handler(), slog.LevelInfo),
-		}
-		cfg.OnDocument = loop.Note
-	}
 	srv := server.New(sys, cfg)
 
 	if *pprofAddr != "" {
@@ -297,10 +282,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if loop != nil {
-		logger.Info("graduation loop running", "every", *graduate)
-		go loop.Run(ctx, *graduate)
-	}
 	if err := srv.Serve(ctx, l, *drain); err != nil {
 		logger.Error("serve", "err", err)
 		os.Exit(1)

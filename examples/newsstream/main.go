@@ -8,7 +8,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 
 	"aida"
@@ -19,11 +18,7 @@ func main() {
 	world := wiki.Generate(wiki.Config{Seed: 11, Entities: 600})
 
 	pl := &aida.EEPipeline{
-		KB: world.KB,
-		// A canceled Context stops the pipeline's harvesting and
-		// enrichment fan-outs promptly (a real stream consumer would pass
-		// a signal-aware context here).
-		Context:       context.Background(),
+		KB:            world.KB,
 		MaxCandidates: 12,
 		HarvestWindow: -1, // evidence is sentence-local in the generator
 		Model: aida.EEModelConfig{

@@ -355,9 +355,3 @@ func Methods() []Method {
 		&Kulkarni{UsePrior: true, UseCoherence: true},
 	}
 }
-
-// SortResultsByScore orders results descending by score (used by the
-// confidence-ranked evaluation of Sec. 5.7.1).
-func SortResultsByScore(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].Score > rs[j].Score })
-}

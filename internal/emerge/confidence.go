@@ -10,7 +10,6 @@ import (
 	"math/rand"
 
 	"aida/internal/disambig"
-	"aida/internal/kb"
 )
 
 // NormConfidence computes the normalized-score confidence of Sec. 5.4.1 for
@@ -212,16 +211,4 @@ func CONF(m disambig.Method, p *disambig.Problem, base *disambig.Output, cfg Per
 		out[i] = 0.5*norm[i] + 0.5*pert[i]
 	}
 	return out
-}
-
-// HighConfidenceMentions returns the indices whose confidence is ≥ the
-// threshold and whose result maps to a KB entity.
-func HighConfidenceMentions(out *disambig.Output, conf []float64, threshold float64) []int {
-	var idx []int
-	for i, r := range out.Results {
-		if r.Entity != kb.NoEntity && conf[i] >= threshold {
-			idx = append(idx, i)
-		}
-	}
-	return idx
 }

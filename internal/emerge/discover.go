@@ -11,9 +11,9 @@ import (
 // (0, 1): no mention is declared emerging or fixed by a first-stage
 // confidence, and NED runs once on the problem extended with an explicit EE
 // placeholder candidate per mention that has one. Every caller runs this
-// form: the pipeline, the live graduation loop and Table 5.3's placeholder
-// systems. Table 5.3's threshold baselines apply their confidence thresholds
-// to a plain NED run themselves.
+// form: the pipeline and Table 5.3's placeholder systems. Table 5.3's
+// threshold baselines apply their confidence thresholds to a plain NED run
+// themselves.
 type Discoverer struct {
 	// Method disambiguates the extended problem (nil = the pipeline's
 	// default, r-prior sim-k).
@@ -26,18 +26,6 @@ type Discovery struct {
 	// Emerging[i] reports whether mention i was mapped to an emerging
 	// entity (either its EE placeholder won, or it had no candidates).
 	Emerging []bool
-	// Models are the placeholder candidates the discovery ran with, by
-	// mention surface (the eeModels argument of Discover). Surfaces
-	// without global evidence have no entry. Downstream consumers — the
-	// live-KB graduation loop — read the harvested keyphrase features of
-	// an emerging mention from here.
-	Models map[string]disambig.Candidate
-}
-
-// IsEE reports whether a result row denotes an emerging entity: no KB
-// candidate chosen, or the chosen candidate is a placeholder.
-func IsEE(r disambig.Result) bool {
-	return r.Entity == kb.NoEntity
 }
 
 // Discover runs Algorithm 3. eeModels maps a mention surface to its
@@ -72,5 +60,5 @@ func (d *Discoverer) Discover(p *disambig.Problem, eeModels map[string]disambig.
 		}
 		final.Results[i] = r
 	}
-	return &Discovery{Output: final, Emerging: emerging, Models: eeModels}
+	return &Discovery{Output: final, Emerging: emerging}
 }

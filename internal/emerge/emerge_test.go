@@ -373,16 +373,6 @@ func TestEnricherImprovesDisambiguation(t *testing.T) {
 	}
 }
 
-func TestHighConfidenceMentions(t *testing.T) {
-	out := &disambig.Output{Results: []disambig.Result{
-		{Entity: 1}, {Entity: kb.NoEntity}, {Entity: 2},
-	}}
-	idx := HighConfidenceMentions(out, []float64{0.99, 0.99, 0.5}, 0.95)
-	if len(idx) != 1 || idx[0] != 0 {
-		t.Fatalf("got %v, want [0]", idx)
-	}
-}
-
 func BenchmarkBuildEEModel(b *testing.B) {
 	k := buildEEKB()
 	var h Harvester

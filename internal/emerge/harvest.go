@@ -1,7 +1,6 @@
 package emerge
 
 import (
-	"context"
 	"strings"
 
 	"aida/internal/ner"
@@ -205,19 +204,17 @@ func (h *Harvester) countWindow(name string, sentence, numSentences int, phrases
 // workers goroutines. The tracked-name table is built once and shared;
 // per-document counts are merged in document order, so the result is
 // identical to the sequential scan (counts are additive and the harvester
-// itself is read-only during scanning). A canceled ctx stops the scan
-// early; the partial harvest must then be discarded by the caller.
-func (h *Harvester) HarvestDocsParallel(ctx context.Context, docs []string, names []string, workers int) *Harvest {
+// itself is read-only during scanning).
+func (h *Harvester) HarvestDocsParallel(docs []string, names []string, workers int) *Harvest {
 	if workers <= 1 || len(docs) < 2 {
 		return h.HarvestDocs(docs, names)
 	}
 	nm := newNameMatcher(names)
 	parts := make([]*Harvest, len(docs))
-	pool.ForEachCtx(ctx, len(docs), workers, func(i int) error {
+	pool.ForEach(len(docs), workers, func(i int) {
 		part := newHarvest(1)
 		h.harvestDoc(docs[i], nm.nameKey, nm.maxNameTokens, part)
 		parts[i] = part
-		return nil
 	})
 	out := newHarvest(0)
 	for _, p := range parts {

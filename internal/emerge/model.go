@@ -330,13 +330,6 @@ func (e *Enricher) Apply(c *HarvestContribution) {
 	}
 }
 
-// HarvestHighConfidence mines keyphrases around the mentions that a NED run
-// resolved with confidence ≥ threshold and attributes them to the chosen
-// entities.
-func (e *Enricher) HarvestHighConfidence(h *Harvester, docText string, out *disambig.Output, conf []float64, threshold float64) {
-	e.Apply(CollectHighConfidence(h, docText, out, conf, threshold))
-}
-
 // Enrich appends the harvested keyphrases to matching candidates of the
 // problem. Candidate structs are copied, so the KB stays untouched.
 func (e *Enricher) Enrich(p *disambig.Problem) {

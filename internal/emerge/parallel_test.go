@@ -1,7 +1,6 @@
 package emerge
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -18,9 +17,14 @@ func parallelPipeline(workers int) *Pipeline {
 
 // TestPipelineParallelMatchesSequential pins the parallel chunk-harvesting
 // and enrichment paths to the sequential ones: identical enricher state,
-// placeholder models and end-to-end discoveries at any worker count.
+// placeholder models and end-to-end discoveries at any worker count. The
+// chunk includes a document whose surface has no dictionary candidates, so
+// enrichment also disambiguates a mention with an empty candidate list.
 func TestPipelineParallelMatchesSequential(t *testing.T) {
-	chunk := pipelineChunk()
+	chunk := append(pipelineChunk(), ChunkDoc{
+		Text:     "Zorblatt Qux spoke about the surveillance program.",
+		Surfaces: []string{"Zorblatt Qux"}, // out-of-dictionary surface
+	})
 	text := "Snowden spoke about the surveillance program and the leaked files."
 	surfaces := []string{"Snowden"}
 
@@ -46,31 +50,6 @@ func TestPipelineParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPipelineCanceledContext pins the cancellation contract: a canceled
-// Pipeline.Context must stop the harvesting/enrichment fan-outs without
-// panicking or attributing evidence — even when chunk documents carry
-// surfaces with no dictionary candidates (the truncated-output shape that
-// once produced CandidateIndex 0 on an empty candidate list).
-func TestPipelineCanceledContext(t *testing.T) {
-	chunk := append(pipelineChunk(), ChunkDoc{
-		Text:     "Zorblatt Qux spoke about the surveillance program.",
-		Surfaces: []string{"Zorblatt Qux"}, // out-of-dictionary surface
-	})
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		pl := parallelPipeline(workers)
-		pl.Context = ctx
-		enricher := pl.BuildEnricher(chunk)
-		if n := enricher.Size(); n != 0 {
-			t.Fatalf("workers=%d: canceled enricher attributed evidence to %d entities", workers, n)
-		}
-		if models := pl.Models(chunk, []string{"Snowden"}, enricher); len(models) != 0 {
-			t.Fatalf("workers=%d: canceled Models built %d placeholders", workers, len(models))
-		}
-	}
-}
-
 // TestHarvestDocsParallelMatchesSequential checks the raw harvest counts.
 func TestHarvestDocsParallelMatchesSequential(t *testing.T) {
 	docs := make([]string, 0, 9)
@@ -83,7 +62,7 @@ func TestHarvestDocsParallelMatchesSequential(t *testing.T) {
 	h := Harvester{Window: -1}
 	want := h.HarvestDocs(docs, names)
 	for _, workers := range []int{2, 4, 16} {
-		got := h.HarvestDocsParallel(context.Background(), docs, names, workers)
+		got := h.HarvestDocsParallel(docs, names, workers)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d: parallel harvest diverges from sequential", workers)
 		}

@@ -1,8 +1,6 @@
 package emerge
 
 import (
-	"context"
-
 	"aida/internal/disambig"
 	"aida/internal/kb"
 	"aida/internal/pool"
@@ -42,21 +40,6 @@ type Pipeline struct {
 	// Scorer optionally shares a long-lived relatedness engine across the
 	// pipeline's disambiguation problems (see disambig.Problem.Scorer).
 	Scorer *relatedness.Scorer
-	// Context carries request cancellation into the pipeline's parallel
-	// phases (chunk harvesting, enrichment) and the disambiguation
-	// problems it builds. When it is canceled the phases stop promptly
-	// and the pipeline's results are partial; callers that set it must
-	// check Context.Err() before using any result. Nil means never
-	// canceled.
-	Context context.Context
-}
-
-// ctx is the nil-safe accessor for Pipeline.Context.
-func (pl *Pipeline) ctx() context.Context {
-	if pl.Context == nil {
-		return context.Background()
-	}
-	return pl.Context
 }
 
 func (pl *Pipeline) method() disambig.Method {
@@ -95,7 +78,7 @@ func (pl *Pipeline) harvester() Harvester {
 func (pl *Pipeline) BuildEnricher(chunk []ChunkDoc) *Enricher {
 	m := pl.method()
 	contribs := make([]*HarvestContribution, len(chunk))
-	pl.eachDoc(len(chunk), func(i int) {
+	pool.ForEach(len(chunk), pl.Parallelism, func(i int) {
 		contribs[i] = pl.harvestChunkDoc(m, chunk[i])
 	})
 	enricher := NewEnricher()
@@ -113,18 +96,12 @@ func (pl *Pipeline) harvestChunkDoc(m disambig.Method, d ChunkDoc) *HarvestContr
 	}
 	p := disambig.NewProblem(pl.KB, d.Text, d.Surfaces, pl.MaxCandidates)
 	p.Scorer = pl.Scorer
-	p.Context = pl.Context
 	if pl.Parallelism > 1 {
 		// Fan-out happens at the document level; don't compound it with
 		// per-document coherence pools.
 		p.CoherenceWorkers = 1
 	}
 	out := m.Disambiguate(p)
-	if pl.ctx().Err() != nil {
-		// Canceled mid-disambiguation: the output is truncated, so no
-		// evidence may be attributed from it.
-		return nil
-	}
 	conf := NormConfidence(out)
 	chosen := map[string]*disambig.Candidate{}
 	for j, r := range out.Results {
@@ -143,33 +120,17 @@ func (pl *Pipeline) harvestChunkDoc(m disambig.Method, d ChunkDoc) *HarvestContr
 	return CollectHighConfidence(&h, d.Text, out, conf, minConfidence)
 }
 
-// eachDoc runs fn(i) for i in [0, n) on up to Parallelism workers,
-// stopping early (with unprocessed documents skipped) when the pipeline's
-// context is canceled.
-func (pl *Pipeline) eachDoc(n int, fn func(int)) {
-	pool.ForEachCtx(pl.ctx(), n, pl.Parallelism, func(i int) error {
-		fn(i)
-		return nil
-	})
-}
-
 // Models harvests the chunk for the given surfaces and builds one
 // placeholder candidate per surface that has any global evidence. The
 // enricher (may be nil) supplies harvested keyphrases for existing
 // entities, which are subtracted from the placeholder models.
 func (pl *Pipeline) Models(chunk []ChunkDoc, surfaces []string, enricher *Enricher) map[string]disambig.Candidate {
-	if pl.ctx().Err() != nil {
-		// Canceled: build no placeholders rather than models from a
-		// partial harvest (the sequential harvest path cannot observe
-		// the context mid-scan).
-		return nil
-	}
 	texts := make([]string, len(chunk))
 	for i, d := range chunk {
 		texts[i] = d.Text
 	}
 	h := pl.harvester()
-	hv := h.HarvestDocsParallel(pl.ctx(), texts, surfaces, pl.Parallelism)
+	hv := h.HarvestDocsParallel(texts, surfaces, pl.Parallelism)
 	cfg := pl.Model
 	if cfg.KBSize == 0 {
 		cfg.KBSize = pl.KB.NumEntities()
@@ -198,7 +159,6 @@ func (pl *Pipeline) Models(chunk []ChunkDoc, surfaces []string, enricher *Enrich
 func (pl *Pipeline) Problem(text string, surfaces []string, enricher *Enricher) *disambig.Problem {
 	p := disambig.NewProblem(pl.KB, text, surfaces, pl.MaxCandidates)
 	p.Scorer = pl.Scorer
-	p.Context = pl.Context
 	if enricher != nil {
 		enricher.Enrich(p)
 	}

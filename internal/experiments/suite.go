@@ -80,9 +80,6 @@ func NewSuite(sizes Sizes) *Suite {
 	return s
 }
 
-// NewsDocs exposes the generated news stream (diagnostics, tools).
-func (s *Suite) NewsDocs() []wiki.Document { return s.news }
-
 // problemFor builds the disambiguation problem of a document.
 func (s *Suite) problemFor(doc *wiki.Document) *disambig.Problem {
 	return disambig.NewProblem(s.World.KB, doc.Text, doc.Surfaces(), s.Sizes.MaxCandidates)

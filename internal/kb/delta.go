@@ -62,8 +62,7 @@ type NewEntity struct {
 	Types      []string    `json:"types,omitempty"`
 	Keyphrases []Keyphrase `json:"keyphrases,omitempty"`
 	// KeywordNPMI holds the entity-specific keyword weights (Eq. 3.1
-	// scale; for graduated emerging entities these are the normalized
-	// harvest weights of BuildEEModel).
+	// scale).
 	KeywordNPMI map[string]float64 `json:"keyword_npmi,omitempty"`
 }
 

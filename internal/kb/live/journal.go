@@ -1,3 +1,7 @@
+// Package live makes a live KB durable: a Journal records every delta
+// applied to a serving aida.System, in apply order, as a replayable
+// append-only file, so a restarted server replays it and serves the same
+// KB generation it served before.
 package live
 
 import (

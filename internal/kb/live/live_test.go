@@ -1,23 +1,18 @@
 package live
 
 import (
-	"context"
-	"fmt"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"aida"
-	"aida/internal/disambig"
-	"aida/internal/emerge"
 	"aida/internal/kb"
-	"aida/internal/textstat"
 )
 
 // testKB builds a tiny music-domain repository: three entities with
-// cross-links and a shared "hard rock" keyphrase, so graduation tests can
-// exercise both base-vocabulary reuse and fresh-vocabulary IDF minting.
+// cross-links and keyphrases, for applying journaled deltas to.
 func testKB() *kb.KB {
 	b := kb.NewBuilder()
 	jp := b.AddEntity("Jimmy Page", "music", "person")
@@ -36,181 +31,6 @@ func testKB() *kb.KB {
 	b.AddKeyphrase(lz, "English rock band")
 	b.AddKeyphrase(rp, "rock vocalist")
 	return b.Build()
-}
-
-// discovery fabricates a single-mention emerging discovery whose
-// placeholder model carries the given keyphrases.
-func discovery(surface string, phrases ...string) *emerge.Discovery {
-	model := disambig.Candidate{Entity: kb.NoEntity, Label: surface + "_EE"}
-	for _, p := range phrases {
-		model.Keyphrases = append(model.Keyphrases, kb.Keyphrase{
-			Phrase: p, Words: kb.PhraseWords(p), MI: 1, IDF: 1,
-		})
-	}
-	return &emerge.Discovery{
-		Output: &disambig.Output{Results: []disambig.Result{
-			{Surface: surface, CandidateIndex: -1, Entity: kb.NoEntity},
-		}},
-		Emerging: []bool{true},
-		Models:   map[string]disambig.Candidate{surface: model},
-	}
-}
-
-// enough is a placeholder model of exactly minKeyphrases keyphrases.
-var enough = []string{"synth lab", "drum clinic", "tape loop"}
-
-// observeReady observes d as often as graduation requires.
-func observeReady(g *Graduator, d *emerge.Discovery) {
-	for range minOccurrences {
-		g.Observe(d)
-	}
-}
-
-func TestGraduatorThresholds(t *testing.T) {
-	base := testKB()
-	g := NewGraduator()
-	obs := discovery("Novatrix Sound", "hard rock", "synthwave pioneers", "analog tape")
-
-	for i := 0; i < minOccurrences-1; i++ {
-		g.Observe(obs)
-		if d := g.Graduate(base); d != nil {
-			t.Fatalf("graduated after %d observations, want threshold 3", i+1)
-		}
-	}
-	if got := g.Pending(); got != 1 {
-		t.Fatalf("Pending() = %d, want 1", got)
-	}
-	g.Observe(obs)
-	d := g.Graduate(base)
-	if d == nil {
-		t.Fatal("no delta after reaching minOccurrences")
-	}
-	if g.Pending() != 0 {
-		t.Fatalf("Pending() = %d after graduation, want 0 (drained)", g.Pending())
-	}
-	if len(d.Entities) != 1 || d.Entities[0].Name != "Novatrix Sound" {
-		t.Fatalf("unexpected entities: %+v", d.Entities)
-	}
-	if d.Entities[0].Domain != "emerging" || len(d.Entities[0].Types) != 1 || d.Entities[0].Types[0] != "emerging" {
-		t.Fatalf("graduated entity not labeled emerging: %+v", d.Entities[0])
-	}
-	wantRow := kb.RowAddition{Surface: "Novatrix Sound", Entity: kb.EntityID(base.NumEntities()), Count: 3}
-	if len(d.Rows) != 1 || d.Rows[0] != wantRow {
-		t.Fatalf("rows = %+v, want [%+v]", d.Rows, wantRow)
-	}
-
-	// Vocabulary the base already weights keeps its IDF; fresh vocabulary
-	// gets the minimum-evidence weight and a matching delta IDF entry.
-	newIDF := textstat.IDF(float64(base.NumEntities()+1), 1)
-	for _, kp := range d.Entities[0].Keyphrases {
-		switch kp.Phrase {
-		case "hard rock":
-			if want := base.PhraseIDF("hard rock"); kp.IDF != want {
-				t.Errorf("base phrase IDF = %g, want %g", kp.IDF, want)
-			}
-		case "synthwave pioneers":
-			if kp.IDF != newIDF {
-				t.Errorf("fresh phrase IDF = %g, want %g", kp.IDF, newIDF)
-			}
-		}
-	}
-	if got := d.PhraseIDF["synthwave pioneers"]; got != newIDF {
-		t.Errorf("delta PhraseIDF[synthwave pioneers] = %g, want %g", got, newIDF)
-	}
-	if _, extended := d.PhraseIDF["hard rock"]; extended {
-		t.Error("delta must not extend IDF for vocabulary the base already weights")
-	}
-	for _, w := range []string{"synthwave", "pioneers"} {
-		if got := d.WordIDF[w]; got != newIDF {
-			t.Errorf("delta WordIDF[%s] = %g, want %g", w, got, newIDF)
-		}
-	}
-
-	// The delta is installable: the overlay resolves the new name.
-	ov, err := kb.NewOverlay(base, d)
-	if err != nil {
-		t.Fatalf("NewOverlay over graduated delta: %v", err)
-	}
-	if _, ok := ov.EntityByName("Novatrix Sound"); !ok {
-		t.Error("graduated entity not resolvable in overlay")
-	}
-}
-
-func TestGraduatorGates(t *testing.T) {
-	base := testKB()
-
-	t.Run("non-emerging skipped", func(t *testing.T) {
-		g := NewGraduator()
-		d := discovery("Novatrix", enough...)
-		d.Emerging[0] = false
-		g.Observe(d)
-		if g.Pending() != 0 {
-			t.Fatal("non-emerging mention accumulated evidence")
-		}
-	})
-	t.Run("keyphrase floor", func(t *testing.T) {
-		g := NewGraduator()
-		g.Observe(discovery("Novatrix", enough[:minKeyphrases-1]...))
-		if g.Pending() != 0 {
-			t.Fatal("model below minKeyphrases accumulated evidence")
-		}
-		g.Observe(discovery("Novatrix", enough...))
-		if g.Pending() != 1 {
-			t.Fatal("model at minKeyphrases was dropped")
-		}
-	})
-	t.Run("in-KB model skipped", func(t *testing.T) {
-		g := NewGraduator()
-		d := discovery("Novatrix", enough...)
-		m := d.Models["Novatrix"]
-		m.Entity = 1 // not a placeholder
-		d.Models["Novatrix"] = m
-		g.Observe(d)
-		if g.Pending() != 0 {
-			t.Fatal("in-KB model accumulated evidence")
-		}
-	})
-	t.Run("missing model skipped", func(t *testing.T) {
-		g := NewGraduator()
-		d := discovery("Novatrix", enough...)
-		delete(d.Models, "Novatrix")
-		g.Observe(d)
-		if g.Pending() != 0 {
-			t.Fatal("mention without a model accumulated evidence")
-		}
-	})
-	t.Run("max pending bound", func(t *testing.T) {
-		g := NewGraduator()
-		for i := range maxPending {
-			g.Observe(discovery(fmt.Sprintf("Works %04d", i), enough...))
-		}
-		g.Observe(discovery("Overflow Works", enough...))
-		if got := g.Pending(); got != maxPending {
-			t.Fatalf("Pending() = %d, want %d (maxPending bound)", got, maxPending)
-		}
-		// A tracked surface still accumulates at the bound.
-		first := discovery("Works 0000", enough...)
-		for range minOccurrences - 1 {
-			g.Observe(first)
-		}
-		if d := g.Graduate(testKB()); d == nil || len(d.Entities) != 1 || d.Entities[0].Name != "Works 0000" {
-			t.Fatalf("tracked surface did not graduate at the bound: %+v", d)
-		}
-	})
-	t.Run("name collision suffixed", func(t *testing.T) {
-		g := NewGraduator()
-		observeReady(g, discovery("Jimmy Page", enough...))
-		d := g.Graduate(base)
-		if d == nil || len(d.Entities) != 1 {
-			t.Fatalf("unexpected delta: %+v", d)
-		}
-		if got, want := d.Entities[0].Name, "Jimmy Page (emerging)"; got != want {
-			t.Fatalf("colliding name graduated as %q, want %q", got, want)
-		}
-		if err := d.Validate(base); err != nil {
-			t.Fatalf("suffixed delta does not validate: %v", err)
-		}
-	})
 }
 
 func journalDeltas() []*kb.Delta {
@@ -342,119 +162,22 @@ func TestJournalCorruptFrame(t *testing.T) {
 	}
 }
 
-func TestLoopNote(t *testing.T) {
-	var l Loop
-	span := func(s string) aida.MentionSpan { return aida.MentionSpan{Text: s} }
-
-	// Fully linked documents carry no emerging evidence.
-	l.Note("Jimmy Page founded Led Zeppelin.", []aida.Annotation{
-		{Mention: span("Jimmy Page"), Entity: 0},
-		{Mention: span("Led Zeppelin"), Entity: 1},
-	})
-	if l.Buffered() != 0 {
-		t.Fatalf("linked document buffered; Buffered() = %d", l.Buffered())
-	}
-
-	ee := func(s string) []aida.Annotation {
-		return []aida.Annotation{{Mention: span(s), Entity: aida.NoEntity}}
-	}
-	for i := range maxDocs + 1 {
-		l.Note(fmt.Sprint(i), ee("Alpha Works"))
-	}
-	if got := l.Buffered(); got != maxDocs {
-		t.Fatalf("Buffered() = %d, want %d (maxDocs ring)", got, maxDocs)
-	}
-	if l.docs[0].text != "1" {
-		t.Fatalf("oldest buffered document is %q, want %q (the first was dropped)", l.docs[0].text, "1")
-	}
-}
-
-// TestLoopRunOnceGraduates drives the full apply path: pre-accumulated
-// evidence graduates, the delta installs a new generation on the serving
-// System, the journal records it, and replaying the journal into a fresh
-// System reproduces the exact same store.
-func TestLoopRunOnceGraduates(t *testing.T) {
-	sys := aida.New(testKB())
-	g := NewGraduator()
-	observeReady(g, discovery("Novatrix Sound", "hard rock", "synthwave pioneers", "analog tape"))
-
-	path := filepath.Join(t.TempDir(), "deltas.journal")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
-	}
-	defer j.Close()
-
-	l := &Loop{System: sys, Graduator: g, Journal: j}
-	receipt, applied, err := l.RunOnce(context.Background())
-	if err != nil || !applied {
-		t.Fatalf("RunOnce = (%+v, %v, %v), want an apply", receipt, applied, err)
-	}
-	if receipt.Generation != 1 || receipt.Entities != 1 {
-		t.Fatalf("unexpected receipt: %+v", receipt)
-	}
-	if got := sys.Generation(); got != 1 {
-		t.Fatalf("Generation() = %d, want 1", got)
-	}
-	if _, ok := sys.Store().EntityByName("Novatrix Sound"); !ok {
-		t.Fatal("graduated entity not resolvable on the serving store")
-	}
-
-	// Nothing pending → the next pass is a no-op.
-	if _, applied, err := l.RunOnce(context.Background()); err != nil || applied {
-		t.Fatalf("second RunOnce = (%v, %v), want no-op", applied, err)
-	}
-
-	// Replay rebuilds the exact serving store on a fresh System.
-	sys2 := aida.New(testKB())
-	n, truncated, err := ReplayJournal(path, func(d *kb.Delta) error {
-		_, err := sys2.ApplyDelta(d)
-		return err
-	})
-	if err != nil || truncated || n != 1 {
-		t.Fatalf("ReplayJournal = (%d, %v, %v), want (1, false, nil)", n, truncated, err)
-	}
-	if sys2.Store().Fingerprint() != sys.Store().Fingerprint() {
-		t.Fatal("journal replay did not reproduce the serving store fingerprint")
-	}
-}
-
-// TestLoopRunOnceDrainsBuffer runs the real discovery pipeline over a
-// buffered document with an out-of-KB mention: one observation is below
-// the default graduation threshold, so nothing applies, but the buffer is
-// consumed and the System stays on generation 0.
-func TestLoopRunOnceDrainsBuffer(t *testing.T) {
-	sys := aida.New(testKB())
-	l := &Loop{System: sys}
-	l.Note("Novatrix Sound toured with Led Zeppelin while Jimmy Page produced the record.",
-		[]aida.Annotation{
-			{Mention: aida.MentionSpan{Text: "Novatrix Sound"}, Entity: aida.NoEntity},
-			{Mention: aida.MentionSpan{Text: "Led Zeppelin"}, Entity: 1},
-			{Mention: aida.MentionSpan{Text: "Jimmy Page"}, Entity: 0},
-		})
-	if l.Buffered() != 1 {
-		t.Fatalf("Buffered() = %d, want 1", l.Buffered())
-	}
-	if _, applied, err := l.RunOnce(context.Background()); err != nil || applied {
-		t.Fatalf("RunOnce = (%v, %v), want drained no-op", applied, err)
-	}
-	if l.Buffered() != 0 {
-		t.Fatalf("Buffered() = %d after RunOnce, want 0", l.Buffered())
-	}
-	if got := sys.Generation(); got != 0 {
-		t.Fatalf("Generation() = %d, want 0 (single observation below threshold)", got)
-	}
-}
-
 // TestJournalApply pins the applier's contract: a rejected delta changes
 // and records nothing, a failed append leaves the apply standing and says
 // so, and a nil journal applies without recording.
 func TestJournalApply(t *testing.T) {
 	sys := aida.New(testKB())
-	graduate := func(surface string) *kb.Delta {
-		g := NewGraduator()
-		observeReady(g, discovery(surface, "hard rock", "synth lab", "tape loop"))
-		return g.Graduate(sys.Store())
+	// entityDelta adds one entity, linked to Jimmy Page and reachable by
+	// its name, on top of the serving store.
+	entityDelta := func(name string) *kb.Delta {
+		st := sys.Store()
+		id := kb.EntityID(st.NumEntities())
+		return &kb.Delta{
+			BaseEntities: int(id),
+			Entities:     []kb.NewEntity{{Name: name, Keyphrases: st.Entity(0).Keyphrases}},
+			Rows:         []kb.RowAddition{{Surface: name, Entity: id, Count: 3}},
+			Links:        []kb.LinkAddition{{Src: id, Dst: 0}},
+		}
 	}
 	path := filepath.Join(t.TempDir(), "deltas.journal")
 	j, err := OpenJournal(path)
@@ -462,7 +185,7 @@ func TestJournalApply(t *testing.T) {
 		t.Fatalf("OpenJournal: %v", err)
 	}
 
-	first := graduate("Novatrix Sound")
+	first := entityDelta("Novatrix Sound")
 	if r, appendErr, err := j.Apply(sys, first); err != nil || appendErr != nil || r.Generation != 1 {
 		t.Fatalf("Apply = (%+v, %v, %v), want generation 1 journaled", r, appendErr, err)
 	}
@@ -470,14 +193,102 @@ func TestJournalApply(t *testing.T) {
 		t.Fatalf("stale Apply = (%v, %v) at generation %d, want a rejection that changes nothing", appendErr, err, sys.Generation())
 	}
 	j.Close()
-	if r, appendErr, err := j.Apply(sys, graduate("Veltrane Audio")); err != nil || appendErr == nil || r.Generation != 2 {
+	if r, appendErr, err := j.Apply(sys, entityDelta("Veltrane Audio")); err != nil || appendErr == nil || r.Generation != 2 {
 		t.Fatalf("Apply on a closed journal = (%+v, %v, %v), want generation 2 with an append error", r, appendErr, err)
 	}
 	var none *Journal
-	if r, appendErr, err := none.Apply(sys, graduate("Quorra Records")); err != nil || appendErr != nil || r.Generation != 3 {
+	if r, appendErr, err := none.Apply(sys, entityDelta("Quorra Records")); err != nil || appendErr != nil || r.Generation != 3 {
 		t.Fatalf("nil-journal Apply = (%+v, %v, %v), want generation 3", r, appendErr, err)
 	}
 	if n, _, err := ReplayJournal(path, func(*kb.Delta) error { return nil }); err != nil || n != 1 {
 		t.Fatalf("journal holds %d deltas (err %v), want only the one durable apply", n, err)
 	}
+}
+
+// replayAll replays the journal at path and collects its deltas.
+func replayAll(path string) ([]*kb.Delta, bool, error) {
+	var got []*kb.Delta
+	_, truncated, err := ReplayJournal(path, func(d *kb.Delta) error {
+		got = append(got, d)
+		return nil
+	})
+	return got, truncated, err
+}
+
+// FuzzJournal damages a valid journal and requires the decoder to hold its
+// contract: OpenJournal and ReplayJournal never panic; a journal of clean
+// frames followed by a torn tail replays exactly those clean frames; and
+// once OpenJournal accepts a file, it leaves it replaying the same deltas
+// with no torn tail.
+//
+// In append mode data becomes a torn tail: a bare partial length prefix
+// when shorter than four bytes, otherwise a frame whose length prefix
+// promises one byte more than follows. In overwrite mode data replaces
+// the file's bytes from offset at on, extending it as needed.
+func FuzzJournal(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "seed.journal")
+	j, err := OpenJournal(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	want := journalDeltas()
+	for _, d := range want {
+		if err := j.Append(d); err != nil {
+			f.Fatal(err)
+		}
+	}
+	j.Close()
+	clean, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	f.Add([]byte{}, uint16(0), false)
+	f.Add([]byte{0x00, 0x01}, uint16(0), false)
+	f.Add([]byte{0xde, 0xad, 0xbe, 0xef, 0x01}, uint16(0), false)
+	f.Add([]byte{0x00, 0x00, 0x00, 0x04, 0xde, 0xad, 0xbe, 0xef}, uint16(len(journalMagic)), true)
+	f.Add([]byte("AIDADLT\x02"), uint16(0), true)
+	f.Add([]byte{0xff}, uint16(len(clean)-1), true)
+	f.Fuzz(func(t *testing.T, data []byte, at uint16, overwrite bool) {
+		file := append([]byte(nil), clean...)
+		var tail []byte
+		if overwrite {
+			off := int(at) % (len(file) + 1)
+			if end := off + len(data); end > len(file) {
+				file = append(file, make([]byte, end-len(file))...)
+			}
+			copy(file[off:], data)
+		} else {
+			tail = data
+			if len(data) >= 4 {
+				tail = binary.BigEndian.AppendUint32(nil, uint32(len(data))+1)
+				tail = append(tail, data...)
+			}
+			file = append(file, tail...)
+		}
+		path := filepath.Join(t.TempDir(), "deltas.journal")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		before, truncated, beforeErr := replayAll(path)
+		if !overwrite && (beforeErr != nil || truncated != (len(tail) > 0) || !reflect.DeepEqual(before, want)) {
+			t.Fatalf("replay over a %d-byte torn tail = (%d deltas, truncated %v, %v), want the %d clean frames",
+				len(tail), len(before), truncated, beforeErr, len(want))
+		}
+
+		j, err := OpenJournal(path)
+		if err != nil {
+			return // refused: a foreign header or a corrupt frame
+		}
+		j.Close()
+		if beforeErr != nil {
+			t.Fatalf("OpenJournal accepted a file ReplayJournal refused: %v", beforeErr)
+		}
+		after, truncated, err := replayAll(path)
+		if err != nil || truncated || !reflect.DeepEqual(after, before) {
+			t.Fatalf("after OpenJournal: replay = (%d deltas, truncated %v, %v), want the %d deltas before it, untruncated",
+				len(after), truncated, err, len(before))
+		}
+	})
 }

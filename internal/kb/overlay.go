@@ -165,8 +165,8 @@ func (o *Overlay) EntityByName(name string) (EntityID, bool) {
 }
 
 // HasName implements Store (and ner.Lexicon): a surface is known if either
-// layer has a row for it, so a freshly graduated entity is recognizable in
-// the very next request.
+// layer has a row for it, so an entity a delta just added is recognizable
+// in the very next request.
 func (o *Overlay) HasName(normalized string) bool {
 	if _, ok := o.rows[normalized]; ok {
 		return true

@@ -247,7 +247,7 @@ func applyDeltaConcurrent(t *testing.T, dict *kb.DomainDictionary) {
 			t.Errorf("doc %s: post-apply output does not match the new generation", d.Name)
 		}
 	}
-	// … and the graduated entity is linkable by name immediately.
+	// … and the added entity is linkable by name immediately.
 	wantID, ok := sys.Store().EntityByName(GoldenDeltaEntityA)
 	if !ok {
 		t.Fatalf("entity %q not resolvable after apply", GoldenDeltaEntityA)

@@ -28,8 +28,8 @@ type deltaResponse struct {
 // body is the kb.Delta wire form, validation failures are 400s, and a
 // successful apply swaps the serving generation atomically — the very next
 // annotation request can link the new entities by name. The journal pairs
-// the apply with its append (live.Journal.Apply), as it does for the
-// graduation loop, so it records every applier's deltas in apply order.
+// the apply with its append (live.Journal.Apply), so concurrent admin
+// requests are recorded in the order they were applied.
 func (s *Server) handleDeltaApply(w http.ResponseWriter, r *http.Request) {
 	if s.clientGone(w, r) {
 		return

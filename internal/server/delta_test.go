@@ -2,10 +2,8 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"log"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -13,8 +11,6 @@ import (
 	"testing"
 
 	"aida"
-	"aida/internal/disambig"
-	"aida/internal/emerge"
 	"aida/internal/kb"
 	"aida/internal/kb/live"
 )
@@ -178,18 +174,11 @@ func TestDeltaEndpoint(t *testing.T) {
 	}
 }
 
-// writerFunc adapts a function to io.Writer.
-type writerFunc func([]byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-// TestDeltaJournalOrderAcrossAppliers runs the two appliers of one server —
-// the admin endpoint and the graduation loop — against one journal and
-// requires that replaying it rebuilds the serving store. The first round
-// forces the interleaving that used to lose deltas: the loop's "graduated"
-// log line, written once its apply is visible, triggers an admin apply on
-// top of the new generation; the journal must still list the graduation
-// first. The later rounds race the two appliers freely.
+// TestDeltaJournalOrderAcrossAppliers races two admin appliers against one
+// journal for several rounds and requires that replaying the journal
+// rebuilds the serving store. A delta built on a generation that a racing
+// apply already replaced is rejected with 400 and rebuilt; whatever order
+// the applies land in, the journal must list them in that order.
 func TestDeltaJournalOrderAcrossAppliers(t *testing.T) {
 	k, _ := testWorld(t, 1)
 	journalPath := filepath.Join(t.TempDir(), "deltas.journal")
@@ -201,7 +190,7 @@ func TestDeltaJournalOrderAcrossAppliers(t *testing.T) {
 	sys, ts := newTestServer(t, k, Config{DeltaJournal: j})
 
 	// adminApply posts a delta built on the serving store until it lands: a
-	// 400 means a racing graduation took the generation it was built on.
+	// 400 means the racing applier took the generation it was built on.
 	adminApply := func(name string) {
 		for try := 0; try < 100; try++ {
 			b, _ := json.Marshal(namedDelta(sys.Store(), name))
@@ -224,52 +213,20 @@ func TestDeltaJournalOrderAcrossAppliers(t *testing.T) {
 		t.Errorf("admin apply %q never landed", name)
 	}
 
-	g := live.NewGraduator()
-	// observe gives a surface the evidence graduation requires: three
-	// emerging observations of a three-keyphrase placeholder model.
-	observe := func(surface string) {
-		model := disambig.Candidate{Entity: kb.NoEntity, Label: surface + "_EE", Keyphrases: k.Entity(7).Keyphrases[:3]}
-		for range 3 {
-			g.Observe(&emerge.Discovery{
-				Output:   &disambig.Output{Results: []disambig.Result{{Surface: surface, CandidateIndex: -1, Entity: kb.NoEntity}}},
-				Emerging: []bool{true},
-				Models:   map[string]disambig.Candidate{surface: model},
-			})
-		}
-	}
-	forced := false
-	loop := &live.Loop{System: sys, Graduator: g, Journal: j,
-		Logger: log.New(writerFunc(func(p []byte) (int, error) {
-			if !forced && strings.Contains(string(p), "graduated") {
-				forced = true
-				adminApply("Forced Admin Works")
-			}
-			return len(p), nil
-		}), "", 0)}
-
-	observe("Forced Emerging Works")
-	if _, applied, err := loop.RunOnce(context.Background()); err != nil || !applied {
-		t.Fatalf("forced round: RunOnce = (%v, %v), want an apply", applied, err)
-	}
-	if !forced || sys.Generation() != 2 {
-		t.Fatalf("forced round: admin apply ran %v, generation %d, want true and 2", forced, sys.Generation())
-	}
-
-	for round := 0; round < 8; round++ {
-		observe(fmt.Sprintf("Emerging Works %d", round))
+	const rounds = 8
+	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			// A graduation that loses the race is rejected as stale and its
-			// evidence is spent; only what was applied must be journaled.
-			loop.RunOnce(context.Background())
-		}()
-		go func() {
-			defer wg.Done()
-			adminApply(fmt.Sprintf("Admin Works %d", round))
-		}()
+		for _, who := range []string{"Left", "Right"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				adminApply(fmt.Sprintf("%s Works %d", who, round))
+			}()
+		}
 		wg.Wait()
+	}
+	if got := sys.Generation(); got != 2*rounds {
+		t.Fatalf("serving generation %d, want %d", got, 2*rounds)
 	}
 
 	sys2 := aida.New(k)
@@ -314,43 +271,5 @@ func TestDeltaEndpointRejectsMalformed(t *testing.T) {
 
 	if got := sys.Generation(); got != 0 {
 		t.Fatalf("generation moved to %d on rejected deltas", got)
-	}
-}
-
-// TestOnDocumentHook verifies the annotate endpoints feed the graduation
-// loop's Note hook with the document text and its annotations.
-func TestOnDocumentHook(t *testing.T) {
-	k, docs := testWorld(t, 2)
-	var mu sync.Mutex
-	var texts []string
-	var counts []int
-	hook := func(text string, anns []aida.Annotation) {
-		mu.Lock()
-		defer mu.Unlock()
-		texts = append(texts, text)
-		counts = append(counts, len(anns))
-	}
-	_, ts := newTestServer(t, k, Config{OnDocument: hook})
-
-	resp := postJSON(t, ts.URL+"/v1/annotate", annotateRequest{Text: docs[0]})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	readAll(t, resp)
-	mu.Lock()
-	if len(texts) != 1 || texts[0] != docs[0] || counts[0] == 0 {
-		t.Fatalf("hook saw texts=%d counts=%v", len(texts), counts)
-	}
-	mu.Unlock()
-
-	resp = postJSON(t, ts.URL+"/v1/annotate/batch", batchRequest{Docs: docs})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d", resp.StatusCode)
-	}
-	readAll(t, resp)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(texts) != 1+len(docs) {
-		t.Fatalf("hook saw %d documents after batch, want %d", len(texts), 1+len(docs))
 	}
 }

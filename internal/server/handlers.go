@@ -131,9 +131,6 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.documents.Add(1)
-	if s.cfg.OnDocument != nil {
-		s.cfg.OnDocument(req.Text, doc.Annotations)
-	}
 	if asHTML {
 		var buf bytes.Buffer
 		renderAnnotatedHTML(&buf, req.Text, doc)
@@ -250,9 +247,6 @@ func (s *Server) handleAnnotateBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			s.documents.Add(1)
-			if s.cfg.OnDocument != nil {
-				s.cfg.OnDocument(req.Docs[doc.Index], doc.Annotations)
-			}
 			sc.buf.Reset()
 			sc.wire = appendWireAnnotations(sc.wire[:0], doc.Annotations)
 			if err := enc.Encode(batchLine{Index: doc.Index, Annotations: sc.wire}); err != nil {
@@ -281,9 +275,6 @@ func (s *Server) handleAnnotateBatch(w http.ResponseWriter, r *http.Request) {
 	results := make([][]Annotation, len(docs))
 	for i, doc := range docs {
 		results[i] = wireAnnotations(doc.Annotations)
-		if s.cfg.OnDocument != nil {
-			s.cfg.OnDocument(req.Docs[i], doc.Annotations)
-		}
 	}
 	s.documents.Add(int64(len(req.Docs)))
 	writeJSON(w, http.StatusOK, batchResponse{Results: results})
@@ -353,8 +344,8 @@ func (s *Server) handleRelatedness(w http.ResponseWriter, r *http.Request) {
 }
 
 // entityParam parses an entity id query parameter and range-checks it
-// against the serving KB generation (graduated entities are addressable
-// as soon as their delta applies).
+// against the serving KB generation (entities a delta adds are addressable
+// as soon as it applies).
 func (s *Server) entityParam(raw string) (aida.EntityID, error) {
 	if raw == "" {
 		return 0, fmt.Errorf("missing entity id")

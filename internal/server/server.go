@@ -66,11 +66,6 @@ type Config struct {
 	// -delta-journal flag of cmd/aidaserver). Journal failures are
 	// reported in the response but never roll back an applied delta.
 	DeltaJournal *live.Journal
-	// OnDocument, when set, observes every successfully annotated
-	// document (text plus annotations) after its response is accounted.
-	// The graduation loop's Note hook plugs in here; it must be fast and
-	// must not retain the text beyond its own bookkeeping.
-	OnDocument func(text string, anns []aida.Annotation)
 	// Tenants, when set, turns on multi-tenant admission control (the
 	// -tenants flag of cmd/aidaserver): every endpoint except /healthz,
 	// /v1/stats and /demo requires a known API key, and each tenant's

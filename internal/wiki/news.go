@@ -117,13 +117,3 @@ func (w *World) addEventContext(rng *rand.Rand, doc Document, events map[int]map
 	}
 	return doc.Text + strings.Join(extra, "")
 }
-
-// OOEBySurface indexes the OOE population by ambiguous surface.
-func (w *World) OOEBySurface() map[string][]*OOEEntity {
-	out := make(map[string][]*OOEEntity)
-	for i := range w.OOE {
-		o := &w.OOE[i]
-		out[o.Surface] = append(out[o.Surface], o)
-	}
-	return out
-}

@@ -4,7 +4,7 @@
 # sharding router, the remote fleet client/host, the scoring layers and
 # the engine's memo, snapshots and generation clone live in — plus the
 # emerging-entity discovery that serves CONF confidence, the
-# live-KB graduation loop and the HTTP serving layer (content negotiation,
+# live-KB delta journal and the HTTP serving layer (content negotiation,
 # multi-tenant admission, tracing, HTML rendering) — must stay above the
 # checked-in threshold. Run from the repository root:
 #

@@ -162,7 +162,9 @@ func NewOverlay(base Store, d *Delta) (*Overlay, error) { return kb.NewOverlay(b
 
 // RebuildKB returns a fresh KB with a delta's facts baked in, as if built
 // that way from the start — the conformance baseline an Overlay is
-// byte-identical to, and the compaction path for long overlay chains.
+// byte-identical to. Compacting a served overlay chain is still open: no
+// System API swaps a rebuilt KB in, so every delta a System applies stays
+// one more Overlay layer.
 func RebuildKB(k *KB, d *Delta) (*KB, error) { return kb.Rebuild(k, d) }
 
 // LoadKB reads a KB snapshot written with (*KB).Save.

@@ -116,6 +116,9 @@ func (s *System) resolveSpec(spec *RequestSpec) (annotateOptions, error) {
 	o.withCands = spec.Candidates
 	if spec.Confidence != nil {
 		o.confIters = spec.Confidence.Iterations
+		if o.confIters > MaxConfidenceIterations {
+			return o, invalidRequestf("too many confidence iterations: %d exceeds the limit of %d", o.confIters, MaxConfidenceIterations)
+		}
 		if o.confIters <= 0 {
 			o.confIters = 10
 		}

@@ -58,7 +58,6 @@ func main() {
 		batch    = flag.Bool("batch", false, "treat input as blank-line-separated documents")
 		inPath   = flag.String("in", "", "read input from this file instead of args/stdin")
 		workers  = flag.Int("j", 0, "annotation parallelism for -batch (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 1, "report N-shard placement; reads are the KB's own (output is byte-identical at any count)")
 		shardMap = flag.String("shard-map", "", "path to a shard-fleet topology file (JSON): annotate over remote shard hosts instead of a local KB; -kb/-gen are not required")
 		hedge    = flag.Duration("hedge-after", 50*time.Millisecond, "with -shard-map, race a fetch against the next replica after this latency (negative disables hedging)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
@@ -76,7 +75,7 @@ func main() {
 	}
 	defer stopProfiles()
 
-	store, err := openStore(*kbPath, *gen, *seed, *shards, *shardMap, *hedge)
+	store, err := openStore(*kbPath, *gen, *seed, *shardMap, *hedge)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -233,9 +232,9 @@ func loadKB(path string, gen int, seed int64) (*aida.KB, error) {
 }
 
 // openStore resolves the KB source: a remote shard fleet when -shard-map
-// is given, otherwise a locally loaded KB (under -shards, its placement view).
-// Output is byte-identical across all of them.
-func openStore(kbPath string, gen int, seed int64, shards int, shardMap string, hedge time.Duration) (aida.Store, error) {
+// is given, otherwise a locally loaded KB. Output is byte-identical across
+// both.
+func openStore(kbPath string, gen int, seed int64, shardMap string, hedge time.Duration) (aida.Store, error) {
 	if shardMap != "" {
 		m, err := aida.LoadShardMap(shardMap)
 		if err != nil {
@@ -247,14 +246,7 @@ func openStore(kbPath string, gen int, seed int64, shards int, shardMap string, 
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case shards < 1:
-		return nil, fmt.Errorf("-shards must be ≥ 1 (got %d)", shards)
-	case shards == 1:
-		return k, nil
-	default:
-		return aida.ShardKB(k, shards), nil
-	}
+	return k, nil
 }
 
 func inputText(args []string, inPath string) (string, error) {

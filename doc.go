@@ -104,9 +104,7 @@
 // docs/API.md is the full reference for this package's public surface and
 // the HTTP endpoints; docs/ARCHITECTURE.md maps the internal packages,
 // the mention–entity graph algorithm, and where the shared engine sits in
-// the data flow. The examples directory holds end-to-end programs: a
-// quickstart, a concurrent batch annotator, the HTTP service exercised in
-// one process (annotateservice), an emerging-entity news pipeline, a
-// relatedness comparison, and the strings+things+cats entity search
-// application.
+// the data flow. The package's Examples (example_test.go) are runnable,
+// output-pinned walkthroughs of AnnotateDoc, AnnotateCorpus,
+// AnnotateStream and Relatedness.
 package aida

@@ -108,6 +108,42 @@ func ExampleSystem_AnnotateDoc() {
 	// prior: Plant   → Robert Plant
 }
 
+// ExampleSystem_AnnotateCorpus annotates an in-memory corpus concurrently
+// and returns the documents in input order. The per-request IncludeStats
+// adds each document's disambiguation work counters without touching the
+// System, so the next request can leave them out.
+func ExampleSystem_AnnotateCorpus() {
+	sys := aida.New(exampleKB())
+	docs := []string{
+		"They performed Kashmir, written by Page and Plant.",
+		"Page played unusual chords with Led Zeppelin.",
+		"Plant sang while Page played.",
+	}
+	corpus, err := sys.AnnotateCorpus(context.Background(), docs, aida.WithParallelism(2), aida.IncludeStats())
+	if err != nil {
+		fmt.Println("corpus:", err)
+		return
+	}
+	for _, doc := range corpus {
+		fmt.Printf("doc %d: %d mentions, %d comparisons, %d graph entities\n",
+			doc.Index, len(doc.Annotations), doc.Stats.Comparisons, doc.Stats.GraphEntities)
+		for _, a := range doc.Annotations {
+			fmt.Printf("  %-12s → %s\n", a.Mention.Text, a.Label)
+		}
+	}
+	// Output:
+	// doc 0: 3 mentions, 8 comparisons, 5 graph entities
+	//   Kashmir      → Kashmir (song)
+	//   Page         → Jimmy Page
+	//   Plant        → Robert Plant
+	// doc 1: 2 mentions, 2 comparisons, 3 graph entities
+	//   Page         → Jimmy Page
+	//   Led Zeppelin → Led Zeppelin
+	// doc 2: 2 mentions, 2 comparisons, 3 graph entities
+	//   Plant        → Robert Plant
+	//   Page         → Jimmy Page
+}
+
 // ExampleSystem_AnnotateStream streams a document sequence through the
 // concurrent annotator: documents are processed by two workers, yet
 // results arrive strictly in input order and are byte-identical to a

@@ -22,8 +22,9 @@ import (
 //
 // Overlays stack: the base may itself be an Overlay, so repeated
 // ApplyDelta calls form a chain. Each layer adds one map lookup to
-// shadowed reads; processes applying many deltas over a long life should
-// periodically compact with Rebuild and swap the fresh KB in.
+// shadowed reads, and the chain grows by one per delta for the life of a
+// process: Rebuild produces the equivalent flat KB, but nothing swaps it
+// into a serving System yet, so compaction is an open problem.
 type Overlay struct {
 	base  Store
 	baseN int

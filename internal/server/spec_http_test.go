@@ -100,6 +100,40 @@ func TestAnnotateValidationErrorParity(t *testing.T) {
 	}
 }
 
+// TestAnnotateConfidenceIterationsCap: the CONF iteration count is capped
+// at MaxConfidenceIterations, so one request cannot pin a worker for a
+// billion perturbation rounds. The cap itself is served; one more is a 400
+// carrying the resolution error's text.
+func TestAnnotateConfidenceIterationsCap(t *testing.T) {
+	k, docs := testWorld(t, 1)
+	sys, ts := newTestServer(t, k, Config{})
+
+	for _, tc := range []struct {
+		iterations int
+		status     int
+	}{
+		{aida.MaxConfidenceIterations, http.StatusOK},
+		{aida.MaxConfidenceIterations + 1, http.StatusBadRequest},
+	} {
+		spec := aida.RequestSpec{Confidence: &aida.ConfidenceSpec{Iterations: tc.iterations, Seed: 7}}
+		resp := postJSON(t, ts.URL+"/v1/annotate", annotateRequest{Text: docs[0], RequestSpec: spec})
+		body := readAll(t, resp)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("iterations %d: status %d (body %s), want %d", tc.iterations, resp.StatusCode, body, tc.status)
+		}
+		if tc.status == http.StatusOK {
+			continue
+		}
+		goErr := sys.ValidateRequest(&spec)
+		var er struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &er); err != nil || goErr == nil || er.Error != goErr.Error() {
+			t.Fatalf("iterations %d: error body %s, want the Go error %v", tc.iterations, body, goErr)
+		}
+	}
+}
+
 // TestBatchRejectsPerMentionExtras pins the batch endpoint's shape guard:
 // candidates, confidence and stats only exist on /v1/annotate.
 func TestBatchRejectsPerMentionExtras(t *testing.T) {

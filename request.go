@@ -59,8 +59,9 @@ type RequestSpec struct {
 }
 
 // ConfidenceSpec configures the CONF confidence assessor of a request
-// (Chapter 5): the perturbation iteration count (≤ 0 falls back to 10) and
-// the seed fixing the perturbation randomness.
+// (Chapter 5): the perturbation iteration count (≤ 0 falls back to 10; at
+// most MaxConfidenceIterations) and the seed fixing the perturbation
+// randomness.
 type ConfidenceSpec struct {
 	Iterations int   `json:"iterations,omitempty"`
 	Seed       int64 `json:"seed,omitempty"`
@@ -98,13 +99,17 @@ const (
 	MaxContextKeyphrases = 64
 	// MaxContextEntities bounds ContextSpec.Entities.
 	MaxContextEntities = 256
+	// MaxConfidenceIterations bounds ConfidenceSpec.Iterations: the
+	// dissertation's largest perturbation count. Each round re-solves the
+	// document, so an unbounded count would pin a worker indefinitely.
+	MaxConfidenceIterations = 500
 )
 
 // InvalidRequestError marks a request rejected during option resolution —
 // an unknown method or domain, negative parallelism, an oversized or
-// out-of-range context, or conflicting duplicate options. The HTTP server
-// maps it to 400 with the identical message; anything else stays a server
-// error.
+// out-of-range context, too many confidence iterations, or conflicting
+// duplicate options. The HTTP server maps it to 400 with the identical
+// message; anything else stays a server error.
 type InvalidRequestError struct{ Err error }
 
 func (e *InvalidRequestError) Error() string { return e.Err.Error() }
@@ -321,8 +326,9 @@ func IncludeCandidates() AnnotateOption {
 
 // IncludeConfidence asks for per-mention CONF confidence scores
 // (normalized weighted degree + entity perturbation, Chapter 5) in
-// Document.Confidence. iterations ≤ 0 falls back to 10; seed fixes the
-// perturbation randomness so repeated requests agree.
+// Document.Confidence. iterations ≤ 0 falls back to 10, and more than
+// MaxConfidenceIterations is rejected; seed fixes the perturbation
+// randomness so repeated requests agree.
 func IncludeConfidence(iterations int, seed int64) AnnotateOption {
 	return func(o *RequestSpec) {
 		o.Confidence = &ConfidenceSpec{Iterations: iterations, Seed: seed}

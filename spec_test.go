@@ -65,6 +65,11 @@ func TestRequestValidationErrors(t *testing.T) {
 			want: "invalid context weight 1.5: must be in [0, 1]",
 		},
 		{
+			name: "too many confidence iterations",
+			opts: []AnnotateOption{IncludeConfidence(MaxConfidenceIterations+1, 7)},
+			want: "too many confidence iterations: 501 exceeds the limit of 500",
+		},
+		{
 			name: "duplicate method options",
 			opts: []AnnotateOption{UseMethodNamed("prior"), UseMethodNamed("sim")},
 			want: "conflicting annotate options: method given more than once",
@@ -128,6 +133,8 @@ func TestValidateRequestMatchesAnnotate(t *testing.T) {
 		{Domain: "nope"},
 		{Context: &ContextSpec{Keyphrases: []string{"jazz"}, Weight: 2}},
 		{Context: &ContextSpec{Entities: make([]EntityID, MaxContextEntities+1)}},
+		{Confidence: &ConfidenceSpec{Iterations: MaxConfidenceIterations}},
+		{Confidence: &ConfidenceSpec{Iterations: MaxConfidenceIterations + 1}},
 	}
 	for _, spec := range specs {
 		verr := sys.ValidateRequest(spec)

@@ -2,7 +2,11 @@ package aida
 
 import (
 	"bytes"
+	"context"
 	"testing"
+
+	"aida/internal/emerge"
+	"aida/internal/ner"
 )
 
 // demoKB builds the running example of the dissertation's Chapter 3.
@@ -64,27 +68,52 @@ func TestSystemAnnotate(t *testing.T) {
 
 func TestSystemRecognize(t *testing.T) {
 	sys := New(demoKB())
-	spans := sys.Recognize("Plant sang while Page played.")
-	if len(spans) != 2 {
-		t.Fatalf("want 2 mentions, got %v", spans)
+	anns := annotateDoc(t, sys, "Plant sang while Page played.")
+	if len(anns) != 2 {
+		t.Fatalf("want 2 mentions, got %v", anns)
 	}
 }
 
 func TestSystemDisambiguateExplicitMentions(t *testing.T) {
 	sys := New(demoKB())
-	out := sys.Disambiguate("Kashmir is a disputed territory.", []string{"Kashmir"})
-	if out.Results[0].Label != "Kashmir" {
-		t.Errorf("geography context should pick the region, got %q", out.Results[0].Label)
+	anns := annotateDoc(t, sys, "Kashmir is a disputed territory.", WithMentions("Kashmir"))
+	if anns[0].Label != "Kashmir" {
+		t.Errorf("geography context should pick the region, got %q", anns[0].Label)
+	}
+	// Given surfaces are placed left to right, each after the previous one.
+	anns = annotateDoc(t, sys, "Page met Page.", WithMentions("Page", "Page"))
+	if len(anns) != 2 || anns[0].Mention.Start != 0 || anns[1].Mention.Start != 9 || anns[1].Mention.End != 13 {
+		t.Errorf("given mentions misplaced: %+v", anns)
+	}
+	// A surface is placed on whole tokens only: "Page" inside the earlier
+	// "Pageant" is skipped, and the token and sentence indexes are those
+	// of the covered tokens.
+	anns = annotateDoc(t, sys, "The Pageant ended. Then Jimmy Page played.", WithMentions("Page", "played"))
+	want := []ner.Mention{
+		{Text: "Page", Start: 30, End: 34, TokenStart: 6, TokenEnd: 7, Sentence: 1},
+		{Text: "played", Start: 35, End: 41, TokenStart: 7, TokenEnd: 8, Sentence: 1},
+	}
+	if len(anns) != len(want) || anns[0].Mention != want[0] || anns[1].Mention != want[1] {
+		t.Errorf("given mentions = %+v, want mentions %+v", anns, want)
+	}
+	// A multi-token surface must end on a token end too.
+	anns = annotateDoc(t, sys, "Jimmy Pageant met Jimmy Page.", WithMentions("Jimmy Page"))
+	if m := anns[0].Mention; m.Start != 18 || m.End != 28 || m.TokenStart != 3 || m.TokenEnd != 5 {
+		t.Errorf("multi-token given mention = %+v, want bytes 18-28, tokens 3-5", m)
 	}
 }
 
 func TestSystemWithOptions(t *testing.T) {
-	sys := New(demoKB(), WithMethod(Baselines()[5]), WithMaxCandidates(1)) // prior-only
-	out := sys.Disambiguate("Page spoke.", []string{"Page"})
-	if out.Results[0].Label != "Larry Page" {
-		t.Errorf("prior-only should pick Larry Page, got %q", out.Results[0].Label)
+	prior, _ := MethodByName("prior")
+	sys := New(demoKB(), WithMethod(prior), WithMaxCandidates(1))
+	doc, err := sys.AnnotateDoc(context.Background(), "Page spoke.", WithMentions("Page"), IncludeCandidates())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := len(sys.NewProblem("Page", []string{"Page"}).Mentions[0].Candidates); got != 1 {
+	if doc.Annotations[0].Label != "Larry Page" {
+		t.Errorf("prior-only should pick Larry Page, got %q", doc.Annotations[0].Label)
+	}
+	if got := len(doc.Candidates[0]); got != 1 {
 		t.Errorf("candidate cap ignored: %d", got)
 	}
 }
@@ -108,22 +137,31 @@ func TestSystemRelatedness(t *testing.T) {
 
 func TestSystemConfidence(t *testing.T) {
 	sys := New(demoKB())
-	p := sys.NewProblem("Page played unusual chords.", []string{"Page"})
-	out := sys.Method.Disambiguate(p)
-	conf := sys.Confidence(p, out, 5, 1)
-	if len(conf) != 1 || conf[0] < 0 || conf[0] > 1 {
+	doc, err := sys.AnnotateDoc(context.Background(), "Page played unusual chords.", WithMentions("Page"), IncludeConfidence(5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conf := doc.Confidence; len(conf) != 1 || conf[0] < 0 || conf[0] > 1 {
 		t.Fatalf("bad confidence: %v", conf)
 	}
 }
 
+// TestSystemDiscoverEmerging runs Chapter 5's emerging-entity pipeline over
+// a System's serving generation, as the experiments drive it.
 func TestSystemDiscoverEmerging(t *testing.T) {
 	sys := New(demoKB())
-	corpus := []string{
+	lv := sys.Live()
+	pl := &emerge.Pipeline{KB: lv.Store, Method: sys.Method, Scorer: lv.Engine}
+	surfaces := []string{"Snowden"}
+	var chunk []emerge.ChunkDoc
+	for _, text := range []string{
 		"The whistleblower Snowden revealed a secret surveillance program.",
 		"Officials said Snowden leaked the intelligence files.",
+	} {
+		chunk = append(chunk, emerge.ChunkDoc{Text: text, Surfaces: surfaces})
 	}
 	// "Snowden" is not in the demo KB at all: trivially emerging.
-	disc := sys.DiscoverEmerging("Snowden spoke about the surveillance program.", []string{"Snowden"}, corpus)
+	disc := pl.Run("Snowden spoke about the surveillance program.", surfaces, chunk, nil)
 	if !disc.Emerging[0] {
 		t.Fatal("unknown name should be discovered as emerging")
 	}
@@ -137,19 +175,20 @@ func TestSystemSurfaceExpansion(t *testing.T) {
 	b.AddName("Carter", jimmy, 95)
 	b.AddKeyphrase(rubin, "middleweight boxer")
 	b.AddKeyphrase(jimmy, "united states president")
-	k := b.Build()
 
-	prior := Baselines()[5]
+	prior, _ := MethodByName("prior")
+	sys := New(b.Build(), WithMethod(prior))
 	text := "Rubin Carter fought. Carter won."
 	surfaces := []string{"Rubin Carter", "Carter"}
 
-	plain := New(k, WithMethod(prior)).Disambiguate(text, surfaces)
-	expanded := New(k, WithMethod(prior), WithSurfaceExpansion()).Disambiguate(text, surfaces)
-	if plain.Results[1].Label != "Jimmy Carter" {
+	on := true
+	plain := annotateDoc(t, sys, text, WithMentions(surfaces...))
+	expanded := annotateDoc(t, sys, text, (&RequestSpec{Mentions: surfaces, Expand: &on}).Options()...)
+	if plain[1].Label != "Jimmy Carter" {
 		t.Skip("prior no longer misleads; premise gone")
 	}
-	if expanded.Results[1].Label != "Rubin Carter" {
-		t.Fatalf("expansion should resolve Carter, got %q", expanded.Results[1].Label)
+	if expanded[1].Label != "Rubin Carter" {
+		t.Fatalf("expansion should resolve Carter, got %q", expanded[1].Label)
 	}
 }
 
@@ -163,9 +202,8 @@ func TestKBSaveLoadThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := New(k2)
-	out := sys.Disambiguate("Page played unusual chords on his Gibson.", []string{"Page"})
-	if out.Results[0].Label != "Jimmy Page" {
-		t.Errorf("loaded KB misbehaves: %q", out.Results[0].Label)
+	anns := annotateDoc(t, New(k2), "Page played unusual chords on his Gibson.", WithMentions("Page"))
+	if anns[0].Label != "Jimmy Page" {
+		t.Errorf("loaded KB misbehaves: %q", anns[0].Label)
 	}
 }

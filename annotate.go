@@ -5,10 +5,12 @@ import (
 	"iter"
 	"runtime"
 	"slices"
+	"strings"
 
 	"aida/internal/disambig"
 	"aida/internal/emerge"
 	"aida/internal/kb"
+	"aida/internal/ner"
 	"aida/internal/tokenizer"
 )
 
@@ -21,8 +23,8 @@ type Document struct {
 	// Index is the document's position within its corpus or stream
 	// (always 0 for AnnotateDoc).
 	Index int
-	// Annotations are the recognized mentions with their linked entities,
-	// in text order.
+	// Annotations are the recognized (or given, WithMentions) mentions
+	// with their linked entities, in text order.
 	Annotations []Annotation
 	// Candidates holds, per mention, the materialized candidate list with
 	// the method's final per-candidate scores attached (in the KB's
@@ -54,6 +56,7 @@ type annotateOptions struct {
 	method      Method
 	maxCands    int
 	expand      bool
+	mentions    []string // given mention surfaces; nil means recognize
 	parallelism int
 	withCands   bool
 	confIters   int
@@ -82,18 +85,11 @@ func (s *System) requestOptions(opts []AnnotateOption) (annotateOptions, error) 
 // Go options path and the HTTP server's JSON path produce identical
 // errors because both end up in this one function.
 func (s *System) resolveSpec(spec *RequestSpec) (annotateOptions, error) {
-	o := annotateOptions{
-		method:   s.Method,
-		maxCands: s.MaxCandidates,
-		expand:   s.ExpandSurfaces,
-	}
+	o := annotateOptions{method: s.Method, maxCands: s.MaxCandidates}
 	if spec.err != nil {
 		return o, spec.err
 	}
-	switch {
-	case spec.method != nil:
-		o.method = spec.method
-	case spec.Method != "" || spec.has(fieldMethod):
+	if spec.Method != "" || spec.has(fieldMethod) {
 		m, err := MethodByName(spec.Method)
 		if err != nil {
 			return o, &InvalidRequestError{Err: err}
@@ -101,7 +97,7 @@ func (s *System) resolveSpec(spec *RequestSpec) (annotateOptions, error) {
 		o.method = m
 	}
 	if o.method == nil {
-		o.method = NewAIDAMethod()
+		o.method = disambig.NewAIDA()
 	}
 	if spec.Parallelism < 0 {
 		return o, invalidRequestf("invalid parallelism %d: must be >= 0 (0 means the default)", spec.Parallelism)
@@ -112,6 +108,17 @@ func (s *System) resolveSpec(spec *RequestSpec) (annotateOptions, error) {
 	}
 	if spec.Expand != nil {
 		o.expand = *spec.Expand
+	}
+	if spec.has(fieldMentions) {
+		for i, m := range spec.Mentions {
+			if m == "" {
+				return o, invalidRequestf("invalid mentions: surface %d is empty", i)
+			}
+		}
+		o.mentions = spec.Mentions
+		if o.mentions == nil {
+			o.mentions = []string{} // WithMentions(): a document without mentions
+		}
 	}
 	o.withCands = spec.Candidates
 	if spec.Confidence != nil {
@@ -164,8 +171,10 @@ func (s *System) resolveSpec(spec *RequestSpec) (annotateOptions, error) {
 // annotating anything: nil means an equivalent AnnotateDoc call would
 // accept the request; otherwise the returned error is exactly the one the
 // annotate call would produce (an InvalidRequestError for client
-// mistakes). The HTTP server pre-validates streaming batch requests with
-// it, so a bad spec gets a clean 400 instead of failing mid-stream.
+// mistakes). Only given mentions the text does not hold pass here and
+// fail the annotate call, because only the text can tell. The HTTP server
+// pre-validates streaming batch requests with it, so a bad spec gets a
+// clean 400 instead of failing mid-stream.
 func (s *System) ValidateRequest(spec *RequestSpec) error {
 	_, err := s.requestOptions(spec.Options())
 	return err
@@ -211,9 +220,16 @@ func (s *System) annotateOne(ctx context.Context, text string, o annotateOptions
 	// same token stream (the context words of a document are a pure
 	// function of its tokens, so the annotations are unchanged).
 	tokens := tokenizer.Tokenize(text)
-	rec := s.recognizer
-	rec.Lexicon = lv.store
-	mentions := rec.RecognizeTokens(text, tokens)
+	var mentions []ner.Mention
+	if o.mentions != nil {
+		if mentions, err = locateMentions(text, tokens, o.mentions); err != nil {
+			return nil, err
+		}
+	} else {
+		rec := s.recognizer
+		rec.Lexicon = lv.store
+		mentions = rec.RecognizeTokens(text, tokens)
+	}
 	surfaces := make([]string, len(mentions))
 	for i, m := range mentions {
 		surfaces[i] = m.Text
@@ -252,6 +268,40 @@ func (s *System) annotateOne(ctx context.Context, text string, o annotateOptions
 	return doc, nil
 }
 
+// locateMentions places given mention surfaces in the text left to right,
+// each at its first whole-token occurrence at or after the previous
+// mention's end: the surface starts where a token starts and ends where a
+// token ends, so "Paris" is not found inside "Parisian". The token and
+// sentence indexes are those of the covered tokens, as for a recognized
+// mention.
+func locateMentions(text string, tokens []tokenizer.Token, surfaces []string) ([]ner.Mention, error) {
+	mentions := make([]ner.Mention, len(surfaces))
+	at, next := 0, 0 // byte and token index the next search starts from
+	for i, surface := range surfaces {
+		found := false
+		for k := next; k < len(tokens) && !found; k++ {
+			start := tokens[k].Start
+			if !strings.HasPrefix(text[start:], surface) {
+				continue
+			}
+			end := start + len(surface)
+			e := k
+			for e < len(tokens) && tokens[e].End < end {
+				e++
+			}
+			if e < len(tokens) && tokens[e].End == end {
+				mentions[i] = ner.Mention{Text: surface, Start: start, End: end,
+					TokenStart: k, TokenEnd: e + 1, Sentence: tokens[k].Sentence}
+				at, next, found = end, e+1, true
+			}
+		}
+		if !found {
+			return nil, invalidRequestf("invalid mentions: surface %d (%q) not found as whole tokens in the text at or after byte %d", i, surface, at)
+		}
+	}
+	return mentions, nil
+}
+
 // rankedCandidates pairs each mention's materialized candidates with the
 // method's final score vector.
 func rankedCandidates(p *disambig.Problem, out *disambig.Output) [][]RankedCandidate {
@@ -272,11 +322,12 @@ func rankedCandidates(p *disambig.Problem, out *disambig.Output) [][]RankedCandi
 	return all
 }
 
-// AnnotateDoc runs the full pipeline — recognition plus disambiguation —
-// on one document. ctx cancels in-flight scoring promptly (the coherence
-// workers observe it); options select the method, candidate cap, surface
-// expansion, coherence parallelism and opt-in extras for this request
-// only. The annotations are byte-identical at any parallelism.
+// AnnotateDoc runs the full pipeline — recognition (or the given mentions
+// of WithMentions) plus disambiguation — on one document. ctx cancels
+// in-flight scoring promptly (the coherence workers observe it); options
+// select the method, candidate cap, surface expansion, context, domain,
+// coherence parallelism and opt-in extras for this request only. The
+// annotations are byte-identical at any parallelism.
 func (s *System) AnnotateDoc(ctx context.Context, text string, opts ...AnnotateOption) (*Document, error) {
 	o, err := s.requestOptions(opts)
 	if err != nil {
@@ -287,9 +338,9 @@ func (s *System) AnnotateDoc(ctx context.Context, text string, opts ...AnnotateO
 
 // AnnotateCorpus annotates a slice of documents and returns them in input
 // order: it collects AnnotateStream over the slice, so fan-out width,
-// cancellation and determinism are the stream's. An error — a failing
-// document or a canceled ctx — returns (nil, err); no partial result is
-// returned.
+// cancellation, determinism and the options it rejects are the stream's.
+// An error — a failing document or a canceled ctx — returns (nil, err); no
+// partial result is returned.
 func (s *System) AnnotateCorpus(ctx context.Context, docs []string, opts ...AnnotateOption) ([]*Document, error) {
 	out := make([]*Document, 0, len(docs))
 	for doc, err := range s.AnnotateStream(ctx, slices.Values(docs), opts...) {
@@ -322,10 +373,14 @@ func (s *System) AnnotateCorpus(ctx context.Context, docs []string, opts ...Anno
 // error on every yielded pair therefore means the sequence was annotated
 // completely. The yielded annotations are byte-identical to an AnnotateDoc
 // loop at any parallelism, because the shared engine memoizes only pure
-// functions of the KB.
+// functions of the KB. Given mentions (WithMentions) belong to one
+// document, so the stream rejects them with an InvalidRequestError.
 func (s *System) AnnotateStream(ctx context.Context, docs iter.Seq[string], opts ...AnnotateOption) iter.Seq2[*Document, error] {
 	return func(yield func(*Document, error) bool) {
 		o, err := s.requestOptions(opts)
+		if err == nil && o.mentions != nil {
+			err = invalidRequestf("mentions belong to one document: annotate it with AnnotateDoc")
+		}
 		if err != nil {
 			yield(nil, err)
 			return

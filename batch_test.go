@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"aida/internal/disambig"
 	"aida/internal/wiki"
 )
 
@@ -90,7 +91,7 @@ func TestAnnotateBatchMatchesSequential(t *testing.T) {
 // of the engine's memo, its snapshots and its warm-up annotate through this
 // method.
 func koreMethod() Method {
-	return NewMethod("aida-kore", Config{
+	return disambig.NewAIDAVariant("aida-kore", disambig.Config{
 		UsePrior: true, PriorTest: true, UseCoherence: true, CoherenceTest: true, Measure: KORE,
 	})
 }
@@ -102,12 +103,12 @@ func TestAnnotateBatchWarmsEngine(t *testing.T) {
 	k, docs := batchWorld(t, 8)
 	sys := New(k, WithMaxCandidates(10), WithMethod(koreMethod()))
 	annotateCorpus(t, sys, docs, WithParallelism(4))
-	misses1 := sys.Scorer().Stats().Misses
+	misses1 := sys.Live().Engine.Stats().Misses
 	if misses1 == 0 {
 		t.Fatal("expected the engine to compute pair values during batch annotation")
 	}
 	annotateCorpus(t, sys, docs, WithParallelism(4))
-	st := sys.Scorer().Stats()
+	st := sys.Live().Engine.Stats()
 	if st.Misses != misses1 {
 		t.Errorf("second pass over the same docs recomputed %d pairs", st.Misses-misses1)
 	}
@@ -134,7 +135,7 @@ func TestDefaultMethodEngineDoesNotGrow(t *testing.T) {
 	if comparisons == 0 {
 		t.Fatal("the corpus compared no entity pair; the bound is vacuous")
 	}
-	if st := sys.Scorer().Stats(); st.Pairs != 0 || st.Profiles != 0 {
+	if st := sys.Live().Engine.Stats(); st.Pairs != 0 || st.Profiles != 0 {
 		t.Errorf("engine holds %d pairs and %d profiles after %d documents (%d comparisons) under the default method, want none",
 			st.Pairs, st.Profiles, len(docs), comparisons)
 	}
@@ -208,7 +209,7 @@ func TestSystemRelatednessReusesEngine(t *testing.T) {
 			t.Fatalf("%v: fresh system disagrees: %v vs %v", kind, first, fresh)
 		}
 	}
-	if sys.Scorer().Stats().Hits == 0 {
+	if sys.Live().Engine.Stats().Hits == 0 {
 		t.Error("repeated Relatedness calls should hit the engine cache")
 	}
 }

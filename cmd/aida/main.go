@@ -12,7 +12,9 @@
 // with -shard-map fleet.json the KB is dialed from remote shard hosts
 // (aidaserver -shard-host processes) and nothing is loaded locally.
 // Mentions are recognized automatically unless -mentions supplies a
-// comma-separated list of surfaces.
+// comma-separated list of surfaces, in text order, to link instead; each
+// must occur in the text after the previous one. It composes with every
+// other flag except -batch.
 //
 // With -batch the input (stdin or a file named by -in) is treated as
 // multiple documents separated by blank lines; documents are annotated
@@ -43,6 +45,7 @@ import (
 	"time"
 
 	"aida"
+	"aida/internal/kb"
 	"aida/internal/wiki"
 )
 
@@ -93,7 +96,7 @@ func main() {
 
 	sys := aida.New(store, aida.WithMethod(m), aida.WithMaxCandidates(20))
 	if *domains != "" {
-		dicts, err := aida.LoadDomainDictionaries(*domains)
+		dicts, err := kb.LoadDomainDictionaries(*domains)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -127,18 +130,11 @@ func main() {
 		return
 	}
 	if *mentions != "" {
-		if len(opts) > 0 {
-			log.Fatal("-mentions bypasses the request pipeline; drop -context/-domain")
-		}
 		surfaces := strings.Split(*mentions, ",")
 		for i := range surfaces {
 			surfaces[i] = strings.TrimSpace(surfaces[i])
 		}
-		out := sys.Disambiguate(text, surfaces)
-		for _, r := range out.Results {
-			printResult(r.Surface, r.Label, r.Entity, r.Score)
-		}
-		return
+		opts = append(opts, aida.WithMentions(surfaces...))
 	}
 	doc, err := sys.AnnotateDoc(ctx, text, opts...)
 	if err != nil {
@@ -236,11 +232,11 @@ func loadKB(path string, gen int, seed int64) (*aida.KB, error) {
 // both.
 func openStore(kbPath string, gen int, seed int64, shardMap string, hedge time.Duration) (aida.Store, error) {
 	if shardMap != "" {
-		m, err := aida.LoadShardMap(shardMap)
+		m, err := kb.LoadShardMap(shardMap)
 		if err != nil {
 			return nil, err
 		}
-		return aida.DialFleet(context.Background(), m, aida.RemoteOptions{HedgeAfter: hedge})
+		return kb.DialFleet(context.Background(), m, kb.RemoteOptions{HedgeAfter: hedge})
 	}
 	k, err := loadKB(kbPath, gen, seed)
 	if err != nil {

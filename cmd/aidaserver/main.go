@@ -91,6 +91,7 @@ import (
 	"time"
 
 	"aida"
+	"aida/internal/kb"
 	"aida/internal/kb/live"
 	"aida/internal/server"
 	"aida/internal/wiki"
@@ -133,17 +134,17 @@ func main() {
 		os.Exit(1)
 	}
 	var store aida.Store
-	var host *aida.StoreHost
+	var host *kb.StoreHost
 	if *shardMap != "" {
 		// Fleet-client mode: the KB lives on remote shard hosts; nothing is
 		// loaded locally (dictionary keys and IDF tables are mirrored at
 		// dial time, entities and candidate rows fetched on demand).
-		fleet, err := aida.LoadShardMap(*shardMap)
+		fleet, err := kb.LoadShardMap(*shardMap)
 		if err != nil {
 			logger.Error("load shard map", "err", err)
 			os.Exit(1)
 		}
-		remote, err := aida.DialFleet(context.Background(), fleet, aida.RemoteOptions{HedgeAfter: *hedge})
+		remote, err := kb.DialFleet(context.Background(), fleet, kb.RemoteOptions{HedgeAfter: *hedge})
 		if err != nil {
 			logger.Error("dial shard fleet", "err", err)
 			os.Exit(1)
@@ -172,7 +173,7 @@ func main() {
 			logger.Error("invalid -shard-host, want \"i/n\"", "value", *shardHost)
 			os.Exit(1)
 		}
-		host, err = aida.NewStoreHost(store, shard, width)
+		host, err = kb.NewStoreHost(store, shard, width)
 		if err != nil {
 			logger.Error("shard host", "err", err)
 			os.Exit(1)
@@ -216,7 +217,7 @@ func main() {
 		// Registered after the journal replay only so each layer is built
 		// once: ApplyDelta rebuilds every registered layer over the new
 		// generation, so either order serves the same layers.
-		dicts, err := aida.LoadDomainDictionaries(*domains)
+		dicts, err := kb.LoadDomainDictionaries(*domains)
 		if err != nil {
 			logger.Error("load domain dictionaries", "path", *domains, "err", err)
 			os.Exit(1)

@@ -43,9 +43,11 @@
 // stream, aborts in-flight scoring promptly; cancellation surfaces
 // ctx.Err().
 //
-// Per-request AnnotateOptions select the method (UseMethod,
-// UseMethodNamed), parallelism (WithParallelism), candidate cap
-// (CapCandidates), surface expansion (SurfaceExpansion) and opt-in result
+// Per-request AnnotateOptions — each one field of a RequestSpec, the
+// same struct the HTTP server decodes — select the method
+// (UseMethodNamed), parallelism (WithParallelism), given mentions instead
+// of recognition (WithMentions, the paper's gold-span setting), a context
+// prior (WithContext), a domain layer (WithDomain) and opt-in result
 // extras (IncludeCandidates, IncludeConfidence, IncludeStats) without
 // touching the System, so one process serves heterogeneous traffic:
 //
@@ -54,13 +56,13 @@
 //
 // # Scoring engine and deterministic concurrency
 //
-// Every System holds a Scorer: a long-lived, sharded, concurrency-safe
+// Every System holds one long-lived, sharded, concurrency-safe scoring
 // engine bound to its KB that interns per-entity keyphrase profiles and
 // memoizes pairwise relatedness for the keyphrase measure kinds (KWCS,
-// KPCS, KORE and its LSH variants) across documents. Single-document
-// annotation, System.Relatedness, coherence scoring and the
-// emerging-entity pipeline all draw from it, so under those measures
-// repeated candidate entities are never re-scored. The default method's
+// KPCS, KORE and its LSH variants) across documents. Annotation,
+// System.Relatedness and coherence scoring all draw from it, so under
+// those measures repeated candidate entities are never re-scored. The
+// default method's
 // Milne–Witten coherence is cheaper to compute than to remember: each
 // document derives it from an inverted index over its in-link lists. The
 // memo is neither bounded nor persisted: a process boots cold.
@@ -69,15 +71,16 @@
 // byte-identical to a sequential AnnotateDoc loop at any parallelism,
 // because the engine memoizes only pure functions of the KB.
 //
-// The engine's state is observable: (*Scorer).Stats returns a ScorerStats
+// The engine's state is observable: System.Live().Engine.Stats() returns a
 // snapshot with per-measure-kind cache hit/miss counters and the interned
 // profiles' approximate memory footprint.
 //
 // # Sharded knowledge bases
 //
 // Systems are built over a Store, the read interface every knowledge-base
-// implementation satisfies: the in-memory KB, the copy-on-write Overlay
-// and the RemoteStore client of a shard fleet. Sharding is a placement
+// implementation satisfies: the in-memory KB, the copy-on-write overlays
+// of live updates and domain layers, and the client of a remote shard
+// fleet. Sharding is a placement
 // rule — entities by id, dictionary rows by surface hash — that a fleet
 // lays its data out by; in one process ShardKB(k, n) returns a view whose
 // every read is the KB's own. Annotation output is byte-identical at any
@@ -105,6 +108,6 @@
 // the HTTP endpoints; docs/ARCHITECTURE.md maps the internal packages,
 // the mention–entity graph algorithm, and where the shared engine sits in
 // the data flow. The package's Examples (example_test.go) are runnable,
-// output-pinned walkthroughs of AnnotateDoc, AnnotateCorpus,
-// AnnotateStream and Relatedness.
+// output-pinned walkthroughs of AnnotateDoc (on recognized and on given
+// mentions), AnnotateCorpus, AnnotateStream and Relatedness.
 package aida

@@ -62,7 +62,7 @@ func ExampleSystem_Relatedness() {
 	fmt.Printf("KORE(Larry Page, Led Zeppelin) = %.3f\n", sys.Relatedness(aida.KORE, larry, zep))
 	fmt.Printf("KORE(Jimmy Page, Led Zeppelin) = %.3f again\n", sys.Relatedness(aida.KORE, jimmy, zep))
 
-	st := sys.Scorer().Stats()
+	st := sys.Live().Engine.Stats()
 	fmt.Printf("engine: %d pairs memoized, %d hits, %d misses\n", st.Pairs, st.Hits, st.Misses)
 	// Output:
 	// MW  (Jimmy Page, Led Zeppelin) = 0.415
@@ -106,6 +106,32 @@ func ExampleSystem_AnnotateDoc() {
 	// prior: Kashmir → Kashmir
 	// prior: Page    → Larry Page
 	// prior: Plant   → Robert Plant
+}
+
+// ExampleSystem_AnnotateDoc_mentions links given mention surfaces — the
+// paper's setting of gold mention spans — instead of recognized ones, and
+// blends in a request context: the interest keyphrases of the user who
+// wrote the text. Each surface is located after the previous one, so the
+// annotations carry their offsets.
+func ExampleSystem_AnnotateDoc_mentions() {
+	sys := aida.New(exampleKB())
+	text := "Page spoke, and the crowd cheered for Page."
+	for _, interest := range []string{"search engine", "English rock guitarist"} {
+		doc, err := sys.AnnotateDoc(context.Background(), text,
+			aida.WithMentions("Page", "Page"), aida.WithContext(interest))
+		if err != nil {
+			fmt.Println("annotate:", err)
+			return
+		}
+		for _, a := range doc.Annotations {
+			fmt.Printf("%-24s %s [%d,%d) → %s\n", interest+":", a.Mention.Text, a.Mention.Start, a.Mention.End, a.Label)
+		}
+	}
+	// Output:
+	// search engine:           Page [0,4) → Larry Page
+	// search engine:           Page [38,42) → Larry Page
+	// English rock guitarist:  Page [0,4) → Jimmy Page
+	// English rock guitarist:  Page [38,42) → Jimmy Page
 }
 
 // ExampleSystem_AnnotateCorpus annotates an in-memory corpus concurrently

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"aida/internal/analytics"
+	"aida/internal/emerge"
 	"aida/internal/eval"
 	"aida/internal/search"
 	"aida/internal/tokenizer"
@@ -26,21 +27,25 @@ func TestIntegrationAIDABeatsPrior(t *testing.T) {
 	}
 	world := integrationWorld(t)
 	docs := world.GenerateCorpus(wiki.CoNLLSpec(12, 5))
-	run := func(m Method) float64 {
+	run := func(method string) float64 {
+		m, err := MethodByName(method)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sys := New(world.KB, WithMethod(m), WithMaxCandidates(10))
 		var labels [][]eval.Label
 		for i := range docs {
-			out := sys.Disambiguate(docs[i].Text, docs[i].Surfaces())
+			anns := annotateDoc(t, sys, docs[i].Text, WithMentions(docs[i].Surfaces()...))
 			row := make([]eval.Label, len(docs[i].Mentions))
 			for j, gm := range docs[i].Mentions {
-				row[j] = eval.Label{Gold: gm.Entity, Pred: out.Results[j].Entity}
+				row[j] = eval.Label{Gold: gm.Entity, Pred: anns[j].Entity}
 			}
 			labels = append(labels, row)
 		}
 		return eval.MicroAccuracy(labels, eval.InKBOnly)
 	}
-	aidaAcc := run(NewAIDAMethod())
-	priorAcc := run(Baselines()[5]) // prior-only
+	aidaAcc, priorAcc := run("aida"), run("prior")
+	t.Logf("in-KB micro accuracy on given mentions: aida %.17g, prior %.17g", aidaAcc, priorAcc)
 	if aidaAcc <= priorAcc {
 		t.Fatalf("AIDA (%.3f) should beat the prior baseline (%.3f)", aidaAcc, priorAcc)
 	}
@@ -58,10 +63,9 @@ func TestIntegrationRecognitionFindsGoldSurfaces(t *testing.T) {
 	sys := New(world.KB)
 	found, total := 0, 0
 	for i := range docs {
-		spans := sys.Recognize(docs[i].Text)
 		surfaces := map[string]bool{}
-		for _, sp := range spans {
-			surfaces[sp.Text] = true
+		for _, a := range annotateDoc(t, sys, docs[i].Text) {
+			surfaces[a.Mention.Text] = true
 		}
 		for _, gm := range docs[i].Mentions {
 			total++
@@ -81,13 +85,13 @@ func TestIntegrationEEPipelineOverStream(t *testing.T) {
 	}
 	world := integrationWorld(t)
 	stream := world.NewsStream(wiki.DefaultNewsSpec(4, 8, 3))
-	pl := &EEPipeline{
+	pl := &emerge.Pipeline{
 		KB:            world.KB,
 		MaxCandidates: 10,
 		HarvestWindow: -1,
-		Model:         EEModelConfig{MaxKeyphrases: 25, MinCount: 2},
+		Model:         emerge.ModelConfig{MaxKeyphrases: 25, MinCount: 2},
 	}
-	var chunk []ChunkDoc
+	var chunk []emerge.ChunkDoc
 	var today []wiki.Document
 	for _, d := range stream {
 		if d.Day < 4 {
@@ -97,7 +101,7 @@ func TestIntegrationEEPipelineOverStream(t *testing.T) {
 					surfaces = append(surfaces, gm.Surface)
 				}
 			}
-			chunk = append(chunk, ChunkDoc{Text: d.Text, Surfaces: surfaces})
+			chunk = append(chunk, emerge.ChunkDoc{Text: d.Text, Surfaces: surfaces})
 		} else {
 			today = append(today, d)
 		}
@@ -174,15 +178,14 @@ func TestIntegrationSearchAndAnalytics(t *testing.T) {
 			goldDays := map[EntityID]map[int]int{}     // entity → day → gold mentions
 			surfaceDays := map[string]map[int]int{}    // surface → day → mentions
 			for _, d := range world.NewsStream(w.news) {
-				out := sys.Disambiguate(d.Text, d.Surfaces())
 				var anns []search.Annotation
 				var ents []EntityID
-				for _, r := range out.Results {
-					if r.Entity == NoEntity {
+				for _, a := range annotateDoc(t, sys, d.Text, WithMentions(d.Surfaces()...)) {
+					if a.Entity == NoEntity {
 						continue
 					}
-					anns = append(anns, search.Annotation{Entity: r.Entity, Surface: r.Surface})
-					ents = append(ents, r.Entity)
+					anns = append(anns, search.Annotation{Entity: a.Entity, Surface: a.Mention.Text})
+					ents = append(ents, a.Entity)
 				}
 				ix.AddDocument(d.ID, d.Text, anns)
 				stats.AddDoc(d.Day, ents)

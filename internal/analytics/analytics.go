@@ -1,34 +1,15 @@
 // Package analytics implements the entity-based news analytics application
 // of Sec. 6.2 ("Analytics with Strings, Things, and Cats"): entity
-// frequency time series over a day-stamped document stream, entity
-// co-occurrence statistics, and burst-based trending detection.
+// frequency time series over a day-stamped document stream.
 package analytics
 
-import (
-	"sort"
-
-	"aida/internal/kb"
-)
-
-// EntityCount pairs an entity with a count or score.
-type EntityCount struct {
-	Entity kb.EntityID
-	Count  int
-}
-
-// EntityScore pairs an entity with a floating score.
-type EntityScore struct {
-	Entity kb.EntityID
-	Score  float64
-}
+import "aida/internal/kb"
 
 // Analytics accumulates a disambiguated news stream. The zero value is not
 // ready; use New.
 type Analytics struct {
 	// perDay[day][entity] = mention count
-	perDay map[int]map[kb.EntityID]int
-	// co[entity][other] = number of documents both occurred in
-	co      map[kb.EntityID]map[kb.EntityID]int
+	perDay  map[int]map[kb.EntityID]int
 	minDay  int
 	maxDay  int
 	hasDocs bool
@@ -36,10 +17,7 @@ type Analytics struct {
 
 // New creates an empty analytics store.
 func New() *Analytics {
-	return &Analytics{
-		perDay: make(map[int]map[kb.EntityID]int),
-		co:     make(map[kb.EntityID]map[kb.EntityID]int),
-	}
+	return &Analytics{perDay: make(map[int]map[kb.EntityID]int)}
 }
 
 // AddDoc records one document's disambiguated entities for a day.
@@ -57,35 +35,11 @@ func (a *Analytics) AddDoc(day int, entities []kb.EntityID) {
 		m = make(map[kb.EntityID]int)
 		a.perDay[day] = m
 	}
-	distinct := map[kb.EntityID]bool{}
 	for _, e := range entities {
-		if e == kb.NoEntity {
-			continue
-		}
-		m[e]++
-		distinct[e] = true
-	}
-	// Document-level co-occurrence among distinct entities.
-	ids := make([]kb.EntityID, 0, len(distinct))
-	for e := range distinct {
-		ids = append(ids, e)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			a.addCo(ids[i], ids[j])
-			a.addCo(ids[j], ids[i])
+		if e != kb.NoEntity {
+			m[e]++
 		}
 	}
-}
-
-func (a *Analytics) addCo(x, y kb.EntityID) {
-	m := a.co[x]
-	if m == nil {
-		m = make(map[kb.EntityID]int)
-		a.co[x] = m
-	}
-	m[y]++
 }
 
 // Days returns the covered day range (inclusive); ok is false when empty.
@@ -103,85 +57,6 @@ func (a *Analytics) Frequency(e kb.EntityID, from, to int) []int {
 		if m := a.perDay[d]; m != nil {
 			out[d-from] = m[e]
 		}
-	}
-	return out
-}
-
-// CoOccurring returns the entities co-occurring with e most often, sorted
-// by document co-occurrence count.
-func (a *Analytics) CoOccurring(e kb.EntityID, limit int) []EntityCount {
-	var out []EntityCount
-	for other, c := range a.co[e] {
-		out = append(out, EntityCount{Entity: other, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Entity < out[j].Entity
-	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
-}
-
-// Trending scores entities for a day by their burst factor: the day's count
-// against the mean of the preceding window (+1 smoothing), the classic
-// news-analytics trending measure.
-func (a *Analytics) Trending(day, window, limit int) []EntityScore {
-	today := a.perDay[day]
-	if len(today) == 0 {
-		return nil
-	}
-	var out []EntityScore
-	for e, c := range today {
-		var before float64
-		n := 0
-		for d := day - window; d < day; d++ {
-			if m := a.perDay[d]; m != nil {
-				before += float64(m[e])
-			}
-			n++
-		}
-		avg := 0.0
-		if n > 0 {
-			avg = before / float64(n)
-		}
-		out = append(out, EntityScore{Entity: e, Score: float64(c) / (avg + 1)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Entity < out[j].Entity
-	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
-}
-
-// TopEntities returns the most mentioned entities over [from,to].
-func (a *Analytics) TopEntities(from, to, limit int) []EntityCount {
-	total := map[kb.EntityID]int{}
-	for d := from; d <= to; d++ {
-		for e, c := range a.perDay[d] {
-			total[e] += c
-		}
-	}
-	var out []EntityCount
-	for e, c := range total {
-		out = append(out, EntityCount{Entity: e, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Entity < out[j].Entity
-	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
 	}
 	return out
 }

@@ -33,67 +33,6 @@ func TestDaysRange(t *testing.T) {
 	}
 }
 
-func TestCoOccurring(t *testing.T) {
-	a := New()
-	a.AddDoc(1, []kb.EntityID{1, 2, 3})
-	a.AddDoc(1, []kb.EntityID{1, 2})
-	a.AddDoc(2, []kb.EntityID{1, 3})
-	co := a.CoOccurring(1, 0)
-	if len(co) != 2 {
-		t.Fatalf("co-occurring = %v", co)
-	}
-	if co[0].Entity != 2 && co[0].Entity != 3 {
-		t.Fatalf("unexpected entity %v", co[0])
-	}
-	// Entities 2 and 3 both co-occur twice with 1.
-	if co[0].Count != 2 || co[1].Count != 2 {
-		t.Fatalf("counts wrong: %v", co)
-	}
-}
-
-func TestCoOccurrenceCountsDocumentsNotMentions(t *testing.T) {
-	a := New()
-	// Entity 2 appears twice in one document: still one co-occurrence.
-	a.AddDoc(1, []kb.EntityID{1, 2, 2})
-	co := a.CoOccurring(1, 0)
-	if len(co) != 1 || co[0].Count != 1 {
-		t.Fatalf("duplicate mentions inflate co-occurrence: %v", co)
-	}
-}
-
-func TestTrendingDetectsBurst(t *testing.T) {
-	a := New()
-	// Entity 5 is quiet for days 1-3, bursts on day 4; entity 6 is steady.
-	for d := 1; d <= 4; d++ {
-		a.AddDoc(d, []kb.EntityID{6})
-	}
-	a.AddDoc(4, []kb.EntityID{5})
-	a.AddDoc(4, []kb.EntityID{5})
-	a.AddDoc(4, []kb.EntityID{5})
-	trend := a.Trending(4, 3, 0)
-	if len(trend) == 0 || trend[0].Entity != 5 {
-		t.Fatalf("burst not detected: %v", trend)
-	}
-}
-
-func TestTrendingEmptyDay(t *testing.T) {
-	a := New()
-	a.AddDoc(1, []kb.EntityID{1})
-	if got := a.Trending(9, 3, 0); got != nil {
-		t.Fatalf("no data day should be nil, got %v", got)
-	}
-}
-
-func TestTopEntities(t *testing.T) {
-	a := New()
-	a.AddDoc(1, []kb.EntityID{1, 1, 2})
-	a.AddDoc(2, []kb.EntityID{2, 2, 2})
-	top := a.TopEntities(1, 2, 1)
-	if len(top) != 1 || top[0].Entity != 2 || top[0].Count != 4 {
-		t.Fatalf("top = %v", top)
-	}
-}
-
 func TestNoEntitySkipped(t *testing.T) {
 	a := New()
 	a.AddDoc(1, []kb.EntityID{kb.NoEntity, 1})

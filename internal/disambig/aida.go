@@ -121,7 +121,7 @@ func (a *AIDA) localWeights(p *Problem) (weights, sims [][]float64) {
 			// prior; their weight is pure similarity evidence, balanced
 			// only by the γ_EE edge scale (Sec. 5.6).
 			if usePrior && m.Candidates[j].Entity != kb.NoEntity {
-				w[j] = priorWeight*m.Candidates[j].Prior + (1-priorWeight)*sim[j]
+				w[j] = float64(priorWeight*m.Candidates[j].Prior) + float64((1-priorWeight)*sim[j])
 			} else {
 				w[j] = sim[j]
 			}
@@ -219,7 +219,7 @@ func (a *AIDA) Disambiguate(p *Problem) *Output {
 				if i2 == i || res.Assignment[i2] < 0 {
 					continue
 				}
-				s += gamma * scorer.score(scorer.ids[i][j], res.Assignment[i2])
+				s += float64(gamma * scorer.score(scorer.ids[i][j], res.Assignment[i2]))
 			}
 			scores[j] = s
 		}

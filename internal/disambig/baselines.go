@@ -57,15 +57,15 @@ func contextCosine(p *Problem, c *Candidate) float64 {
 			}
 			seen[w] = true
 			wgt := p.wordIDF(w)
-			entNorm += wgt * wgt
+			entNorm += float64(wgt * wgt)
 			if tf, ok := docVec[w]; ok {
-				dot += wgt * tf * p.wordIDF(w)
+				dot += float64(wgt * tf * p.wordIDF(w))
 			}
 		}
 	}
 	for _, w := range docWords {
 		v := docVec[w] * p.wordIDF(w)
-		docNorm += v * v
+		docNorm += float64(v * v)
 	}
 	if entNorm == 0 || docNorm == 0 {
 		return 0
@@ -155,7 +155,7 @@ func (k *Kulkarni) localScores(p *Problem) [][]float64 {
 		for j := range m.Candidates {
 			s := contextCosine(p, &m.Candidates[j])
 			if k.UsePrior {
-				s = 0.5*s + 0.5*m.Candidates[j].Prior
+				s = float64(0.5*s) + float64(0.5*m.Candidates[j].Prior)
 			}
 			scores[j] = s
 		}
@@ -269,7 +269,7 @@ func (t TagMe) Disambiguate(p *Problem) *Output {
 			if votes > 0 {
 				avg = vote / float64(votes)
 			}
-			scores[j] = 0.5*c.Prior + 0.5*avg
+			scores[j] = float64(0.5*c.Prior) + float64(0.5*avg)
 		}
 		best := argmax(scores)
 		score := 0.0
@@ -307,7 +307,7 @@ func (Wikifier) Disambiguate(p *Problem) *Output {
 		local := make([]float64, len(m.Candidates))
 		norm := normalizeSum(sims[i])
 		for j := range m.Candidates {
-			local[j] = 0.5*m.Candidates[j].Prior + 0.5*norm[j]
+			local[j] = float64(0.5*m.Candidates[j].Prior) + float64(0.5*norm[j])
 		}
 		tops = append(tops, scorer.ids[i][argmax(local)])
 	}
@@ -326,7 +326,7 @@ func (Wikifier) Disambiguate(p *Problem) *Output {
 			if len(tops) > 1 {
 				coh /= float64(len(tops) - 1)
 			}
-			scores[j] = 0.4*c.Prior + 0.3*norm[j] + 0.3*coh
+			scores[j] = float64(0.4*c.Prior) + float64(0.3*norm[j]) + float64(0.3*coh)
 		}
 		best := argmax(scores)
 		score := 0.0

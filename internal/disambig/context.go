@@ -117,6 +117,6 @@ func (cm *ContextModel) Blend(p *Problem, i int, w []float64) {
 	ctx := cm.scores(p, m)
 	cw := cm.weight()
 	for j := range w {
-		w[j] = (1-cw)*w[j] + cw*ctx[j]
+		w[j] = float64((1-cw)*w[j]) + float64(cw*ctx[j])
 	}
 }

@@ -208,7 +208,7 @@ func CONF(m disambig.Method, p *disambig.Problem, base *disambig.Output, cfg Per
 	pert := EntityPerturbation(m, p, base, cfg)
 	out := make([]float64, len(norm))
 	for i := range out {
-		out[i] = 0.5*norm[i] + 0.5*pert[i]
+		out[i] = float64(0.5*norm[i]) + float64(0.5*pert[i])
 	}
 	return out
 }

@@ -171,7 +171,7 @@ func TestCONFCombination(t *testing.T) {
 	norm := NormConfidence(base)
 	pert := EntityPerturbation(m, p, base, PerturbConfig{Iterations: 10, Seed: 3})
 	for i := range conf {
-		want := 0.5*norm[i] + 0.5*pert[i]
+		want := float64(0.5*norm[i]) + float64(0.5*pert[i])
 		if math.Abs(conf[i]-want) > 1e-9 {
 			t.Fatalf("CONF[%d] = %v, want %v", i, conf[i], want)
 		}

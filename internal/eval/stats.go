@@ -44,7 +44,7 @@ func ranks(v []float64) []float64 {
 		for j+1 < n && v[idx[j+1]] == v[idx[i]] {
 			j++
 		}
-		avg := float64(i+j)/2 + 1
+		avg := float64(float64(i+j)/2) + 1
 		for k := i; k <= j; k++ {
 			out[idx[k]] = avg
 		}
@@ -65,9 +65,9 @@ func pearson(a, b []float64) float64 {
 	var cov, va, vb float64
 	for i := range a {
 		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
+		cov += float64(da * db)
+		va += float64(da * da)
+		vb += float64(db * db)
 	}
 	if va == 0 || vb == 0 {
 		return 0
@@ -92,7 +92,7 @@ func PairedTTest(a, b []float64) (t, p float64) {
 	mean /= float64(n)
 	var varSum float64
 	for _, d := range diffs {
-		varSum += (d - mean) * (d - mean)
+		varSum += float64((d - mean) * (d - mean))
 	}
 	if varSum == 0 {
 		if mean == 0 {
@@ -117,7 +117,7 @@ func sign(x float64) int {
 // studentTwoTailed computes the two-tailed p-value of Student's t
 // distribution via the regularized incomplete beta function.
 func studentTwoTailed(t, df float64) float64 {
-	x := df / (df + t*t)
+	x := df / (df + float64(t*t))
 	return regIncBeta(df/2, 0.5, x)
 }
 
@@ -130,7 +130,7 @@ func regIncBeta(a, b, x float64) float64 {
 	if x >= 1 {
 		return 1
 	}
-	ln := lgamma(a+b) - lgamma(a) - lgamma(b) + a*math.Log(x) + b*math.Log(1-x)
+	ln := lgamma(a+b) - lgamma(a) - lgamma(b) + float64(a*math.Log(x)) + float64(b*math.Log(1-x))
 	front := math.Exp(ln)
 	if x < (a+1)/(a+b+2) {
 		return front * betacf(a, b, x) / a
@@ -160,7 +160,7 @@ func betacf(a, b, x float64) float64 {
 	for m := 1; m <= maxIter; m++ {
 		m2 := float64(2 * m)
 		aa := float64(m) * (b - float64(m)) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -171,7 +171,7 @@ func betacf(a, b, x float64) float64 {
 		d = 1 / d
 		h *= d * c
 		aa = -(a + float64(m)) * (qab + float64(m)) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -180,7 +180,7 @@ func betacf(a, b, x float64) float64 {
 			c = fpmin
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < eps {
 			break
@@ -209,7 +209,7 @@ func Stddev(v []float64) float64 {
 	m := Mean(v)
 	var s float64
 	for _, x := range v {
-		s += (x - m) * (x - m)
+		s += float64((x - m) * (x - m))
 	}
 	return math.Sqrt(s / float64(len(v)-1))
 }

@@ -268,7 +268,7 @@ func (s *solverState) prune(factor int) {
 		var sum float64
 		for m := 0; m < s.g.mentions; m++ {
 			d := s.mentionDistance(e, m)
-			sum += d * d
+			sum += float64(d * d)
 		}
 		dist[e] = sum
 	}

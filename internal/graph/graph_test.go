@@ -148,7 +148,7 @@ func TestLocalSearchFallback(t *testing.T) {
 	g := New(m, m*c)
 	for i := 0; i < m; i++ {
 		for j := 0; j < c; j++ {
-			g.AddMentionEdge(i, i*c+j, 0.1+rng.Float64())
+			g.AddMentionEdge(i, i*c+j, 0.1+float64(rng.Float64()))
 		}
 	}
 	for i := 0; i < m*c; i++ {

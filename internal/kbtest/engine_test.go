@@ -78,7 +78,7 @@ func TestGoldenCorpusEngineModes(t *testing.T) {
 					AnnotateJSON(t, sys, d.Text)
 				}
 				warmKORE(sys, 40)
-				if st := sys.Scorer().Stats(); st.Profiles == 0 || st.Pairs == 0 {
+				if st := sys.Live().Engine.Stats(); st.Profiles == 0 || st.Pairs == 0 {
 					t.Fatalf("engine is still cold after KORE traffic: %+v", st)
 				}
 				assertGolden(t, sys, docs, "warm")

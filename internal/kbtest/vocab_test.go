@@ -64,7 +64,7 @@ func refBlend(cm *disambig.ContextModel, m *disambig.Mention, idf func(string) f
 		if sum > 0 && raw[j] > 0 {
 			ctx = raw[j] / sum
 		}
-		w[j] = (1-cm.Weight)*w[j] + cm.Weight*ctx
+		w[j] = float64((1-cm.Weight)*w[j]) + float64(cm.Weight*ctx)
 	}
 }
 

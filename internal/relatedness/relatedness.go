@@ -201,7 +201,7 @@ func KOREProfiles(a, b *Profile) float64 {
 				if po <= 0 {
 					continue
 				}
-				num += po * po * math.Min(pa.mi, qb.mi)
+				num += float64(po * po * math.Min(pa.mi, qb.mi))
 			}
 		}
 	}

@@ -181,14 +181,14 @@ func cosineSortedKeys(a, b map[string]float64) float64 {
 	var dot, na, nb float64
 	for _, k := range keys(a) {
 		va := a[k]
-		na += va * va
+		na += float64(va * va)
 		if vb, ok := b[k]; ok {
-			dot += va * vb
+			dot += float64(va * vb)
 		}
 	}
 	for _, k := range keys(b) {
 		vb := b[k]
-		nb += vb * vb
+		nb += float64(vb * vb)
 	}
 	if na == 0 || nb == 0 {
 		return 0

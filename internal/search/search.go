@@ -1,14 +1,12 @@
 // Package search implements the entity-centric search application of
 // Sec. 6.1 ("Searching for Strings, Things, and Cats"): an inverted index
 // over words (strings), disambiguated entities (things) and their semantic
-// types (cats), with combined queries and prefix auto-completion of entity
-// names.
+// types (cats), with combined queries.
 package search
 
 import (
 	"math"
 	"sort"
-	"strings"
 
 	"aida/internal/kb"
 	"aida/internal/tokenizer"
@@ -37,7 +35,6 @@ type Query struct {
 // Index is the strings+things+cats inverted index. Create with NewIndex,
 // then AddDocument; queries are safe once indexing is done.
 type Index struct {
-	kb       kb.Store
 	wordDocs map[string]map[string]int      // word → doc → tf
 	entDocs  map[kb.EntityID]map[string]int // entity → doc → tf
 	docLen   map[string]int
@@ -49,7 +46,6 @@ type Index struct {
 // NewIndex creates an empty index over the given KB (single or sharded).
 func NewIndex(k kb.Store) *Index {
 	ix := &Index{
-		kb:           k,
 		wordDocs:     make(map[string]map[string]int),
 		entDocs:      make(map[kb.EntityID]map[string]int),
 		docLen:       make(map[string]int),
@@ -112,7 +108,7 @@ func (ix *Index) Search(q Query, limit int) []Hit {
 		postings := ix.wordDocs[tokenizer.Normalize(w)]
 		idf := ix.idf(len(postings))
 		for doc, tf := range postings {
-			scores[doc] += float64(tf) * idf
+			scores[doc] += float64(float64(tf) * idf)
 			wordMatch[doc] = true
 		}
 	}
@@ -126,7 +122,7 @@ func (ix *Index) Search(q Query, limit int) []Hit {
 		for doc, tf := range postings {
 			// Entity matches are exact semantic evidence: weighted above
 			// plain word matches.
-			scores[doc] += 2 * float64(tf) * idf
+			scores[doc] += float64(2 * float64(tf) * idf)
 			entMatch[doc] = true
 		}
 	}
@@ -153,40 +149,4 @@ func (ix *Index) Search(q Query, limit int) []Hit {
 		hits = hits[:limit]
 	}
 	return hits
-}
-
-// Complete suggests entities whose canonical name has the given prefix,
-// ordered by how often they occur in the indexed collection (the
-// auto-completion of Sec. 6.1.2).
-func (ix *Index) Complete(prefix string, limit int) []kb.EntityID {
-	p := strings.ToLower(prefix)
-	type cand struct {
-		id   kb.EntityID
-		freq int
-	}
-	var cands []cand
-	for id := 0; id < ix.kb.NumEntities(); id++ {
-		e := ix.kb.Entity(kb.EntityID(id))
-		if strings.HasPrefix(strings.ToLower(e.Name), p) {
-			freq := 0
-			for _, tf := range ix.entDocs[e.ID] {
-				freq += tf
-			}
-			cands = append(cands, cand{e.ID, freq})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].freq != cands[j].freq {
-			return cands[i].freq > cands[j].freq
-		}
-		return cands[i].id < cands[j].id
-	})
-	if limit > 0 && len(cands) > limit {
-		cands = cands[:limit]
-	}
-	out := make([]kb.EntityID, len(cands))
-	for i, c := range cands {
-		out[i] = c.id
-	}
-	return out
 }

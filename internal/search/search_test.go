@@ -89,27 +89,6 @@ func TestSearchLimit(t *testing.T) {
 	}
 }
 
-func TestComplete(t *testing.T) {
-	k, dylan, page, _ := buildSearchKB()
-	ix := NewIndex(k)
-	ix.AddDocument("d1", "text", []Annotation{{Entity: page}, {Entity: page}})
-	ix.AddDocument("d2", "text", []Annotation{{Entity: dylan}})
-	got := ix.Complete("Jimmy", 10)
-	if len(got) != 2 {
-		t.Fatalf("want both Jimmys, got %v", got)
-	}
-	// Jimmy Page occurs more often and must rank first.
-	if got[0] != page {
-		t.Fatalf("frequency ordering wrong: %v", got)
-	}
-	if got := ix.Complete("Bob", 10); len(got) != 1 || got[0] != dylan {
-		t.Fatalf("prefix Bob: %v", got)
-	}
-	if got := ix.Complete("Zzz", 10); len(got) != 0 {
-		t.Fatalf("unknown prefix should be empty: %v", got)
-	}
-}
-
 func TestNoEntityAnnotationIgnored(t *testing.T) {
 	k, _, _, _ := buildSearchKB()
 	ix := NewIndex(k)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"aida"
@@ -29,6 +30,10 @@ func FuzzAnnotateBody(f *testing.F) {
 		map[string]any{"text": doc, "context": map[string]any{"keyphrases": []string{"championship"}, "weight": 0.5}},
 		map[string]any{"text": doc, "max_candidates": 0, "surface_expansion": true, "parallelism": -1},
 		map[string]any{"docs": []string{doc, doc}, "parallelism": 4, "method": "sim"},
+		map[string]any{"text": doc, "mentions": strings.Fields(doc)[:2], "context": map[string]any{"keyphrases": []string{"championship"}}},
+		map[string]any{"text": doc, "mentions": []string{"", "Zzyzx"}},
+		map[string]any{"text": doc, "mentions": []string{}},
+		map[string]any{"docs": []string{doc}, "mentions": strings.Fields(doc)[:1]},
 	} {
 		b, err := json.Marshal(v)
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"aida"
 	"aida/internal/kb"
 	"aida/internal/pool"
+	"aida/internal/relatedness"
 )
 
 // Annotation is the wire form of one aida.Annotation. Entity is -1 when
@@ -163,7 +164,8 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 // batchRequest is the body of POST /v1/annotate/batch: the documents plus
 // the embedded aida.RequestSpec, decoded exactly like /v1/annotate. Batch
 // responses carry annotations only, so the per-mention include fields
-// (candidates, confidence, stats) are rejected with 400.
+// (candidates, confidence, stats) are rejected with 400, and so are given
+// mentions, which belong to one document.
 type batchRequest struct {
 	Docs []string `json:"docs"`
 	aida.RequestSpec
@@ -215,6 +217,10 @@ func (s *Server) handleAnnotateBatch(w http.ResponseWriter, r *http.Request) {
 	if req.Candidates || req.Confidence != nil || req.Stats {
 		writeError(w, http.StatusBadRequest,
 			"batch responses carry annotations only: request candidates, confidence or stats via /v1/annotate")
+		return
+	}
+	if req.Mentions != nil {
+		writeError(w, http.StatusBadRequest, "mentions belong to one document: send them to /v1/annotate")
 		return
 	}
 	req.Parallelism = s.clampParallelism(req.Parallelism)
@@ -362,9 +368,9 @@ func (s *Server) entityParam(raw string) (aida.EntityID, error) {
 
 // statsResponse is the JSON shape of GET /v1/stats.
 type statsResponse struct {
-	Server serverStats      `json:"server"`
-	Engine aida.ScorerStats `json:"engine"`
-	KB     kbStats          `json:"kb"`
+	Server serverStats       `json:"server"`
+	Engine relatedness.Stats `json:"engine"`
+	KB     kbStats           `json:"kb"`
 }
 
 type serverStats struct {

@@ -3,9 +3,11 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"aida"
+	"aida/internal/kb"
 )
 
 // TestAnnotateValidationErrorParity pins the cross-layer error contract of
@@ -171,7 +173,7 @@ func TestAnnotateDomainAndContextOverHTTP(t *testing.T) {
 	entity := k.Entity(k.Candidates(surface)[0].Entity).Name
 	if err := sys.RegisterDomain(aida.DomainDictionary{
 		Name: "news",
-		Rows: []aida.DomainRow{{Surface: surface, Entity: entity, Count: 1}},
+		Rows: []kb.DomainRow{{Surface: surface, Entity: entity, Count: 1}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -202,6 +204,72 @@ func TestAnnotateDomainAndContextOverHTTP(t *testing.T) {
 		if string(got.Annotations) != string(want) {
 			t.Errorf("spec %+v: HTTP annotations diverge from in-process:\n http: %s\n go:   %s",
 				spec, got.Annotations, want)
+		}
+	}
+}
+
+// TestAnnotateMentionsOverHTTP drives the given-mentions field end to end:
+// /v1/annotate links the given surfaces at their offsets exactly as the Go
+// API does, a surface the text does not hold is a 400 with the Go error's
+// text, and the batch endpoint rejects the field before any output.
+func TestAnnotateMentionsOverHTTP(t *testing.T) {
+	k, docs := testWorld(t, 2)
+	sys, ts := newTestServer(t, k, Config{})
+	text := docs[0]
+	rec, err := sys.AnnotateDoc(t.Context(), text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Annotations) < 2 {
+		t.Fatalf("test document has %d mentions, want at least 2", len(rec.Annotations))
+	}
+	surfaces := []string{rec.Annotations[0].Mention.Text, rec.Annotations[len(rec.Annotations)-1].Mention.Text}
+
+	spec := aida.RequestSpec{Mentions: surfaces}
+	resp := postJSON(t, ts.URL+"/v1/annotate", annotateRequest{Text: text, RequestSpec: spec})
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (body %s), want 200", resp.StatusCode, body)
+	}
+	var got annotateResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Annotations) != len(surfaces) {
+		t.Fatalf("%d annotations for %d given mentions: %s", len(got.Annotations), len(surfaces), body)
+	}
+	for i, a := range got.Annotations {
+		if a.Text != surfaces[i] || text[a.Start:a.End] != a.Text {
+			t.Errorf("annotation %d = %+v does not sit on %q", i, a, surfaces[i])
+		}
+	}
+	doc, err := sys.AnnotateDoc(t.Context(), text, spec.Options()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := wireAnnotations(doc.Annotations); !reflect.DeepEqual(got.Annotations, want) {
+		t.Errorf("HTTP annotations %+v diverge from in-process %+v", got.Annotations, want)
+	}
+
+	for _, tc := range []struct {
+		url  string
+		body any
+		want string
+	}{
+		{ts.URL + "/v1/annotate", annotateRequest{Text: text, RequestSpec: aida.RequestSpec{Mentions: []string{"Zzyzx"}}},
+			`invalid mentions: surface 0 ("Zzyzx") not found as whole tokens in the text at or after byte 0`},
+		{ts.URL + "/v1/annotate/batch", batchRequest{Docs: docs, RequestSpec: spec},
+			"mentions belong to one document: send them to /v1/annotate"},
+		{ts.URL + "/v1/annotate/batch?stream=1", batchRequest{Docs: docs, RequestSpec: spec},
+			"mentions belong to one document: send them to /v1/annotate"},
+	} {
+		resp := postJSON(t, tc.url, tc.body)
+		body := readAll(t, resp)
+		var er struct {
+			Error string `json:"error"`
+		}
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &er) != nil || er.Error != tc.want {
+			t.Errorf("POST %s: status %d body %s, want 400 %q", tc.url, resp.StatusCode, body, tc.want)
 		}
 	}
 }

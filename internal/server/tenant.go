@@ -106,7 +106,7 @@ func (t *tenant) takeToken(now time.Time) (wait time.Duration, ok bool) {
 	}
 	burst := float64(t.cfg.Burst)
 	if elapsed := now.Sub(t.last).Seconds(); elapsed > 0 {
-		t.tokens = math.Min(burst, t.tokens+elapsed*t.cfg.RatePerSec)
+		t.tokens = math.Min(burst, t.tokens+float64(elapsed*t.cfg.RatePerSec))
 	}
 	// Monotonic clocks can read the same instant twice; never move last
 	// backwards.

@@ -454,7 +454,7 @@ func (w *World) TrueRelatedness(a, b kb.EntityID) float64 {
 	if b < a {
 		h = uint64(b)*0x9e3779b97f4a7c15 ^ uint64(a)*0xbf58476d1ce4e5b9
 	}
-	jitter := float64(h%1000)/1000*0.1 - 0.05
+	jitter := float64(float64(h%1000)/1000*0.1) - 0.05
 	v := base + jitter
 	if v < 0 {
 		v = 0

@@ -4,17 +4,18 @@ import "fmt"
 
 // RequestSpec is the declarative form of one annotation request: every
 // per-request knob of AnnotateDoc/AnnotateCorpus/AnnotateStream as a plain
-// JSON-taggable struct. The functional options (UseMethod, WithContext, …)
-// are thin wrappers that each set one field of a spec; Options() goes the
-// other way, turning a filled-in spec — decoded from JSON by the HTTP
-// server, or built literally by a Go caller — into the option list the
-// annotate entry points accept. Both routes resolve through the same
+// JSON-taggable struct. The functional options (UseMethodNamed,
+// WithContext, …) are thin wrappers that each set one field of a spec
+// (MaxCandidates and Expand have none); Options() goes the other way,
+// turning a filled-in spec — decoded from JSON by the HTTP server, or
+// built literally by a Go caller — into the option list the annotate
+// entry points accept. Both routes resolve through the same
 // validation, so an error surfaces with identical text whether the request
 // came through the Go API or over HTTP.
 //
 // Merge rule: options apply field-wise, later fields overriding nothing —
-// setting the same field twice (two UseMethod calls, or a spec field plus
-// the matching option) is a conflict and fails the request with an
+// setting the same field twice (two UseMethodNamed calls, or a spec field
+// plus the matching option) is a conflict and fails the request with an
 // InvalidRequestError naming the field, never a silent last-one-wins. A
 // field left at its zero value (or nil pointer) keeps the System default.
 type RequestSpec struct {
@@ -26,11 +27,17 @@ type RequestSpec struct {
 	// 0 means the default; negative values are rejected.
 	Parallelism int `json:"parallelism,omitempty"`
 	// MaxCandidates overrides the System's candidate cap when non-nil
-	// (0 removes the cap; see CapCandidates).
+	// (0 or less removes the cap).
 	MaxCandidates *int `json:"max_candidates,omitempty"`
-	// Expand overrides the System's surface-expansion setting when
-	// non-nil (see SurfaceExpansion).
+	// Expand, when true, turns on the within-document coreference
+	// heuristic: single-word mentions are expanded to a longer mention of
+	// the same document containing them ("Carter" → "Rubin Carter").
 	Expand *bool `json:"surface_expansion,omitempty"`
+	// Mentions, when non-nil, are the document's mention surfaces, in
+	// text order: recognition is skipped and exactly these mentions are
+	// linked (WithMentions); an empty list links nothing. AnnotateDoc
+	// only.
+	Mentions []string `json:"mentions,omitempty"`
 	// Candidates asks for the per-mention scored candidate lists
 	// (IncludeCandidates).
 	Candidates bool `json:"candidates,omitempty"`
@@ -40,7 +47,7 @@ type RequestSpec struct {
 	// Stats asks for the disambiguation work counters (IncludeStats).
 	Stats bool `json:"stats,omitempty"`
 	// Context is the request's interest model — the short-text context
-	// prior (WithContext / WithContextEntities / WithUserProfile).
+	// prior (WithContext / WithContextEntities / WithContextWeight).
 	Context *ContextSpec `json:"context,omitempty"`
 	// Domain selects a registered per-domain dictionary layer by name
 	// (WithDomain); empty means the base KB.
@@ -49,9 +56,6 @@ type RequestSpec struct {
 	// (WithRequestID).
 	RequestID string `json:"request_id,omitempty"`
 
-	// method is the directly supplied Method value (UseMethod); it wins
-	// over the Method selector and never round-trips through JSON.
-	method Method
 	// set tracks which fields an option has written, for conflict
 	// detection; err records the first conflict.
 	set specField
@@ -87,10 +91,6 @@ type ContextSpec struct {
 	Weight float64 `json:"weight,omitempty"`
 }
 
-// UserProfile is a request-supplied interest model — the name WithUserProfile
-// documents. It is exactly a ContextSpec.
-type UserProfile = ContextSpec
-
 // Request-context size caps: a context is a hint, not a second document.
 // Oversized contexts are rejected with an InvalidRequestError rather than
 // silently truncated.
@@ -107,9 +107,10 @@ const (
 
 // InvalidRequestError marks a request rejected during option resolution —
 // an unknown method or domain, negative parallelism, an oversized or
-// out-of-range context, too many confidence iterations, or conflicting
-// duplicate options. The HTTP server maps it to 400 with the identical
-// message; anything else stays a server error.
+// out-of-range context, too many confidence iterations, a given mention
+// that is empty or not in the text, or conflicting duplicate options. The
+// HTTP server maps it to 400 with the identical message; anything else
+// stays a server error.
 type InvalidRequestError struct{ Err error }
 
 func (e *InvalidRequestError) Error() string { return e.Err.Error() }
@@ -130,6 +131,7 @@ const (
 	fieldParallelism
 	fieldMaxCandidates
 	fieldExpand
+	fieldMentions
 	fieldCandidates
 	fieldConfidence
 	fieldStats
@@ -147,6 +149,7 @@ var fieldNames = map[specField]string{
 	fieldParallelism:       "parallelism",
 	fieldMaxCandidates:     "max_candidates",
 	fieldExpand:            "surface_expansion",
+	fieldMentions:          "mentions",
 	fieldCandidates:        "candidates",
 	fieldConfidence:        "confidence",
 	fieldStats:             "stats",
@@ -192,11 +195,7 @@ func (r *RequestSpec) mergeInto(dst *RequestSpec) {
 	if r.err != nil && dst.err == nil {
 		dst.err = r.err
 	}
-	switch {
-	case r.method != nil:
-		dst.method = r.method
-		dst.mark(fieldMethod)
-	case r.Method != "" || r.has(fieldMethod):
+	if r.Method != "" || r.has(fieldMethod) {
 		dst.Method = r.Method
 		dst.mark(fieldMethod)
 	}
@@ -213,6 +212,10 @@ func (r *RequestSpec) mergeInto(dst *RequestSpec) {
 		b := *r.Expand
 		dst.Expand = &b
 		dst.mark(fieldExpand)
+	}
+	if r.Mentions != nil || r.has(fieldMentions) {
+		dst.Mentions = r.Mentions
+		dst.mark(fieldMentions)
 	}
 	if r.Candidates || r.has(fieldCandidates) {
 		dst.Candidates = r.Candidates
@@ -255,25 +258,15 @@ func (r *RequestSpec) mergeInto(dst *RequestSpec) {
 // its RequestSpec. Options apply to a single AnnotateDoc/AnnotateCorpus/
 // AnnotateStream call and never mutate the System, so concurrent requests
 // with different options are safe. Request defaults come from the System
-// (its Method, MaxCandidates and ExpandSurfaces settings); setting the
-// same field twice is a conflict, not an override (see RequestSpec).
+// (its Method and MaxCandidates settings); setting the same field twice is
+// a conflict, not an override (see RequestSpec).
 type AnnotateOption func(*RequestSpec)
 
-// UseMethod selects the disambiguation method for this request only
-// (default: the System's method). Methods are stateless, so any method may
-// serve concurrent requests. A nil method is ignored.
-func UseMethod(m Method) AnnotateOption {
-	return func(o *RequestSpec) {
-		if m != nil {
-			o.method = m
-			o.mark(fieldMethod)
-		}
-	}
-}
-
-// UseMethodNamed is UseMethod with the selector names of MethodByName
+// UseMethodNamed selects the disambiguation method for this request only
+// (default: the System's method) by the selector names of MethodByName
 // ("aida", "prior", "sim", "cuc", "kul-ci", "tagme", "iw",
-// case-insensitive; empty = "aida"). An unknown name surfaces as the
+// case-insensitive; empty = "aida"). Methods are stateless, so any method
+// may serve concurrent requests. An unknown name surfaces as the
 // request's error (an InvalidRequestError).
 func UseMethodNamed(name string) AnnotateOption {
 	return func(o *RequestSpec) {
@@ -296,22 +289,21 @@ func WithParallelism(n int) AnnotateOption {
 	}
 }
 
-// CapCandidates caps the candidates materialized per mention for this
-// request (n ≤ 0 removes the cap), overriding the System's MaxCandidates.
-func CapCandidates(n int) AnnotateOption {
+// WithMentions supplies the document's mention surfaces, in text order,
+// in place of recognition: the paper's setting of linking given mention
+// spans. Each surface is located at its first whole-token occurrence at
+// or after the end of the previous one ("Page" is not found inside
+// "Pageant"), which gives its Annotation.Mention its offsets and its token
+// and sentence indexes. An empty surface, or one the text does not hold
+// there, fails the request with an
+// InvalidRequestError; no surfaces at all is a document without mentions.
+// Every other option composes with it as usual.
+// Mentions belong to one document, so AnnotateCorpus and AnnotateStream
+// reject the option.
+func WithMentions(surfaces ...string) AnnotateOption {
 	return func(o *RequestSpec) {
-		o.MaxCandidates = &n
-		o.mark(fieldMaxCandidates)
-	}
-}
-
-// SurfaceExpansion enables or disables the within-document coreference
-// heuristic ("Carter" → "Rubin Carter") for this request, overriding the
-// System's ExpandSurfaces setting.
-func SurfaceExpansion(on bool) AnnotateOption {
-	return func(o *RequestSpec) {
-		o.Expand = &on
-		o.mark(fieldExpand)
+		o.Mentions = surfaces
+		o.mark(fieldMentions)
 	}
 }
 
@@ -383,28 +375,11 @@ func WithContextEntities(ids ...EntityID) AnnotateOption {
 
 // WithContextWeight sets the context blend weight in [0, 1] (0 keeps the
 // default, disambig.DefaultContextWeight). It only has an effect together
-// with WithContext, WithContextEntities or WithUserProfile.
+// with WithContext or WithContextEntities.
 func WithContextWeight(w float64) AnnotateOption {
 	return func(o *RequestSpec) {
 		o.context().Weight = w
 		o.mark(fieldContextWeight)
-	}
-}
-
-// WithUserProfile supplies a whole interest model at once — keyphrases,
-// entities and weight. It is exactly WithContext + WithContextEntities
-// (+ WithContextWeight when the profile sets one), so combining it with
-// any of those is a conflict.
-func WithUserProfile(p UserProfile) AnnotateOption {
-	return func(o *RequestSpec) {
-		o.context().Keyphrases = p.Keyphrases
-		o.mark(fieldContextKeyphrases)
-		o.context().Entities = p.Entities
-		o.mark(fieldContextEntities)
-		if p.Weight != 0 {
-			o.context().Weight = p.Weight
-			o.mark(fieldContextWeight)
-		}
 	}
 }
 

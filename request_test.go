@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"aida/internal/disambig"
+	"aida/internal/emerge"
 	"aida/internal/kb"
 )
 
@@ -42,7 +43,7 @@ func TestAnnotateCanceledBeforeStart(t *testing.T) {
 		if yields != 1 {
 			t.Fatalf("parallelism=%d: canceled stream yielded %d times, want exactly the error", parallelism, yields)
 		}
-		if st := sys.Scorer().Stats(); st.Hits+st.Misses != 0 {
+		if st := sys.Live().Engine.Stats(); st.Hits+st.Misses != 0 {
 			t.Fatalf("parallelism=%d: engine did %d pair computations after cancellation", parallelism, st.Hits+st.Misses)
 		}
 	}
@@ -147,26 +148,25 @@ func TestAnnotateStreamEarlyBreakLeaksNoGoroutines(t *testing.T) {
 func TestAnnotateStreamFailingDocument(t *testing.T) {
 	kbase, docs := batchWorld(t, 10)
 	const k = 6
-	sys := New(kbase, WithMaxCandidates(10))
 	words := func(p *disambig.Problem) string { return strings.Join(p.ContextWords, " ") }
-	inner := NewAIDAMethod()
+	inner := disambig.NewAIDA()
 	var bad string
-	annotateDoc(t, sys, docs[k], UseMethod(methodFunc(func(p *disambig.Problem) *disambig.Output {
+	annotateDoc(t, New(kbase, WithMaxCandidates(10), WithMethod(methodFunc(func(p *disambig.Problem) *disambig.Output {
 		bad = words(p)
 		return inner.Disambiguate(p)
-	})))
-	failing := UseMethod(methodFunc(func(p *disambig.Problem) *disambig.Output {
+	}))), docs[k])
+	sys := New(kbase, WithMaxCandidates(10), WithMethod(methodFunc(func(p *disambig.Problem) *disambig.Output {
 		if words(p) == bad {
 			panic(&kb.RemoteError{Op: "candidates", Shard: 1, Errs: []error{errors.New("down")}})
 		}
 		return inner.Disambiguate(p)
-	}))
+	})))
 	before := runtime.NumGoroutine()
 
 	for _, parallelism := range []int{1, 4} {
 		var remote *kb.RemoteError
 		n := 0
-		for doc, err := range sys.AnnotateStream(context.Background(), slices.Values(docs), failing, WithParallelism(parallelism)) {
+		for doc, err := range sys.AnnotateStream(context.Background(), slices.Values(docs), WithParallelism(parallelism)) {
 			if remote != nil {
 				t.Fatalf("parallelism=%d: stream went on after its error with (%v, %v)", parallelism, doc, err)
 			}
@@ -184,7 +184,7 @@ func TestAnnotateStreamFailingDocument(t *testing.T) {
 		if remote == nil || n != k {
 			t.Fatalf("parallelism=%d: %d documents then error %v, want %d then the remote error", parallelism, n, remote, k)
 		}
-		if got, err := sys.AnnotateCorpus(context.Background(), docs, failing, WithParallelism(parallelism)); got != nil || !errors.As(err, &remote) {
+		if got, err := sys.AnnotateCorpus(context.Background(), docs, WithParallelism(parallelism)); got != nil || !errors.As(err, &remote) {
 			t.Fatalf("parallelism=%d: AnnotateCorpus = (%v, %v), want (nil, *kb.RemoteError)", parallelism, got, err)
 		}
 	}
@@ -237,12 +237,11 @@ func TestAnnotateStreamRunAheadBounded(t *testing.T) {
 // pool pinned to its own goroutine.
 func TestAnnotateStreamSlotBound(t *testing.T) {
 	k, docs := batchWorld(t, 12)
-	sys := New(k, WithMaxCandidates(10))
-	inner := NewAIDAMethod()
+	inner := disambig.NewAIDA()
 	for _, p := range []int{1, 2, 4} {
 		var mu sync.Mutex
 		inside, peak, pinned := 0, 0, true
-		counting := UseMethod(methodFunc(func(pr *disambig.Problem) *disambig.Output {
+		counting := WithMethod(methodFunc(func(pr *disambig.Problem) *disambig.Output {
 			mu.Lock()
 			inside++
 			peak = max(peak, inside)
@@ -255,7 +254,7 @@ func TestAnnotateStreamSlotBound(t *testing.T) {
 			mu.Unlock()
 			return out
 		}))
-		annotateCorpus(t, sys, docs, counting, WithParallelism(p))
+		annotateCorpus(t, New(k, WithMaxCandidates(10), counting), docs, WithParallelism(p))
 		if peak > p {
 			t.Fatalf("parallelism=%d: %d documents were annotating at once", p, peak)
 		}
@@ -305,12 +304,13 @@ func TestAnnotateOptionsPerRequest(t *testing.T) {
 	}
 
 	// Candidate cap: matches a System with that cap.
-	capped, err := sys.AnnotateDoc(ctx, docs[0], CapCandidates(1))
+	one := 1
+	capped, err := sys.AnnotateDoc(ctx, docs[0], (&RequestSpec{MaxCandidates: &one}).Options()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := annotateDoc(t, New(k, WithMaxCandidates(1)), docs[0]); !reflect.DeepEqual(capped.Annotations, want) {
-		t.Fatal("CapCandidates(1) diverges from a MaxCandidates(1) System")
+		t.Fatal("max_candidates 1 diverges from a MaxCandidates(1) System")
 	}
 
 	// Extras: candidates, confidence and stats ride along on request.
@@ -350,10 +350,10 @@ func TestAnnotateOptionsPerRequest(t *testing.T) {
 		t.Fatal("opt-in extras changed the annotations")
 	}
 
-	// IncludeConfidence matches the standalone Confidence helper.
-	p := sys.NewProblem(docs[0], surfacesOf(rich.Annotations))
+	// IncludeConfidence matches CONF run on the same problem by hand.
+	p := disambig.NewProblem(k, docs[0], surfacesOf(rich.Annotations), 10)
 	out := sys.Method.Disambiguate(p)
-	if want := sys.Confidence(p, out, 5, 42); !reflect.DeepEqual(rich.Confidence, want) {
+	if want := emerge.CONF(sys.Method, p, out, emerge.PerturbConfig{Iterations: 5, Seed: 42}); !reflect.DeepEqual(rich.Confidence, want) {
 		t.Fatalf("IncludeConfidence = %v, want %v", rich.Confidence, want)
 	}
 }
@@ -403,7 +403,7 @@ func surfacesOf(anns []Annotation) []string {
 
 // TestMethodTable enumerates every selector MethodByName accepts: each
 // must resolve case-insensitively, the empty string must mean "aida", and
-// the baseline-backed selectors must name methods of Baselines().
+// the baseline-backed selectors must name methods of the baseline suite.
 func TestMethodTable(t *testing.T) {
 	names := MethodNames()
 	if len(names) == 0 {
@@ -415,7 +415,7 @@ func TestMethodTable(t *testing.T) {
 	}
 
 	baselineNames := make(map[string]bool)
-	for _, m := range Baselines() {
+	for _, m := range disambig.Methods() {
 		baselineNames[m.Name()] = true
 	}
 
@@ -438,7 +438,7 @@ func TestMethodTable(t *testing.T) {
 		switch sel {
 		case "prior", "sim", "cuc", "kul-ci":
 			if !baselineNames[lower.Name()] {
-				t.Fatalf("selector %q resolves to %q, which Baselines() does not contain", sel, lower.Name())
+				t.Fatalf("selector %q resolves to %q, which the baseline suite does not contain", sel, lower.Name())
 			}
 		}
 	}

@@ -3,7 +3,11 @@ package aida
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
+
+	"aida/internal/kb"
 )
 
 // The request-validation error contract: every client mistake is an
@@ -81,11 +85,21 @@ func TestRequestValidationErrors(t *testing.T) {
 		},
 		{
 			name: "user profile conflicts with context",
-			opts: []AnnotateOption{
+			opts: append(
+				(&RequestSpec{Context: &ContextSpec{Keyphrases: []string{"chemistry"}}}).Options(),
 				WithContext("physics"),
-				WithUserProfile(UserProfile{Keyphrases: []string{"chemistry"}}),
-			},
+			),
 			want: "conflicting annotate options: context.keyphrases given more than once",
+		},
+		{
+			name: "duplicate mentions options",
+			opts: []AnnotateOption{WithMentions("Page"), WithMentions("Plant")},
+			want: "conflicting annotate options: mentions given more than once",
+		},
+		{
+			name: "empty mention surface",
+			opts: []AnnotateOption{WithMentions("Page", "")},
+			want: "invalid mentions: surface 1 is empty",
 		},
 		{
 			name: "spec options conflict with explicit option",
@@ -135,6 +149,7 @@ func TestValidateRequestMatchesAnnotate(t *testing.T) {
 		{Context: &ContextSpec{Entities: make([]EntityID, MaxContextEntities+1)}},
 		{Confidence: &ConfidenceSpec{Iterations: MaxConfidenceIterations}},
 		{Confidence: &ConfidenceSpec{Iterations: MaxConfidenceIterations + 1}},
+		{Mentions: []string{""}},
 	}
 	for _, spec := range specs {
 		verr := sys.ValidateRequest(spec)
@@ -157,7 +172,7 @@ func TestUnknownDomainListsRegistered(t *testing.T) {
 	surface := k.Names()[0]
 	entity := k.Entity(k.Candidates(surface)[0].Entity).Name
 	for _, name := range []string{"zoology", "astronomy"} {
-		dict := DomainDictionary{Name: name, Rows: []DomainRow{{
+		dict := DomainDictionary{Name: name, Rows: []kb.DomainRow{{
 			Surface: surface, Entity: entity, Count: 1,
 		}}}
 		if err := sys.RegisterDomain(dict); err != nil {
@@ -234,7 +249,7 @@ func TestNilAndZeroOptionsAreDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	var zero RequestSpec
-	got, err := sys.AnnotateDoc(ctx, doc, nil, UseMethod(nil), zero.Options()[0])
+	got, err := sys.AnnotateDoc(ctx, doc, nil, zero.Options()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,6 +260,57 @@ func TestNilAndZeroOptionsAreDefaults(t *testing.T) {
 	for i := range base.Annotations {
 		if got.Annotations[i] != base.Annotations[i] {
 			t.Fatalf("annotation %d diverges under zero spec", i)
+		}
+	}
+}
+
+// TestWithMentions pins the given-mentions mode: the recognized surfaces
+// given back as mentions reproduce the recognized document exactly, a
+// surface the text does not hold is an InvalidRequestError, no surfaces
+// link nothing, and the multi-document entry points reject the option.
+func TestWithMentions(t *testing.T) {
+	sys, doc := specWorld(t)
+	ctx := context.Background()
+	extras := []AnnotateOption{IncludeCandidates(), IncludeConfidence(5, 42), IncludeStats()}
+
+	rec, err := sys.AnnotateDoc(ctx, doc, extras...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Annotations) == 0 {
+		t.Fatal("test document produced no annotations")
+	}
+	given, err := sys.AnnotateDoc(ctx, doc, append(extras, WithMentions(surfacesOf(rec.Annotations)...))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range rec.Annotations {
+		g := given.Annotations[i]
+		if g.Mention != a.Mention || g.Entity != a.Entity || g.Label != a.Label || g.Score != a.Score {
+			t.Fatalf("given mention %d = %+v, recognized %+v", i, g, a)
+		}
+	}
+	if !reflect.DeepEqual(given.Candidates, rec.Candidates) || !reflect.DeepEqual(given.Confidence, rec.Confidence) ||
+		!reflect.DeepEqual(given.Stats, rec.Stats) {
+		t.Fatal("given mentions changed the extras of the recognized document")
+	}
+
+	_, err = sys.AnnotateDoc(ctx, doc, WithMentions("Zzyzx"))
+	var ire *InvalidRequestError
+	if want := `invalid mentions: surface 0 ("Zzyzx") not found as whole tokens in the text at or after byte 0`; err == nil || err.Error() != want || !errors.As(err, &ire) {
+		t.Fatalf("unknown surface: err = %v, want InvalidRequestError %q", err, want)
+	}
+	if none, err := sys.AnnotateDoc(ctx, doc, WithMentions()); err != nil || len(none.Annotations) != 0 {
+		t.Fatalf("no given mentions = (%v, %v), want a document without annotations", none, err)
+	}
+
+	const one = "mentions belong to one document: annotate it with AnnotateDoc"
+	if _, err := sys.AnnotateCorpus(ctx, []string{doc}, WithMentions("Zzyzx")); err == nil || err.Error() != one || !errors.As(err, &ire) {
+		t.Fatalf("AnnotateCorpus err = %v, want InvalidRequestError %q", err, one)
+	}
+	for d, err := range sys.AnnotateStream(ctx, slices.Values([]string{doc}), WithMentions()) {
+		if d != nil || err == nil || err.Error() != one {
+			t.Fatalf("AnnotateStream yielded (%v, %v), want (nil, %q)", d, err, one)
 		}
 	}
 }

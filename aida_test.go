@@ -150,8 +150,7 @@ func TestSystemConfidence(t *testing.T) {
 // a System's serving generation, as the experiments drive it.
 func TestSystemDiscoverEmerging(t *testing.T) {
 	sys := New(demoKB())
-	lv := sys.Live()
-	pl := &emerge.Pipeline{KB: lv.Store, Method: sys.Method, Scorer: lv.Engine}
+	pl := &emerge.Pipeline{KB: sys.Live().Store}
 	surfaces := []string{"Snowden"}
 	var chunk []emerge.ChunkDoc
 	for _, text := range []string{

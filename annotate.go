@@ -102,6 +102,9 @@ func (s *System) resolveSpec(spec *RequestSpec) (annotateOptions, error) {
 	if spec.Parallelism < 0 {
 		return o, invalidRequestf("invalid parallelism %d: must be >= 0 (0 means the default)", spec.Parallelism)
 	}
+	if spec.Parallelism > MaxParallelism {
+		return o, invalidRequestf("too much parallelism: %d exceeds the limit of %d", spec.Parallelism, MaxParallelism)
+	}
 	o.parallelism = spec.Parallelism
 	if spec.MaxCandidates != nil {
 		o.maxCands = *spec.MaxCandidates

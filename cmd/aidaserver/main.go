@@ -106,8 +106,6 @@ func main() {
 		method    = flag.String("method", "aida", "method: "+strings.Join(aida.MethodNames(), ", "))
 		shards    = flag.Int("shards", 1, "report N-shard placement; reads are the KB's own (responses are byte-identical at any count)")
 		maxCand   = flag.Int("max-candidates", 20, "candidates per mention (0 = no cap)")
-		defPar    = flag.Int("j", 0, "default per-request parallelism (0 = GOMAXPROCS)")
-		maxPar    = flag.Int("jmax", 0, "per-request parallelism cap (0 = GOMAXPROCS)")
 		maxBody   = flag.Int64("max-body", 8<<20, "max request body bytes")
 		maxBatch  = flag.Int("max-batch", 1024, "max documents per batch request")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
@@ -256,14 +254,12 @@ func main() {
 	}
 
 	cfg := server.Config{
-		MaxBodyBytes:       *maxBody,
-		MaxBatchDocs:       *maxBatch,
-		MaxParallelism:     *maxPar,
-		DefaultParallelism: *defPar,
-		Logger:             logger,
-		ShardHost:          host,
-		DeltaJournal:       deltaJournal,
-		Tenants:            registry,
+		MaxBodyBytes: *maxBody,
+		MaxBatchDocs: *maxBatch,
+		Logger:       logger,
+		ShardHost:    host,
+		DeltaJournal: deltaJournal,
+		Tenants:      registry,
 	}
 	srv := server.New(sys, cfg)
 

@@ -44,76 +44,21 @@ func NormConfidence(out *disambig.Output) []float64 {
 
 // PerturbConfig tunes the perturbation-based assessors.
 type PerturbConfig struct {
-	// Iterations is the number of perturbed NED runs (default 20; the
-	// dissertation uses up to 500 — quality saturates much earlier).
+	// Iterations is the number of perturbed NED runs (the dissertation
+	// uses up to 500 — quality saturates much earlier).
 	Iterations int
 	Seed       int64
 }
 
-// The perturbation fractions (Sec. 5.4): the probability of keeping each
-// mention in a mention-perturbation round, and of force-mapping each
-// ambiguous mention to an alternate entity in an entity-perturbation round.
-const (
-	keepProb  = 0.7
-	forceFrac = 0.2
-)
-
-func (c PerturbConfig) withDefaults() PerturbConfig {
-	if c.Iterations <= 0 {
-		c.Iterations = 20
-	}
-	return c
-}
-
-// MentionPerturbation estimates confidence by dropping random mention
-// subsets and re-running NED (Sec. 5.4.2): the confidence of a mention is
-// the fraction of rounds in which its initial entity survived.
-func MentionPerturbation(m disambig.Method, p *disambig.Problem, base *disambig.Output, cfg PerturbConfig) []float64 {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 0x5ee))
-	n := len(p.Mentions)
-	kept := make([]int, n)   // k_i: rounds the mention was present
-	stable := make([]int, n) // c_i: rounds the initial entity was re-chosen
-	for it := 0; it < cfg.Iterations; it++ {
-		var idx []int
-		for i := 0; i < n; i++ {
-			if rng.Float64() < keepProb {
-				idx = append(idx, i)
-			}
-		}
-		if len(idx) == 0 {
-			continue
-		}
-		// A clone, so a round runs under the request's cancellation, worker
-		// bound and context prior: survival must compare runs of one model.
-		sub := p.Clone()
-		for pos, i := range idx {
-			sub.Mentions[pos] = sub.Mentions[i]
-		}
-		sub.Mentions = sub.Mentions[:len(idx)]
-		out := m.Disambiguate(sub)
-		for pos, i := range idx {
-			kept[i]++
-			if out.Results[pos].Entity == base.Results[i].Entity &&
-				out.Results[pos].Label == base.Results[i].Label {
-				stable[i]++
-			}
-		}
-	}
-	conf := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if kept[i] > 0 {
-			conf[i] = float64(stable[i]) / float64(kept[i])
-		}
-	}
-	return conf
-}
+// forceFrac is the entity-perturbation fraction (Sec. 5.4.3): the
+// probability of force-mapping each ambiguous mention to an alternate
+// entity in a round.
+const forceFrac = 0.2
 
 // EntityPerturbation estimates confidence by force-mapping random mentions
 // to alternate candidates and checking whether the remaining mentions keep
 // their initial entities (Sec. 5.4.3).
 func EntityPerturbation(m disambig.Method, p *disambig.Problem, base *disambig.Output, cfg PerturbConfig) []float64 {
-	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed + 0xe47))
 	n := len(p.Mentions)
 	kept := make([]int, n)

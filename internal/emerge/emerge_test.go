@@ -63,24 +63,6 @@ func TestNormConfidence(t *testing.T) {
 	}
 }
 
-func TestMentionPerturbationStableMention(t *testing.T) {
-	k := buildEEKB()
-	p := eeProblem(k)
-	m := simMethod()
-	base := m.Disambiguate(p)
-	conf := MentionPerturbation(m, p, base, PerturbConfig{Iterations: 15, Seed: 1})
-	for i, c := range conf {
-		if c < 0 || c > 1 {
-			t.Fatalf("confidence %d out of range: %v", i, c)
-		}
-	}
-	// "Prism" has a single candidate: its choice never changes under
-	// mention dropping.
-	if conf[1] < 0.99 {
-		t.Errorf("single-candidate mention should be fully stable, got %v", conf[1])
-	}
-}
-
 // recordingMethod passes every problem through to the wrapped method and
 // keeps what went in and what came out.
 type recordingMethod struct {
@@ -96,11 +78,11 @@ func (r *recordingMethod) Disambiguate(p *disambig.Problem) *disambig.Output {
 	return out
 }
 
-// TestMentionPerturbationKeepsRequestState: every perturbation round runs
-// the request's model — its cancellation context, context prior and worker
-// bound — on a subset of its mentions, so a cancelled request stops every
+// TestEntityPerturbationKeepsRequestState: every perturbation round of
+// CONF runs the request's model — its cancellation context, context prior
+// and worker bound — on its mentions, so a cancelled request stops every
 // round at once instead of running them all to the end.
-func TestMentionPerturbationKeepsRequestState(t *testing.T) {
+func TestEntityPerturbationKeepsRequestState(t *testing.T) {
 	p := eeProblem(buildEEKB())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -111,7 +93,7 @@ func TestMentionPerturbationKeepsRequestState(t *testing.T) {
 	base := rec.Method.Disambiguate(p)
 	cfg := PerturbConfig{Iterations: 15, Seed: 1}
 
-	MentionPerturbation(rec, p, base, cfg)
+	EntityPerturbation(rec, p, base, cfg)
 	if len(rec.problems) == 0 {
 		t.Fatal("no perturbation round ran")
 	}
@@ -121,8 +103,8 @@ func TestMentionPerturbationKeepsRequestState(t *testing.T) {
 			t.Fatalf("round %d: sub-problem has Context=%v ContextModel=%p CoherenceWorkers=%d, want the request's %v, %p, %d",
 				r, sub.Context, sub.ContextModel, sub.CoherenceWorkers, p.Context, p.ContextModel, p.CoherenceWorkers)
 		}
-		if len(sub.Mentions) == 0 || len(sub.Mentions) > len(p.Mentions) {
-			t.Fatalf("round %d: %d mentions out of %d", r, len(sub.Mentions), len(p.Mentions))
+		if len(sub.Mentions) != len(p.Mentions) {
+			t.Fatalf("round %d: %d mentions, want all %d", r, len(sub.Mentions), len(p.Mentions))
 		}
 		for _, res := range rec.outputs[r].Results {
 			if res.CandidateIndex >= 0 {
@@ -136,7 +118,7 @@ func TestMentionPerturbationKeepsRequestState(t *testing.T) {
 
 	cancel()
 	rec.problems, rec.outputs = nil, nil
-	MentionPerturbation(rec, p, base, cfg)
+	EntityPerturbation(rec, p, base, cfg)
 	if len(rec.outputs) == 0 {
 		t.Fatal("no perturbation round ran")
 	}
@@ -209,20 +191,6 @@ func TestHarvesterMultiTokenName(t *testing.T) {
 	hv := h.HarvestDocs(docs, []string{"Edward Snowden"})
 	if hv.Occurrences["Edward Snowden"] != 1 {
 		t.Fatalf("multi-token name not found: %v", hv.Occurrences)
-	}
-}
-
-func TestHarvestMerge(t *testing.T) {
-	var h Harvester
-	a := h.HarvestDocs([]string{"Snowden revealed the surveillance program."}, []string{"Snowden"})
-	b := h.HarvestDocs([]string{"Snowden fled after the surveillance program leak."}, []string{"Snowden"})
-	docs := a.Docs + b.Docs
-	a.Merge(b)
-	if a.Docs != docs {
-		t.Errorf("doc count not merged")
-	}
-	if a.Occurrences["Snowden"] != 2 {
-		t.Errorf("occurrences not merged: %d", a.Occurrences["Snowden"])
 	}
 }
 

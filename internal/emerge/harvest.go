@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"aida/internal/ner"
-	"aida/internal/pool"
 	"aida/internal/postag"
 	"aida/internal/tokenizer"
 )
@@ -53,39 +52,24 @@ func (h *Harvester) window() int {
 	return h.Window
 }
 
-// nameMatcher is the pre-processed tracked-name table shared across the
-// documents of one harvest (normalized surface → original name).
-type nameMatcher struct {
-	nameKey       map[string]string
-	maxNameTokens int
-}
-
-func newNameMatcher(names []string) nameMatcher {
-	nm := nameMatcher{nameKey: make(map[string]string, len(names)), maxNameTokens: 1}
-	for _, n := range names {
-		nm.nameKey[tokenizer.Normalize(n)] = n
-		if k := len(strings.Fields(n)); k > nm.maxNameTokens {
-			nm.maxNameTokens = k
-		}
-	}
-	return nm
-}
-
-func newHarvest(docs int) *Harvest {
-	return &Harvest{
-		Counts:      make(map[string]map[string]int),
-		Occurrences: make(map[string]int),
-		Docs:        docs,
-	}
-}
-
 // HarvestDocs scans the documents for the tracked names (matched by the
 // dictionary normalization rules) and returns the keyphrase counts.
 func (h *Harvester) HarvestDocs(docs []string, names []string) *Harvest {
-	out := newHarvest(len(docs))
-	nm := newNameMatcher(names)
+	out := &Harvest{
+		Counts:      make(map[string]map[string]int),
+		Occurrences: make(map[string]int),
+		Docs:        len(docs),
+	}
+	nameKey := make(map[string]string, len(names))
+	maxNameTokens := 1
+	for _, n := range names {
+		nameKey[tokenizer.Normalize(n)] = n
+		if k := len(strings.Fields(n)); k > maxNameTokens {
+			maxNameTokens = k
+		}
+	}
 	for _, doc := range docs {
-		h.harvestDoc(doc, nm.nameKey, nm.maxNameTokens, out)
+		h.harvestDoc(doc, nameKey, maxNameTokens, out)
 	}
 	return out
 }
@@ -197,49 +181,5 @@ func (h *Harvester) countWindow(name string, sentence, numSentences int, phrases
 			}
 			m[p]++
 		}
-	}
-}
-
-// HarvestDocsParallel is HarvestDocs with documents scanned by up to
-// workers goroutines. The tracked-name table is built once and shared;
-// per-document counts are merged in document order, so the result is
-// identical to the sequential scan (counts are additive and the harvester
-// itself is read-only during scanning).
-func (h *Harvester) HarvestDocsParallel(docs []string, names []string, workers int) *Harvest {
-	if workers <= 1 || len(docs) < 2 {
-		return h.HarvestDocs(docs, names)
-	}
-	nm := newNameMatcher(names)
-	parts := make([]*Harvest, len(docs))
-	pool.ForEach(len(docs), workers, func(i int) {
-		part := newHarvest(1)
-		h.harvestDoc(docs[i], nm.nameKey, nm.maxNameTokens, part)
-		parts[i] = part
-	})
-	out := newHarvest(0)
-	for _, p := range parts {
-		out.Merge(p)
-	}
-	return out
-}
-
-// Merge adds another harvest's counts into h (for sliding news windows).
-func (hv *Harvest) Merge(other *Harvest) {
-	if other == nil {
-		return
-	}
-	hv.Docs += other.Docs
-	for name, counts := range other.Counts {
-		m := hv.Counts[name]
-		if m == nil {
-			m = make(map[string]int)
-			hv.Counts[name] = m
-		}
-		for p, c := range counts {
-			m[p] += c
-		}
-	}
-	for name, c := range other.Occurrences {
-		hv.Occurrences[name] += c
 	}
 }

@@ -3,8 +3,6 @@ package emerge
 import (
 	"aida/internal/disambig"
 	"aida/internal/kb"
-	"aida/internal/pool"
-	"aida/internal/relatedness"
 )
 
 // ChunkDoc is one document of the harvesting chunk (the recent news the
@@ -22,9 +20,6 @@ type Pipeline struct {
 	// KB is the knowledge base store the pipeline harvests against: any
 	// kb.Store, with identical results for the same content.
 	KB kb.Store
-	// Method disambiguates the chunk documents harvested for enrichment
-	// and the extended problems (default: r-prior sim-k).
-	Method disambig.Method
 	// Model tunes placeholder construction.
 	Model ModelConfig
 	// MaxCandidates caps dictionary candidates per mention (0 = no cap).
@@ -32,25 +27,11 @@ type Pipeline struct {
 	// HarvestWindow is the sentence window of the harvester (0 = the
 	// dissertation's ±5; negative = same sentence only).
 	HarvestWindow int
-	// Parallelism bounds the worker pools of chunk harvesting and
-	// enrichment (≤ 1 = sequential). Per-document work runs concurrently;
-	// accumulation stays in document order, so results are identical at
-	// any setting.
-	Parallelism int
-	// Scorer optionally shares a long-lived relatedness engine across the
-	// pipeline's disambiguation problems (see disambig.Problem.Scorer).
-	Scorer *relatedness.Scorer
 }
 
-func (pl *Pipeline) method() disambig.Method {
-	if pl.Method != nil {
-		return pl.Method
-	}
-	return defaultMethod()
-}
-
-// defaultMethod is the pipeline's and the Discoverer's method when none is
-// set: prior-backed keyphrase similarity with the prior robustness test.
+// defaultMethod disambiguates the pipeline's chunk documents and extended
+// problems, and is the Discoverer's method when none is set: prior-backed
+// keyphrase similarity with the prior robustness test (r-prior sim-k).
 func defaultMethod() disambig.Method {
 	return disambig.NewAIDAVariant("ee-sim", disambig.Config{UsePrior: true, PriorTest: true})
 }
@@ -72,18 +53,12 @@ func (pl *Pipeline) harvester() Harvester {
 // BuildEnricher mines keyphrases for existing entities from the chunk
 // (Sec. 5.5.1): each document is disambiguated, and sentences around
 // high-confidence mentions that carry verbatim keyphrase evidence for the
-// chosen entity are harvested and attributed to it. Documents are
-// processed by up to Parallelism workers; contributions are folded in
-// document order, so the enricher is identical to a sequential build.
+// chosen entity are harvested and attributed to it, in document order.
 func (pl *Pipeline) BuildEnricher(chunk []ChunkDoc) *Enricher {
-	m := pl.method()
-	contribs := make([]*HarvestContribution, len(chunk))
-	pool.ForEach(len(chunk), pl.Parallelism, func(i int) {
-		contribs[i] = pl.harvestChunkDoc(m, chunk[i])
-	})
+	m := defaultMethod()
 	enricher := NewEnricher()
-	for _, c := range contribs {
-		enricher.Apply(c)
+	for _, d := range chunk {
+		enricher.Apply(pl.harvestChunkDoc(m, d))
 	}
 	return enricher
 }
@@ -95,12 +70,6 @@ func (pl *Pipeline) harvestChunkDoc(m disambig.Method, d ChunkDoc) *HarvestContr
 		return nil
 	}
 	p := disambig.NewProblem(pl.KB, d.Text, d.Surfaces, pl.MaxCandidates)
-	p.Scorer = pl.Scorer
-	if pl.Parallelism > 1 {
-		// Fan-out happens at the document level; don't compound it with
-		// per-document coherence pools.
-		p.CoherenceWorkers = 1
-	}
 	out := m.Disambiguate(p)
 	conf := NormConfidence(out)
 	chosen := map[string]*disambig.Candidate{}
@@ -130,7 +99,7 @@ func (pl *Pipeline) Models(chunk []ChunkDoc, surfaces []string, enricher *Enrich
 		texts[i] = d.Text
 	}
 	h := pl.harvester()
-	hv := h.HarvestDocsParallel(texts, surfaces, pl.Parallelism)
+	hv := h.HarvestDocs(texts, surfaces)
 	cfg := pl.Model
 	if cfg.KBSize == 0 {
 		cfg.KBSize = pl.KB.NumEntities()
@@ -153,12 +122,9 @@ func (pl *Pipeline) Models(chunk []ChunkDoc, surfaces []string, enricher *Enrich
 }
 
 // Problem builds the (optionally enriched) disambiguation problem for a
-// document. Enrichment replaces candidate keyphrase slices, which the
-// coherence scorer detects, so enriched candidates are scored per-problem
-// while untouched ones still use the shared engine.
+// document.
 func (pl *Pipeline) Problem(text string, surfaces []string, enricher *Enricher) *disambig.Problem {
 	p := disambig.NewProblem(pl.KB, text, surfaces, pl.MaxCandidates)
-	p.Scorer = pl.Scorer
 	if enricher != nil {
 		enricher.Enrich(p)
 	}
@@ -170,6 +136,6 @@ func (pl *Pipeline) Problem(text string, surfaces []string, enricher *Enricher) 
 func (pl *Pipeline) Run(text string, surfaces []string, chunk []ChunkDoc, enricher *Enricher) *Discovery {
 	p := pl.Problem(text, surfaces, enricher)
 	models := pl.Models(chunk, surfaces, enricher)
-	d := &Discoverer{Method: pl.method()}
+	d := &Discoverer{Method: defaultMethod()}
 	return d.Discover(p, models)
 }

@@ -129,7 +129,7 @@ func TestPipelineEnrichedSubtraction(t *testing.T) {
 
 func TestPipelineDefaults(t *testing.T) {
 	pl := &Pipeline{KB: buildEEKB()}
-	if pl.method() == nil {
+	if defaultMethod() == nil {
 		t.Fatal("default method missing")
 	}
 	p := pl.Problem("Snowden spoke.", []string{"Snowden"}, nil)

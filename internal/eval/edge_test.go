@@ -55,37 +55,6 @@ func TestEEQualityDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestTACAccuracyDegenerateInputs(t *testing.T) {
-	m := TACAccuracy(nil)
-	if m.Overall != 0 || m.InKB != 0 || m.NIL != 0 || m.Queries != 0 {
-		t.Errorf("TACAccuracy(nil) = %+v, want zeros", m)
-	}
-	// All-NIL query sets must not divide by the empty in-KB denominator.
-	m = TACAccuracy([]TACQuery{{Gold: kb.NoEntity, Pred: kb.NoEntity}})
-	if m.InKBQueries != 0 || m.InKB != 0 || m.NIL != 1 || m.Overall != 1 {
-		t.Errorf("TACAccuracy(all-NIL) = %+v", m)
-	}
-}
-
-func TestNILClustersErrorPaths(t *testing.T) {
-	// Mismatched lengths are a caller error: the documented fallback is
-	// all-zero, never a panic or partial pairing.
-	if p, r, f := NILClusters([]string{"a", "b"}, []string{"a"}); p != 0 || r != 0 || f != 0 {
-		t.Errorf("NILClusters(mismatched) = (%v, %v, %v), want zeros", p, r, f)
-	}
-	// Fewer than two queries have no pairs to agree on.
-	if p, r, f := NILClusters([]string{"a"}, []string{"a"}); p != 0 || r != 0 || f != 0 {
-		t.Errorf("NILClusters(single) = (%v, %v, %v), want zeros", p, r, f)
-	}
-	if p, r, f := NILClusters(nil, nil); p != 0 || r != 0 || f != 0 {
-		t.Errorf("NILClusters(nil) = (%v, %v, %v), want zeros", p, r, f)
-	}
-	// No same-cluster pairs anywhere: both denominators empty.
-	if p, r, f := NILClusters([]string{"a", "b"}, []string{"c", "d"}); p != 0 || r != 0 || f != 0 {
-		t.Errorf("NILClusters(all-singleton) = (%v, %v, %v), want zeros", p, r, f)
-	}
-}
-
 func TestRankedMeasureDegenerateInputs(t *testing.T) {
 	if got := MAP(nil); got != 0 {
 		t.Errorf("MAP(nil) = %v, want 0", got)
@@ -120,29 +89,6 @@ func TestSpearmanDegenerateInputs(t *testing.T) {
 	}
 	if got := SpearmanFromOrder([]int{0, 1}, []float64{1}); got != 0 {
 		t.Errorf("SpearmanFromOrder(mismatched) = %v, want 0", got)
-	}
-}
-
-func TestPairedTTestDegenerateInputs(t *testing.T) {
-	if tt, p := PairedTTest([]float64{1}, []float64{1, 2}); tt != 0 || p != 1 {
-		t.Errorf("PairedTTest(mismatched) = (%v, %v), want (0, 1)", tt, p)
-	}
-	if tt, p := PairedTTest([]float64{1}, []float64{1}); tt != 0 || p != 1 {
-		t.Errorf("PairedTTest(single) = (%v, %v), want (0, 1)", tt, p)
-	}
-	// Identical samples: zero variance, zero mean difference → no effect.
-	if tt, p := PairedTTest([]float64{1, 2, 3}, []float64{1, 2, 3}); tt != 0 || p != 1 {
-		t.Errorf("PairedTTest(identical) = (%v, %v), want (0, 1)", tt, p)
-	}
-	// Constant non-zero difference: infinite t, p = 0 (maximally
-	// significant), with the sign of the difference.
-	tt, p := PairedTTest([]float64{2, 3, 4}, []float64{1, 2, 3})
-	if !math.IsInf(tt, 1) || p != 0 {
-		t.Errorf("PairedTTest(constant+diff) = (%v, %v), want (+Inf, 0)", tt, p)
-	}
-	tt, _ = PairedTTest([]float64{1, 2, 3}, []float64{2, 3, 4})
-	if !math.IsInf(tt, -1) {
-		t.Errorf("PairedTTest(constant-diff) t = %v, want -Inf", tt)
 	}
 }
 

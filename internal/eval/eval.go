@@ -1,9 +1,8 @@
 // Package eval implements the evaluation measures of the dissertation:
 // micro/macro-averaged accuracy (Sec. 3.6.1), interpolated MAP and
 // precision@confidence over confidence-ranked mentions (Sec. 5.7.1), the
-// emerging-entity precision/recall/F1 (Sec. 5.7.2), Spearman rank
-// correlation for the relatedness study (Sec. 4.5.2), and a paired t-test
-// for significance reporting.
+// emerging-entity precision/recall/F1 (Sec. 5.7.2) and Spearman rank
+// correlation for the relatedness study (Sec. 4.5.2).
 package eval
 
 import (

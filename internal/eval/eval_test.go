@@ -195,42 +195,6 @@ func TestSpearmanRange(t *testing.T) {
 	}
 }
 
-func TestPairedTTest(t *testing.T) {
-	a := []float64{0.8, 0.82, 0.85, 0.81, 0.83, 0.84, 0.8, 0.82}
-	b := []float64{0.7, 0.72, 0.74, 0.71, 0.73, 0.75, 0.7, 0.71}
-	tStat, p := PairedTTest(a, b)
-	if tStat <= 0 {
-		t.Errorf("a > b should give positive t, got %v", tStat)
-	}
-	if p > 0.01 {
-		t.Errorf("clearly separated samples should be significant, p=%v", p)
-	}
-	_, pSame := PairedTTest(a, a)
-	if pSame < 0.99 {
-		t.Errorf("identical samples p = %v, want ~1", pSame)
-	}
-}
-
-func TestPairedTTestPValueRange(t *testing.T) {
-	f := func(seed []float64) bool {
-		if len(seed) < 4 {
-			return true
-		}
-		a := seed[:len(seed)/2]
-		b := seed[len(seed)/2 : len(seed)/2*2]
-		for _, x := range seed {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e6 {
-				return true
-			}
-		}
-		_, p := PairedTTest(a, b)
-		return p >= 0 && p <= 1+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMeanStddevQuantile(t *testing.T) {
 	v := []float64{1, 2, 3, 4, 5}
 	if !almost(Mean(v), 3) {

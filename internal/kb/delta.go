@@ -82,12 +82,6 @@ type LinkAddition struct {
 	Dst EntityID `json:"dst"`
 }
 
-// IsEmpty reports whether the delta carries no additions at all.
-func (d *Delta) IsEmpty() bool {
-	return len(d.Entities) == 0 && len(d.Rows) == 0 && len(d.Links) == 0 &&
-		len(d.PhraseIDF) == 0 && len(d.WordIDF) == 0
-}
-
 // Validate checks the delta against the base store it is about to be
 // applied to: the generation must match, new names must be absent from the
 // base and unique, row and link references must be in range (including the

@@ -39,8 +39,8 @@ var errInjected = errors.New("kbtest: injected transient fault")
 // the kb.HostFaulter hook a kb.StoreHost consults before serving each
 // operation, so a fleet of real HTTP shard hosts misbehaves on demand —
 // latency, hangs, transient errors, stale fingerprints — without a second
-// HTTP stack. Reconfigure live with Set; Ops and Injected count what the
-// host actually saw. All methods are safe for concurrent use.
+// HTTP stack. Reconfigure live with Set. All methods are safe for
+// concurrent use.
 type FaultStore struct {
 	// Store is the wrapped store: FaultStore never corrupts data, it only
 	// delays or refuses to serve it, so every read it does not override
@@ -51,8 +51,7 @@ type FaultStore struct {
 	mu sync.Mutex
 	f  Faults
 
-	ops      atomic.Int64
-	injected atomic.Int64
+	ops atomic.Int64 // operations that reached this replica
 }
 
 // NewFaultStore wraps a store (which must expose IDF tables, as a *kb.KB
@@ -71,12 +70,6 @@ func (s *FaultStore) Set(f Faults) {
 	s.f = f
 	s.mu.Unlock()
 }
-
-// Ops reports how many store operations reached this replica.
-func (s *FaultStore) Ops() int64 { return s.ops.Load() }
-
-// Injected reports how many operations failed with an injected error.
-func (s *FaultStore) Injected() int64 { return s.injected.Load() }
 
 // HostFault implements kb.HostFaulter: it delays and/or fails the
 // operation according to the armed faults.
@@ -99,7 +92,6 @@ func (s *FaultStore) HostFault(ctx context.Context, op string) error {
 		}
 	}
 	if f.FailNext > 0 || (f.ErrorEvery > 0 && n%int64(f.ErrorEvery) == 0) {
-		s.injected.Add(1)
 		return errInjected
 	}
 	return nil

@@ -83,21 +83,6 @@ func (s *Sketcher) SketchStrings(set []string) []uint64 {
 	return s.Sketch(ids)
 }
 
-// EstimateJaccard estimates the Jaccard similarity of the sets behind two
-// equal-length signatures as the fraction of agreeing rows.
-func EstimateJaccard(a, b []uint64) float64 {
-	if len(a) == 0 || len(a) != len(b) {
-		return 0
-	}
-	eq := 0
-	for i := range a {
-		if a[i] == b[i] {
-			eq++
-		}
-	}
-	return float64(eq) / float64(len(a))
-}
-
 // LSH bands signatures into buckets: signatures agreeing on all rows of at
 // least one band land in a common bucket. The dissertation sums the row
 // hashes within a band ("combining the two ids in each band by summing up
@@ -123,9 +108,6 @@ func (l LSH) BucketKeys(sig []uint64) []uint64 {
 	}
 	return keys
 }
-
-// SignatureLength returns the required signature length Bands*Rows.
-func (l LSH) SignatureLength() int { return l.Bands * l.Rows }
 
 // Index groups items by their LSH buckets and enumerates candidate pairs.
 type Index struct {

@@ -14,7 +14,6 @@ package ner
 
 import (
 	"strings"
-	"unicode"
 
 	"aida/internal/tokenizer"
 )
@@ -167,16 +166,4 @@ func MentionSurfaces(mentions []Mention) []string {
 		out[i] = m.Text
 	}
 	return out
-}
-
-// IsAcronym reports whether a surface form is an all-upper-case acronym.
-func IsAcronym(s string) bool {
-	n := 0
-	for _, r := range s {
-		if !unicode.IsUpper(r) {
-			return false
-		}
-		n++
-	}
-	return n >= 2
 }

@@ -101,15 +101,6 @@ func TestSentenceInitialStopword(t *testing.T) {
 	}
 }
 
-func TestIsAcronym(t *testing.T) {
-	cases := map[string]bool{"USA": true, "UN": true, "Apple": false, "A": false, "us": false}
-	for in, want := range cases {
-		if got := IsAcronym(in); got != want {
-			t.Errorf("IsAcronym(%q) = %v want %v", in, got, want)
-		}
-	}
-}
-
 func TestMaxTokens(t *testing.T) {
 	var r Recognizer
 	ms := r.Recognize("the Royal Bank Holding Company Trust Limited building")

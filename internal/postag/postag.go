@@ -171,11 +171,6 @@ func (tg *Tagger) TagTokens(tokens []tokenizer.Token) []Tagged {
 	return out
 }
 
-// TagText tokenizes and tags text in one step.
-func (tg *Tagger) TagText(text string) []Tagged {
-	return tg.TagTokens(tokenizer.Tokenize(text))
-}
-
 // Keyphrase extraction patterns (Appendix A).
 //
 // Two pattern families are extracted, mirroring the dissertation:
@@ -257,15 +252,4 @@ func PhraseText(span []Tagged) string {
 		parts[i] = t.Text
 	}
 	return strings.Join(parts, " ")
-}
-
-// ExtractKeyphraseStrings tags text and returns the surface forms of all
-// extracted keyphrase candidates.
-func ExtractKeyphraseStrings(tg *Tagger, text string) []string {
-	spans := ExtractKeyphrases(tg.TagTokens(tokenizer.Tokenize(text)))
-	out := make([]string, len(spans))
-	for i, s := range spans {
-		out[i] = PhraseText(s)
-	}
-	return out
 }

@@ -15,9 +15,20 @@ func tagsOf(tagged []Tagged) []Tag {
 	return out
 }
 
+// keyphraseStrings tags text and returns the surface forms of all
+// extracted keyphrase candidates.
+func keyphraseStrings(tg *Tagger, text string) []string {
+	spans := ExtractKeyphrases(tg.TagTokens(tokenizer.Tokenize(text)))
+	out := make([]string, len(spans))
+	for i, s := range spans {
+		out[i] = PhraseText(s)
+	}
+	return out
+}
+
 func TestTagBasicSentence(t *testing.T) {
 	var tg Tagger
-	tagged := tg.TagText("The black fighter performed in Berlin.")
+	tagged := tg.TagTokens(tokenizer.Tokenize("The black fighter performed in Berlin."))
 	want := []Tag{Determiner, Noun, Noun, Verb, Preposition, ProperNoun, Punctuation}
 	if !reflect.DeepEqual(tagsOf(tagged), want) {
 		t.Fatalf("got %v want %v", tagsOf(tagged), want)
@@ -26,7 +37,7 @@ func TestTagBasicSentence(t *testing.T) {
 
 func TestTagProperNounsMidSentence(t *testing.T) {
 	var tg Tagger
-	tagged := tg.TagText("They performed Kashmir with Page.")
+	tagged := tg.TagTokens(tokenizer.Tokenize("They performed Kashmir with Page."))
 	byText := map[string]Tag{}
 	for _, tok := range tagged {
 		byText[tok.Text] = tok.Tag
@@ -44,7 +55,7 @@ func TestTagProperNounsMidSentence(t *testing.T) {
 
 func TestTagAcronym(t *testing.T) {
 	var tg Tagger
-	tagged := tg.TagText("officials from NATO met")
+	tagged := tg.TagTokens(tokenizer.Tokenize("officials from NATO met"))
 	if tagged[2].Tag != ProperNoun {
 		t.Errorf("NATO tagged %v", tagged[2].Tag)
 	}
@@ -52,7 +63,7 @@ func TestTagAcronym(t *testing.T) {
 
 func TestTagNumberAndSuffixes(t *testing.T) {
 	var tg Tagger
-	tagged := tg.TagText("the musical group quickly released 1976 recordings")
+	tagged := tg.TagTokens(tokenizer.Tokenize("the musical group quickly released 1976 recordings"))
 	byText := map[string]Tag{}
 	for _, tok := range tagged {
 		byText[tok.Text] = tok.Tag
@@ -70,7 +81,7 @@ func TestTagNumberAndSuffixes(t *testing.T) {
 
 func TestExtractKeyphrasesProperNouns(t *testing.T) {
 	var tg Tagger
-	got := ExtractKeyphraseStrings(&tg, "officials at the Bank of England met Robert Plant")
+	got := keyphraseStrings(&tg, "officials at the Bank of England met Robert Plant")
 	want := map[string]bool{"Bank of England": true, "Robert Plant": true}
 	found := 0
 	for _, p := range got {
@@ -85,7 +96,7 @@ func TestExtractKeyphrasesProperNouns(t *testing.T) {
 
 func TestExtractKeyphrasesTechnicalTerms(t *testing.T) {
 	var tg Tagger
-	got := ExtractKeyphraseStrings(&tg, "the secret surveillance program used a powerful search engine")
+	got := keyphraseStrings(&tg, "the secret surveillance program used a powerful search engine")
 	asSet := map[string]bool{}
 	for _, p := range got {
 		asSet[p] = true
@@ -100,7 +111,7 @@ func TestExtractKeyphrasesTechnicalTerms(t *testing.T) {
 
 func TestExtractKeyphrasesEndsInNoun(t *testing.T) {
 	var tg Tagger
-	tagged := tg.TagText("an economic situation")
+	tagged := tg.TagTokens(tokenizer.Tokenize("an economic situation"))
 	spans := ExtractKeyphrases(tagged)
 	for _, s := range spans {
 		if s[len(s)-1].Tag != Noun && s[len(s)-1].Tag != ProperNoun {
@@ -111,7 +122,7 @@ func TestExtractKeyphrasesEndsInNoun(t *testing.T) {
 
 func TestExtractKeyphrasesNoCrossSentence(t *testing.T) {
 	var tg Tagger
-	got := ExtractKeyphraseStrings(&tg, "He met Robert. Plant sang.")
+	got := keyphraseStrings(&tg, "He met Robert. Plant sang.")
 	for _, p := range got {
 		if p == "Robert . Plant" || p == "Robert Plant" {
 			t.Errorf("keyphrase crosses sentence boundary: %q", p)
@@ -133,6 +144,6 @@ func BenchmarkTagText(b *testing.B) {
 	text := "Washington's program Prism was revealed by the whistleblower Snowden in a secret surveillance operation."
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tg.TagText(text)
+		tg.TagTokens(tokenizer.Tokenize(text))
 	}
 }

@@ -30,10 +30,6 @@ import (
 // works best").
 type Weighter func(word string) float64
 
-// UnitWeighter weights every keyword 1; useful for tests and for keyphrase
-// sets without corpus statistics.
-func UnitWeighter(string) float64 { return 1 }
-
 // MW computes the Milne–Witten relatedness (Eq. 3.7) from the in-link sets
 // of two entities and the collection size n:
 //

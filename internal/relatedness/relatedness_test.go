@@ -71,9 +71,12 @@ func idsOf(xs []uint8) []kb.EntityID {
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// unitWeighter weights every keyword 1.
+func unitWeighter(string) float64 { return 1 }
+
 func TestKOREIdenticalSets(t *testing.T) {
 	set := []kb.Keyphrase{kp("English rock guitarist", 0.9), kp("hard rock", 0.5)}
-	got := KORE(set, set, UnitWeighter)
+	got := KORE(set, set, unitWeighter)
 	if got <= 0.4 {
 		t.Errorf("identical keyphrase sets should be highly related, got %v", got)
 	}
@@ -82,7 +85,7 @@ func TestKOREIdenticalSets(t *testing.T) {
 func TestKOREDisjointSets(t *testing.T) {
 	a := []kb.Keyphrase{kp("English rock guitarist", 0.9)}
 	b := []kb.Keyphrase{kp("quantum flux capacitor", 0.9)}
-	if got := KORE(a, b, UnitWeighter); got != 0 {
+	if got := KORE(a, b, unitWeighter); got != 0 {
 		t.Errorf("disjoint sets must be 0, got %v", got)
 	}
 }
@@ -93,7 +96,7 @@ func TestKOREPartialOverlapOrdering(t *testing.T) {
 	base := []kb.Keyphrase{kp("English rock guitarist", 0.8)}
 	near := []kb.Keyphrase{kp("English guitarist", 0.8)}
 	far := []kb.Keyphrase{kp("German president", 0.8)}
-	if KORE(base, near, UnitWeighter) <= KORE(base, far, UnitWeighter) {
+	if KORE(base, near, unitWeighter) <= KORE(base, far, unitWeighter) {
 		t.Error("partial overlap ordering violated")
 	}
 }
@@ -101,7 +104,7 @@ func TestKOREPartialOverlapOrdering(t *testing.T) {
 func TestKORESymmetric(t *testing.T) {
 	a := []kb.Keyphrase{kp("English rock guitarist", 0.7), kp("Gibson guitar", 0.9)}
 	b := []kb.Keyphrase{kp("hard rock band", 0.6), kp("rock guitarist", 0.4)}
-	if !almostEq(KORE(a, b, UnitWeighter), KORE(b, a, UnitWeighter)) {
+	if !almostEq(KORE(a, b, unitWeighter), KORE(b, a, unitWeighter)) {
 		t.Error("KORE must be symmetric")
 	}
 }
@@ -111,7 +114,7 @@ func TestKORESquaredPenalty(t *testing.T) {
 	// strictly less than proportionally.
 	a := []kb.Keyphrase{kp("alpha beta gamma", 1)}
 	partial := []kb.Keyphrase{kp("alpha delta epsilon", 1)}
-	got := KORE(a, partial, UnitWeighter)
+	got := KORE(a, partial, unitWeighter)
 	po := 1.0 / 5.0 // |∩|=1, |∪|=5
 	want := po * po * 1.0 / 2.0
 	if !almostEq(got, want) {
@@ -139,10 +142,10 @@ func TestKeywordCosine(t *testing.T) {
 	a := []kb.Keyphrase{kp("English rock guitarist", 0.8)}
 	b := []kb.Keyphrase{kp("rock guitarist", 0.8)}
 	c := []kb.Keyphrase{kp("quantum flux", 0.8)}
-	if KeywordCosine(a, a, UnitWeighter) < 0.999 {
+	if KeywordCosine(a, a, unitWeighter) < 0.999 {
 		t.Error("self cosine must be 1")
 	}
-	if KeywordCosine(a, b, UnitWeighter) <= KeywordCosine(a, c, UnitWeighter) {
+	if KeywordCosine(a, b, unitWeighter) <= KeywordCosine(a, c, unitWeighter) {
 		t.Error("cosine ordering violated")
 	}
 }

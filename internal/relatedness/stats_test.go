@@ -109,11 +109,11 @@ func TestParseKind(t *testing.T) {
 }
 
 func TestProfileApproxBytesGrows(t *testing.T) {
-	small := NewProfile([]kb.Keyphrase{{Phrase: "rock", Words: []string{"rock"}, MI: 1}}, UnitWeighter)
+	small := NewProfile([]kb.Keyphrase{{Phrase: "rock", Words: []string{"rock"}, MI: 1}}, unitWeighter)
 	big := NewProfile([]kb.Keyphrase{
 		{Phrase: "english rock guitarist", Words: []string{"english", "rock", "guitarist"}, MI: 1},
 		{Phrase: "unusual chords", Words: []string{"unusual", "chords"}, MI: 1},
-	}, UnitWeighter)
+	}, unitWeighter)
 	if small.ApproxBytes() <= 0 {
 		t.Fatal("ApproxBytes must be positive for a non-empty profile")
 	}

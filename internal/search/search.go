@@ -86,9 +86,6 @@ func (ix *Index) AddDocument(docID, text string, annotations []Annotation) {
 	ix.numDocs++
 }
 
-// NumDocs returns the number of indexed documents.
-func (ix *Index) NumDocs() int { return ix.numDocs }
-
 // idf of a posting list.
 func (ix *Index) idf(df int) float64 {
 	if df == 0 {

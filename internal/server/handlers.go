@@ -112,9 +112,9 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	}
 	// The parallelism clamp applies to single documents too: the
 	// coherence pool is the only intra-document fan-out, so bounding it
-	// honors the operator's MaxParallelism under concurrent requests.
+	// keeps one request within GOMAXPROCS under concurrent requests.
 	// Negative values pass through to resolution and fail with 400.
-	req.Parallelism = s.clampParallelism(req.Parallelism)
+	req.Parallelism = clampParallelism(req.Parallelism)
 	asHTML := wantsHTML(r)
 	if asHTML {
 		// The HTML span titles carry the candidate ranking.
@@ -223,7 +223,7 @@ func (s *Server) handleAnnotateBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "mentions belong to one document: send them to /v1/annotate")
 		return
 	}
-	req.Parallelism = s.clampParallelism(req.Parallelism)
+	req.Parallelism = clampParallelism(req.Parallelism)
 	// Pre-validate before any write: the NDJSON branch commits a 200
 	// header when the stream starts, so a bad method, domain or context
 	// must be caught here to get its proper 400.

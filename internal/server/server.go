@@ -47,13 +47,6 @@ type Config struct {
 	// MaxBatchDocs caps the number of documents per batch request
 	// (default 1024). Larger batches are rejected with 413.
 	MaxBatchDocs int
-	// MaxParallelism caps the per-request annotation parallelism
-	// (default GOMAXPROCS). Requests asking for more are clamped, never
-	// rejected: parallelism affects scheduling only, not results.
-	MaxParallelism int
-	// DefaultParallelism is used when a batch request does not specify
-	// parallelism (default MaxParallelism).
-	DefaultParallelism int
 	// Logger receives structured request logs (default slog.Default()).
 	Logger *slog.Logger
 	// ShardHost, when set, mounts the remote KB read surface under
@@ -81,12 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatchDocs <= 0 {
 		c.MaxBatchDocs = 1024
-	}
-	if c.MaxParallelism <= 0 {
-		c.MaxParallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.DefaultParallelism <= 0 || c.DefaultParallelism > c.MaxParallelism {
-		c.DefaultParallelism = c.MaxParallelism
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -309,17 +296,15 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
-// clampParallelism resolves a requested per-request parallelism against
-// the configured default and cap. Negative values pass through untouched:
-// they are a client error the option resolution rejects with 400, not a
-// "use the default" request.
-func (s *Server) clampParallelism(requested int) int {
-	p := requested
-	if p == 0 {
-		p = s.cfg.DefaultParallelism
+// clampParallelism resolves a requested per-request parallelism: 0 (the
+// default) and anything above GOMAXPROCS become GOMAXPROCS. Requests asking
+// for more are clamped, never rejected: parallelism affects scheduling
+// only, not results. Negative values pass through untouched: they are a
+// client error the option resolution rejects with 400, not a "use the
+// default" request.
+func clampParallelism(requested int) int {
+	if n := runtime.GOMAXPROCS(0); requested == 0 || requested > n {
+		return n
 	}
-	if p > s.cfg.MaxParallelism {
-		p = s.cfg.MaxParallelism
-	}
-	return p
+	return requested
 }

@@ -254,18 +254,6 @@ func isAbbrevRunes(rs []rune) bool {
 	return dots > 0
 }
 
-// Sentences groups tokens by their sentence index, preserving order.
-func Sentences(tokens []Token) [][]Token {
-	var out [][]Token
-	for _, t := range tokens {
-		for t.Sentence >= len(out) {
-			out = append(out, nil)
-		}
-		out[t.Sentence] = append(out[t.Sentence], t)
-	}
-	return out
-}
-
 // Words returns the lower-cased word tokens of text, dropping punctuation.
 func Words(text string) []string {
 	toks := Tokenize(text)

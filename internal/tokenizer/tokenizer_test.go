@@ -50,20 +50,22 @@ func TestTokenizeAbbreviation(t *testing.T) {
 
 func TestSentenceSplitting(t *testing.T) {
 	toks := Tokenize("Dylan released Desire. It was recorded in 1976. Critics loved it.")
-	sents := Sentences(toks)
-	if len(sents) != 3 {
-		t.Fatalf("want 3 sentences, got %d: %v", len(sents), sents)
+	if n := toks[len(toks)-1].Sentence + 1; n != 3 {
+		t.Fatalf("want 3 sentences, got %d: %v", n, toks)
 	}
-	if sents[1][0].Text != "It" {
-		t.Errorf("second sentence starts with %q", sents[1][0].Text)
+	for i, tok := range toks {
+		if tok.Text == "It" {
+			if tok.Sentence != 1 || toks[i-1].Sentence != 0 {
+				t.Errorf("second sentence should start at %q: %+v", tok.Text, toks[i-1:i+1])
+			}
+		}
 	}
 }
 
 func TestSentenceNotSplitOnDecimal(t *testing.T) {
 	toks := Tokenize("Growth was 3.5 percent. Inflation fell.")
-	sents := Sentences(toks)
-	if len(sents) != 2 {
-		t.Fatalf("want 2 sentences, got %d", len(sents))
+	if n := toks[len(toks)-1].Sentence + 1; n != 2 {
+		t.Fatalf("want 2 sentences, got %d", n)
 	}
 }
 

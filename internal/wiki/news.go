@@ -14,22 +14,23 @@ type NewsSpec struct {
 	Days       int
 	DocsPerDay int
 	Seed       int64
-	// EERate is the fraction of mentions referring to emerging entities
-	// (entities born on or before the document's day).
-	EERate float64
-	// EventPhrasesPerDay is the number of fresh event phrases attached to
-	// existing entities each day; these are harvestable evidence for the
-	// in-KB keyphrase enrichment of Sec. 5.5.1.
-	EventPhrasesPerDay int
 }
 
-// DefaultNewsSpec mirrors the AIDA-EE GigaWord corpus shape (Table 5.2).
+// The stream's fixed mix, mirroring the AIDA-EE GigaWord corpus shape
+// (Table 5.2).
+const (
+	// eeRate is the fraction of mentions referring to emerging entities
+	// (entities born on or before the document's day).
+	eeRate float64 = 0.15
+	// eventPhrasesPerDay is the number of fresh event phrases attached to
+	// existing entities each day; these are harvestable evidence for the
+	// in-KB keyphrase enrichment of Sec. 5.5.1.
+	eventPhrasesPerDay = 40
+)
+
+// DefaultNewsSpec is the stream of days × docsPerDay articles for a seed.
 func DefaultNewsSpec(days, docsPerDay int, seed int64) NewsSpec {
-	return NewsSpec{
-		Days: days, DocsPerDay: docsPerDay, Seed: seed,
-		EERate:             0.15,
-		EventPhrasesPerDay: 40,
-	}
+	return NewsSpec{Days: days, DocsPerDay: docsPerDay, Seed: seed}
 }
 
 // NewsStream generates a day-stamped article stream. Emerging entities
@@ -52,7 +53,7 @@ func (w *World) NewsStream(spec NewsSpec) []Document {
 		for d := 0; d < spec.DocsPerDay; d++ {
 			cs := CorpusSpec{
 				MinMentions: 8, MaxMentions: 20,
-				OOERate:              spec.EERate,
+				OOERate:              eeRate,
 				AmbiguousSurfaceRate: 0.6,
 				ContextRichness:      6,
 				Clusters:             2,
@@ -72,14 +73,14 @@ func (w *World) eventPhrases(rng *rand.Rand, spec NewsSpec) map[int]map[kb.Entit
 	out := make(map[int]map[kb.EntityID][]string, spec.Days)
 	for day := 1; day <= spec.Days; day++ {
 		m := make(map[kb.EntityID][]string)
-		for i := 0; i < spec.EventPhrasesPerDay; i++ {
+		for i := 0; i < eventPhrasesPerDay; i++ {
 			ent := w.meta[rng.Intn(len(w.meta))].ID
 			domain := w.meta[ent].Domain
 			words := domainWords[domain]
 			// Fresh event vocabulary, unknown to the KB: this is the
 			// evidence that in-KB keyphrase enrichment must claim before
 			// it leaks into emerging-entity placeholders.
-			fresh := jargonWord(jargonEventBase + day*spec.EventPhrasesPerDay + i)
+			fresh := jargonWord(jargonEventBase + day*eventPhrasesPerDay + i)
 			phrase := fmt.Sprintf("%s %s %s",
 				adjectivePool[rng.Intn(len(adjectivePool))],
 				fresh, words[rng.Intn(len(words))])

@@ -9,7 +9,7 @@ import (
 
 func testWorld(t *testing.T) *World {
 	t.Helper()
-	return Generate(Config{Seed: 42, Entities: 400, OOEEntities: 40})
+	return Generate(Config{Seed: 42, Entities: 400})
 }
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -63,8 +63,8 @@ func TestAmbiguityExists(t *testing.T) {
 
 func TestPopularityZipf(t *testing.T) {
 	w := testWorld(t)
-	_, p0, _ := w.Meta(0)
-	_, pLast, _ := w.Meta(kb.EntityID(w.KB.NumEntities() - 1))
+	p0 := w.meta[0].Popularity
+	pLast := w.meta[len(w.meta)-1].Popularity
 	if p0 <= pLast {
 		t.Fatal("popularity should decrease with rank")
 	}
@@ -77,12 +77,11 @@ func TestClusterCoherence(t *testing.T) {
 	w := testWorld(t)
 	// Same-cluster entities must be more related than cross-domain ones.
 	var a, b, c kb.EntityID = -1, -1, -1
-	_, _, clusterA := w.Meta(0)
-	domA, _, _ := w.Meta(0)
+	clusterA, domA := w.meta[0].Cluster, w.meta[0].Domain
 	a = 0
 	for i := 1; i < w.KB.NumEntities(); i++ {
 		id := kb.EntityID(i)
-		dom, _, cl := w.Meta(id)
+		dom, cl := w.meta[id].Domain, w.meta[id].Cluster
 		if b < 0 && cl == clusterA && id != a {
 			b = id
 		}

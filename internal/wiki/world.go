@@ -29,35 +29,23 @@ import (
 type Config struct {
 	Seed     int64
 	Entities int // total entities in the KB (default 2000)
-	// ClustersPerDomain controls topical granularity (default 6).
-	ClustersPerDomain int
-	// ZipfExponent shapes the popularity distribution (default 1.05).
-	ZipfExponent float64
-	// DictionaryNoise is the probability of a wrong name→entity entry
-	// ("bad dictionary" artifacts of Sec. 3.6.4; default 0.01).
-	DictionaryNoise float64
-	// OOEEntities is the number of out-of-KB entities generated for the
-	// emerging-entity experiments (default Entities/10).
-	OOEEntities int
 }
+
+// The world's fixed shape. The out-of-KB population for the
+// emerging-entity experiments is a tenth of Entities.
+const (
+	// clustersPerDomain controls topical granularity.
+	clustersPerDomain = 6
+	// zipfExponent shapes the popularity distribution.
+	zipfExponent float64 = 1.05
+	// dictionaryNoise is the probability of a wrong name→entity entry
+	// ("bad dictionary" artifacts of Sec. 3.6.4).
+	dictionaryNoise float64 = 0.01
+)
 
 func (c Config) withDefaults() Config {
 	if c.Entities <= 0 {
 		c.Entities = 2000
-	}
-	if c.ClustersPerDomain <= 0 {
-		c.ClustersPerDomain = 6
-	}
-	if c.ZipfExponent <= 0 {
-		c.ZipfExponent = 1.05
-	}
-	if c.DictionaryNoise < 0 {
-		c.DictionaryNoise = 0
-	} else if c.DictionaryNoise == 0 {
-		c.DictionaryNoise = 0.01
-	}
-	if c.OOEEntities <= 0 {
-		c.OOEEntities = c.Entities / 10
 	}
 	return c
 }
@@ -128,7 +116,7 @@ func Generate(cfg Config) *World {
 	// the structure real keyphrases have.
 	for _, d := range domains {
 		words := domainWords[d]
-		for ci := 0; ci < cfg.ClustersPerDomain; ci++ {
+		for ci := 0; ci < clustersPerDomain; ci++ {
 			gi := len(w.clusters)
 			jargon := clusterJargon(gi)
 			phrases := make([]string, 0, 8)
@@ -147,7 +135,7 @@ func Generate(cfg Config) *World {
 		kind := kindFor(rng, domain)
 		name, names := w.makeNames(rng, kind, domain, usedNames)
 		id := b.AddEntity(name, domain, typeFor(kind))
-		pop := 1.0 / math.Pow(float64(i+1), cfg.ZipfExponent)
+		pop := 1.0 / math.Pow(float64(i+1), zipfExponent)
 		ci := w.clusterOf(rng, domain)
 		c2 := -1
 		if rng.Float64() < 0.2 {
@@ -184,7 +172,7 @@ func Generate(cfg Config) *World {
 			b.AddName(alias, m.ID, cnt)
 		}
 		// Bad-dictionary noise: rarely attach a wrong alias.
-		if w.rng.Float64() < w.Config.DictionaryNoise {
+		if w.rng.Float64() < dictionaryNoise {
 			other := w.meta[w.rng.Intn(len(w.meta))]
 			b.AddName(other.Names[len(other.Names)-1], m.ID, 1)
 		}
@@ -424,13 +412,6 @@ func clusterPhrase(rng *rand.Rand, words []string, jargon []string) string {
 	return strings.Join(parts, " ")
 }
 
-// Meta exposes generator-side truth about an entity (popularity, clusters)
-// for evaluation slicing.
-func (w *World) Meta(id kb.EntityID) (domain string, popularity float64, clusterID int) {
-	m := w.meta[id]
-	return m.Domain, m.Popularity, m.Cluster
-}
-
 // TrueRelatedness is the latent ground-truth relatedness used for document
 // coherence and the simulated crowd judgments: high for cluster mates,
 // medium for same-domain entities, near zero across domains, with a small
@@ -496,9 +477,8 @@ func (w *World) PopularEntities(domain string, n int) []kb.EntityID {
 
 // generateOOE creates the out-of-KB entity population.
 func (w *World) generateOOE() {
-	cfg := w.Config
 	names := w.KB.Names()
-	for i := 0; i < cfg.OOEEntities; i++ {
+	for i := 0; i < w.Config.Entities/10; i++ {
 		domain := Domains()[w.rng.Intn(len(Domains()))]
 		collide := w.rng.Float64() < 0.6
 		var surface string

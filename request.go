@@ -91,8 +91,8 @@ type ContextSpec struct {
 	Weight float64 `json:"weight,omitempty"`
 }
 
-// Request-context size caps: a context is a hint, not a second document.
-// Oversized contexts are rejected with an InvalidRequestError rather than
+// Request size caps: a context is a hint, not a second document.
+// Oversized requests are rejected with an InvalidRequestError rather than
 // silently truncated.
 const (
 	// MaxContextKeyphrases bounds ContextSpec.Keyphrases.
@@ -103,14 +103,17 @@ const (
 	// dissertation's largest perturbation count. Each round re-solves the
 	// document, so an unbounded count would pin a worker indefinitely.
 	MaxConfidenceIterations = 500
+	// MaxParallelism bounds RequestSpec.Parallelism: the streaming paths
+	// size their in-flight buffers from it.
+	MaxParallelism = 1024
 )
 
 // InvalidRequestError marks a request rejected during option resolution —
-// an unknown method or domain, negative parallelism, an oversized or
-// out-of-range context, too many confidence iterations, a given mention
-// that is empty or not in the text, or conflicting duplicate options. The
-// HTTP server maps it to 400 with the identical message; anything else
-// stays a server error.
+// an unknown method or domain, negative or oversized parallelism, an
+// oversized or out-of-range context, too many confidence iterations, a
+// given mention that is empty or not in the text, or conflicting duplicate
+// options. The HTTP server maps it to 400 with the identical message;
+// anything else stays a server error.
 type InvalidRequestError struct{ Err error }
 
 func (e *InvalidRequestError) Error() string { return e.Err.Error() }
@@ -279,8 +282,9 @@ func UseMethodNamed(name string) AnnotateOption {
 // AnnotateCorpus it is the number of documents annotated at once, each on
 // one goroutine (coherence scoring is not fanned out again under document
 // fan-out); for AnnotateDoc it caps the one document's coherence-edge
-// worker pool. n = 0 means GOMAXPROCS; negative values are rejected during
-// resolution. Parallelism changes scheduling only —
+// worker pool. n = 0 means GOMAXPROCS; negative values and values above
+// MaxParallelism are rejected during resolution. Parallelism changes
+// scheduling only —
 // the annotations are byte-identical at every setting.
 func WithParallelism(n int) AnnotateOption {
 	return func(o *RequestSpec) {

@@ -49,6 +49,17 @@ func TestRequestValidationErrors(t *testing.T) {
 			want: "invalid parallelism -2: must be >= 0 (0 means the default)",
 		},
 		{
+			name: "parallelism above the limit",
+			opts: []AnnotateOption{WithParallelism(MaxParallelism + 1)},
+			want: "too much parallelism: 1025 exceeds the limit of 1024",
+		},
+		{
+			// Sizing the stream's buffers from this would panic in makechan.
+			name: "huge parallelism",
+			opts: []AnnotateOption{WithParallelism(1 << 60)},
+			want: "too much parallelism: 1152921504606846976 exceeds the limit of 1024",
+		},
+		{
 			name: "unknown domain",
 			opts: []AnnotateOption{WithDomain("medicine")},
 			want: `unknown domain "medicine" (no domains registered)`,
@@ -123,10 +134,25 @@ func TestRequestValidationErrors(t *testing.T) {
 			if !errors.As(err, &ire) {
 				t.Errorf("error is %T, want *InvalidRequestError", err)
 			}
-			// The corpus and stream entry points resolve through the same
-			// funnel and must reject identically.
+			// The corpus and stream entry points and the dry run resolve
+			// through the same funnel and must reject identically.
 			if _, cerr := sys.AnnotateCorpus(ctx, []string{doc}, tc.opts...); cerr == nil || cerr.Error() != tc.want {
 				t.Errorf("AnnotateCorpus error = %v, want %q", cerr, tc.want)
+			}
+			var serr error
+			for _, err := range sys.AnnotateStream(ctx, slices.Values([]string{doc}), tc.opts...) {
+				serr = err
+				break
+			}
+			if serr == nil || serr.Error() != tc.want {
+				t.Errorf("AnnotateStream error = %v, want %q", serr, tc.want)
+			}
+			var spec RequestSpec
+			for _, opt := range tc.opts {
+				opt(&spec)
+			}
+			if verr := sys.ValidateRequest(&spec); verr == nil || verr.Error() != tc.want {
+				t.Errorf("ValidateRequest error = %v, want %q", verr, tc.want)
 			}
 		})
 	}

@@ -152,11 +152,12 @@ type Annotation struct {
 // byte-identical either way).
 //
 // A System serves one KB *generation* at a time. ApplyDelta installs a new
-// generation (a copy-on-write overlay, a warm-cloned scoring engine and
-// the registered domain layers rebuilt over the overlay) with one atomic
-// swap; every annotation request reads the generation pointer exactly
-// once, so a document is always scored against one consistent (store,
-// engine) pair even while an apply races it.
+// generation (a copy-on-write overlay and the registered domain layers
+// rebuilt over it) with one atomic swap; every annotation request reads the
+// generation pointer exactly once, so a document is always scored against
+// one consistent store even while an apply races it. A System caches no
+// scoring state across documents: every value it computes is a function of
+// the document and the store.
 type System struct {
 	// KB is the store the System was constructed over — generation 0.
 	// After ApplyDelta it is NOT the serving store; use Store() for the
@@ -176,17 +177,15 @@ type System struct {
 	applyMu sync.Mutex
 }
 
-// liveKB is one immutable serving generation: the store, the engine bound
-// to it, the update counters as of its installation, and the registered
-// domain layers composed over that store.
+// liveKB is one immutable serving generation: the store, the update
+// counters as of its installation, and the registered domain layers
+// composed over that store.
 type liveKB struct {
-	store  kb.Store
-	engine *relatedness.Scorer
-	stats  KBLiveStats
+	store kb.Store
+	stats KBLiveStats
 	// domains are the per-domain dictionary layers over this generation's
-	// store, by name, each selectable with WithDomain. A layer is rows-only
-	// — it adds and touches no entity — so it shares the generation's
-	// engine. Empty until RegisterDomain; nil on a layer itself.
+	// store, by name, each selectable with WithDomain. Empty until
+	// RegisterDomain; nil on a layer itself.
 	domains map[string]*liveKB
 	// dict is the dictionary a layer was built from (zero on a base
 	// generation); the next generation rebuilds the layer from it.
@@ -199,7 +198,7 @@ func (lv *liveKB) withDomain(dict DomainDictionary) (*liveKB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &liveKB{store: layer, engine: lv.engine, stats: lv.stats, dict: dict}, nil
+	return &liveKB{store: layer, stats: lv.stats, dict: dict}, nil
 }
 
 // KBLiveStats are a System's live-update counters: the current KB
@@ -213,26 +212,20 @@ type KBLiveStats struct {
 }
 
 // LiveKB is a consistent snapshot of a System's serving generation: the
-// store and the scoring engine belong together (the engine is bound to
-// exactly that store). Callers that need both — e.g. to report the engine's
-// counters beside the generation they belong to — must take one snapshot
-// rather than reading them separately, which could straddle an apply.
+// store and the counters that describe it. Callers that report both must
+// take one snapshot rather than reading them separately, which could
+// straddle an apply.
 type LiveKB struct {
 	Store Store
-	// Engine is the long-lived, concurrency-safe scoring engine bound to
-	// Store: it interns entity profiles and memoizes pairwise relatedness
-	// across documents for the keyphrase measure kinds (MW is computed on
-	// every call). Its Stats method reports the cache counters.
-	Engine *relatedness.Scorer
-	Stats  KBLiveStats
+	Stats KBLiveStats
 }
 
-// Live returns the serving generation snapshot. The returned pair stays
-// valid (and internally consistent) even after later ApplyDelta calls;
-// it just describes an older generation then.
+// Live returns the serving generation snapshot. It stays valid (and
+// internally consistent) even after later ApplyDelta calls; it just
+// describes an older generation then.
 func (s *System) Live() LiveKB {
 	lv := s.live.Load()
-	return LiveKB{Store: lv.store, Engine: lv.engine, Stats: lv.stats}
+	return LiveKB{Store: lv.store, Stats: lv.stats}
 }
 
 // Store returns the serving knowledge-base store: the construction store
@@ -248,8 +241,7 @@ type DeltaReceipt struct {
 	// Generation is the serving generation after the apply.
 	Generation uint64
 	// Entities, Rows and Links count the delta's additions; Touched is
-	// how many pre-existing entities had their link sets changed (the
-	// engine-invalidation set).
+	// how many pre-existing entities had their link sets changed.
 	Entities int
 	Rows     int
 	Links    int
@@ -260,10 +252,7 @@ type DeltaReceipt struct {
 
 // ApplyDelta installs a batch of KB additions into the serving System
 // without restart: the delta is validated against the live store, merged
-// into a copy-on-write overlay, the scoring engine is warm-cloned with
-// every value the update invalidates dropped (profiles and memoized pairs
-// of touched entities — see relatedness.CloneFor; MW depends on the entity
-// count but is never memoized), every registered domain layer is rebuilt
+// into a copy-on-write overlay, every registered domain layer is rebuilt
 // over the overlay, and the new generation — base and layers — is swapped
 // in atomically. In-flight documents finish on the generation they started
 // with; the next request sees the new one — an added entity is linkable by
@@ -271,8 +260,8 @@ type DeltaReceipt struct {
 //
 // The overlay's fingerprint differs from the old generation's whenever the
 // delta changes logical content, so derived state bound to the old
-// generation (engine snapshots, fleet fingerprint checks) fails safely
-// rather than mixing generations.
+// generation (fleet fingerprint checks) fails safely rather than mixing
+// generations.
 //
 // Appliers are serialized; a delta validated against a generation that is
 // no longer serving (its BaseEntities mismatches), or over which a
@@ -293,7 +282,6 @@ func (s *System) ApplyDelta(d *kb.Delta) (DeltaReceipt, error) {
 	st.DeltaRows += uint64(len(d.Rows))
 	next := &liveKB{
 		store:   ov,
-		engine:  cur.engine.CloneFor(ov, ov.Touched(), false),
 		stats:   st,
 		domains: make(map[string]*liveKB, len(cur.domains)),
 	}
@@ -317,10 +305,8 @@ func (s *System) ApplyDelta(d *kb.Delta) (DeltaReceipt, error) {
 // KB generation and makes it selectable by name with WithDomain (and the
 // HTTP "domain" field). The layer is a copy-on-write view: dictionary rows
 // re-weight the domain's senses of their surfaces while every other read
-// passes through to the base, and the scoring engine is shared with the
-// base generation (a rows-only layer invalidates nothing). Registering a
-// name again replaces the layer; requests already routed keep the layer
-// they resolved.
+// passes through to the base. Registering a name again replaces the layer;
+// requests already routed keep the layer they resolved.
 //
 // A registered domain belongs to the serving generation: every later
 // ApplyDelta rebuilds its layer over the new store, so a domain request
@@ -372,17 +358,34 @@ func WithMaxCandidates(n int) Option { return func(s *System) { s.MaxCandidates 
 func New(k Store, opts ...Option) *System {
 	s := &System{KB: k, Method: disambig.NewAIDA()}
 	s.recognizer.Lexicon = k
-	s.live.Store(&liveKB{store: k, engine: relatedness.NewScorer(k), domains: map[string]*liveKB{}})
+	s.live.Store(&liveKB{store: k, domains: map[string]*liveKB{}})
 	for _, o := range opts {
 		o(s)
 	}
 	return s
 }
 
-// Relatedness computes the semantic relatedness of two KB entities under
-// the given measure: the keyphrase measures memoized by the system's shared
-// engine (profiles are built once per KB generation, not per call), MW
-// computed from the two in-link lists on every call.
-func (s *System) Relatedness(kind RelatednessKind, a, b EntityID) float64 {
-	return s.live.Load().engine.Relatedness(kind, a, b)
+// Relatedness computes the semantic relatedness of two entities of the
+// serving KB generation under the given measure, from their in-link lists
+// (MW) or keyphrases on every call. A remote store whose shard failed
+// returns its *RemoteError.
+func (s *System) Relatedness(kind RelatednessKind, a, b EntityID) (v float64, err error) {
+	defer recoverRemote(&err)
+	return relatedness.Between(s.Store(), kind, a, b), nil
+}
+
+// recoverRemote, deferred, turns the panic of a remote-backed store into
+// *err. kb.RemoteStore has no error returns on the Store read surface: a
+// shard whose every replica failed panics with a *kb.RemoteError, and the
+// System's entry points convert it here into an error for their caller (the
+// HTTP server answers it with a 500, not a crashed connection). Any other
+// panic is a real bug and propagates.
+func recoverRemote(err *error) {
+	if r := recover(); r != nil {
+		re, ok := r.(*kb.RemoteError)
+		if !ok {
+			panic(r)
+		}
+		*err = re
+	}
 }

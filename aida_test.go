@@ -118,6 +118,16 @@ func TestSystemWithOptions(t *testing.T) {
 	}
 }
 
+// relate is System.Relatedness, failing the test on error.
+func relate(t testing.TB, sys *System, kind RelatednessKind, a, b EntityID) float64 {
+	t.Helper()
+	v, err := sys.Relatedness(kind, a, b)
+	if err != nil {
+		t.Fatalf("Relatedness(%v, %d, %d): %v", kind, a, b, err)
+	}
+	return v
+}
+
 func TestSystemRelatedness(t *testing.T) {
 	k := demoKB()
 	sys := New(k)
@@ -127,8 +137,8 @@ func TestSystemRelatedness(t *testing.T) {
 	// KPCS is excluded: it matches phrases atomically and the demo entities
 	// share no identical phrase.
 	for _, kind := range []RelatednessKind{MW, KORE, KWCS} {
-		intra := sys.Relatedness(kind, jimmy, zep)
-		inter := sys.Relatedness(kind, jimmy, region)
+		intra := relate(t, sys, kind, jimmy, zep)
+		inter := relate(t, sys, kind, jimmy, region)
 		if intra <= inter {
 			t.Errorf("%v: music pair %v should beat cross-domain %v", kind, intra, inter)
 		}

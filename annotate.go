@@ -9,7 +9,6 @@ import (
 
 	"aida/internal/disambig"
 	"aida/internal/emerge"
-	"aida/internal/kb"
 	"aida/internal/ner"
 	"aida/internal/tokenizer"
 )
@@ -184,37 +183,21 @@ func (s *System) ValidateRequest(spec *RequestSpec) error {
 }
 
 // annotateOne runs the full pipeline for one document under the resolved
-// request options. coherenceWorkers bounds the document's coherence
-// scoring pool: AnnotateDoc passes the request's parallelism (0 keeps the
-// method's own default), the stream passes 1 because its parallelism is
-// across documents; the value never changes results, only scheduling. ctx
-// cancels in-flight scoring; on cancellation the partial output is
-// discarded and ctx.Err() returned.
-func (s *System) annotateOne(ctx context.Context, text string, o annotateOptions, coherenceWorkers int) (doc *Document, err error) {
+// request options, on the calling goroutine. ctx cancels in-flight
+// scoring; on cancellation the partial output is discarded and ctx.Err()
+// returned.
+func (s *System) annotateOne(ctx context.Context, text string, o annotateOptions) (_ *Document, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// A remote-backed KB (kb.RemoteStore) has no error returns on the Store
-	// read surface: a shard whose every replica failed surfaces as a panic
-	// carrying *kb.RemoteError. Convert it to a request error here — the one
-	// funnel every annotation passes through — so callers (and the HTTP
-	// server) see a failed request, not a crashed process. Any other panic
-	// is a real bug and propagates.
-	defer func() {
-		if r := recover(); r != nil {
-			re, ok := r.(*kb.RemoteError)
-			if !ok {
-				panic(r)
-			}
-			doc, err = nil, re
-		}
-	}()
+	// Every annotation passes through here, so a failed remote shard
+	// becomes this request's error.
+	defer recoverRemote(&err)
 	// Load the serving KB generation exactly once: recognition, candidate
-	// materialization and scoring below all run against this one (store,
-	// engine) pair, so a concurrent ApplyDelta can never hand this document
-	// a torn read — it finishes on the generation it started with. A
-	// request routed into a domain (WithDomain) resolved its layer during
-	// option resolution; the layer carries its own (store, engine) pair.
+	// materialization and scoring below all run against this one store, so
+	// a concurrent ApplyDelta can never hand this document a torn read — it
+	// finishes on the generation it started with. A request routed into a
+	// domain (WithDomain) resolved its layer during option resolution.
 	lv := o.domain
 	if lv == nil {
 		lv = s.live.Load()
@@ -241,15 +224,13 @@ func (s *System) annotateOne(ctx context.Context, text string, o annotateOptions
 		surfaces = disambig.ExpandSurfaces(lv.store, surfaces)
 	}
 	p := disambig.NewProblemFromWords(lv.store, tokenizer.ContentWordsFromTokens(tokens), surfaces, o.maxCands)
-	p.Scorer = lv.engine
-	p.CoherenceWorkers = coherenceWorkers
 	p.Context = ctx
 	p.ContextModel = o.ctxModel
 	out := o.method.Disambiguate(p)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	doc = &Document{Annotations: make([]Annotation, len(mentions))}
+	doc := &Document{Annotations: make([]Annotation, len(mentions))}
 	for i, m := range mentions {
 		r := out.Results[i]
 		doc.Annotations[i] = Annotation{Mention: m, Entity: r.Entity, Label: r.Label, Score: r.Score}
@@ -326,17 +307,17 @@ func rankedCandidates(p *disambig.Problem, out *disambig.Output) [][]RankedCandi
 }
 
 // AnnotateDoc runs the full pipeline — recognition (or the given mentions
-// of WithMentions) plus disambiguation — on one document. ctx cancels
-// in-flight scoring promptly (the coherence workers observe it); options
-// select the method, candidate cap, surface expansion, context, domain,
-// coherence parallelism and opt-in extras for this request only. The
-// annotations are byte-identical at any parallelism.
+// of WithMentions) plus disambiguation — on one document, on the calling
+// goroutine. ctx cancels in-flight scoring promptly (coherence scoring
+// checks it between rows); options select the method, candidate cap,
+// surface expansion, context, domain and opt-in extras for this request
+// only. WithParallelism is validated and otherwise has no effect here.
 func (s *System) AnnotateDoc(ctx context.Context, text string, opts ...AnnotateOption) (*Document, error) {
 	o, err := s.requestOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	return s.annotateOne(ctx, text, o, o.parallelism)
+	return s.annotateOne(ctx, text, o)
 }
 
 // AnnotateCorpus annotates a slice of documents and returns them in input
@@ -359,10 +340,8 @@ func (s *System) AnnotateCorpus(ctx context.Context, docs []string, opts ...Anno
 // multi-document engine (AnnotateCorpus collects it). A producer goroutine
 // pulls the input and queues one future per document, in input order; at
 // most P documents (WithParallelism; default GOMAXPROCS) are annotated at
-// once, each on its own goroutine with coherence scoring pinned to that
-// goroutine, so a P-wide stream schedules P goroutines, not P². Results are
-// yielded strictly in input order, each as soon as it and all its
-// predecessors are done.
+// once, each on its own goroutine. Results are yielded strictly in input
+// order, each as soon as it and all its predecessors are done.
 //
 // The producer runs at most 2·P documents ahead of the one being yielded,
 // so memory is bounded by the parallelism rather than the input — the
@@ -375,9 +354,9 @@ func (s *System) AnnotateCorpus(ctx context.Context, docs []string, opts ...Anno
 // stream stops pulling input and ends by yielding (nil, ctx.Err()) — a nil
 // error on every yielded pair therefore means the sequence was annotated
 // completely. The yielded annotations are byte-identical to an AnnotateDoc
-// loop at any parallelism, because the shared engine memoizes only pure
-// functions of the KB. Given mentions (WithMentions) belong to one
-// document, so the stream rejects them with an InvalidRequestError.
+// loop at any parallelism, because no document reads state another one
+// wrote. Given mentions (WithMentions) belong to one document, so the
+// stream rejects them with an InvalidRequestError.
 func (s *System) AnnotateStream(ctx context.Context, docs iter.Seq[string], opts ...AnnotateOption) iter.Seq2[*Document, error] {
 	return func(yield func(*Document, error) bool) {
 		o, err := s.requestOptions(opts)
@@ -417,7 +396,7 @@ func (s *System) AnnotateStream(ctx context.Context, docs iter.Seq[string], opts
 				// once ctx is canceled.
 				slots <- struct{}{}
 				go func(i int) {
-					doc, err := s.annotateOne(ctx, d, o, 1)
+					doc, err := s.annotateOne(ctx, d, o)
 					if doc != nil {
 						doc.Index = i
 					}

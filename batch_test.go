@@ -2,12 +2,13 @@ package aida
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 
-	"aida/internal/disambig"
+	"aida/internal/relatedness"
 	"aida/internal/wiki"
 )
 
@@ -56,7 +57,7 @@ func annotateCorpus(t testing.TB, sys *System, docs []string, opts ...AnnotateOp
 // TestAnnotateBatchMatchesSequential is the headline determinism check:
 // AnnotateCorpus at any parallelism must produce documents byte-identical
 // to the one-document-at-a-time AnnotateDoc loop — annotations, candidates
-// and Index — on both a cold and a warm engine.
+// and Index — on a fresh System and again on the same System.
 func TestAnnotateBatchMatchesSequential(t *testing.T) {
 	k, docs := batchWorld(t, 12)
 	ctx := context.Background()
@@ -74,7 +75,7 @@ func TestAnnotateBatchMatchesSequential(t *testing.T) {
 
 	for _, parallelism := range []int{0, 1, 2, 8} {
 		sys := New(k, WithMaxCandidates(10))
-		for _, pass := range []string{"cold", "warm"} {
+		for _, pass := range []string{"first", "repeated"} {
 			got, err := sys.AnnotateCorpus(ctx, docs, WithParallelism(parallelism), IncludeCandidates())
 			if err != nil {
 				t.Fatalf("parallelism=%d %s: %v", parallelism, pass, err)
@@ -83,61 +84,6 @@ func TestAnnotateBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("parallelism=%d: %s batch diverges from the AnnotateDoc loop", parallelism, pass)
 			}
 		}
-	}
-}
-
-// koreMethod is the full AIDA configuration with KORE coherence. The default
-// method's MW is computed per document and holds no engine state, so tests
-// of the engine's memo, its snapshots and its warm-up annotate through this
-// method.
-func koreMethod() Method {
-	return disambig.NewAIDAVariant("aida-kore", disambig.Config{
-		UsePrior: true, PriorTest: true, UseCoherence: true, CoherenceTest: true, Measure: KORE,
-	})
-}
-
-// TestAnnotateBatchWarmsEngine checks that batch annotation under a
-// keyphrase coherence measure actually fills the shared engine (the
-// cross-document reuse the engine exists for).
-func TestAnnotateBatchWarmsEngine(t *testing.T) {
-	k, docs := batchWorld(t, 8)
-	sys := New(k, WithMaxCandidates(10), WithMethod(koreMethod()))
-	annotateCorpus(t, sys, docs, WithParallelism(4))
-	misses1 := sys.Live().Engine.Stats().Misses
-	if misses1 == 0 {
-		t.Fatal("expected the engine to compute pair values during batch annotation")
-	}
-	annotateCorpus(t, sys, docs, WithParallelism(4))
-	st := sys.Live().Engine.Stats()
-	if st.Misses != misses1 {
-		t.Errorf("second pass over the same docs recomputed %d pairs", st.Misses-misses1)
-	}
-	if st.Hits == 0 {
-		t.Error("second pass should hit the warm cache")
-	}
-}
-
-// TestDefaultMethodEngineDoesNotGrow bounds the default path's memory: a
-// server under the default method (MW coherence) sees novel documents
-// forever, and the engine has no memory bound, so it must hold nothing for
-// them — however many pairs the documents compared.
-func TestDefaultMethodEngineDoesNotGrow(t *testing.T) {
-	k, docs := batchWorld(t, 300)
-	sys := New(k, WithMaxCandidates(10))
-	got, err := sys.AnnotateCorpus(context.Background(), docs, IncludeStats())
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparisons := 0
-	for _, d := range got {
-		comparisons += d.Stats.Comparisons
-	}
-	if comparisons == 0 {
-		t.Fatal("the corpus compared no entity pair; the bound is vacuous")
-	}
-	if st := sys.Live().Engine.Stats(); st.Pairs != 0 || st.Profiles != 0 {
-		t.Errorf("engine holds %d pairs and %d profiles after %d documents (%d comparisons) under the default method, want none",
-			st.Pairs, st.Profiles, len(docs), comparisons)
 	}
 }
 
@@ -193,23 +139,23 @@ func TestAnnotateAllMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestSystemRelatednessReusesEngine pins the facade Relatedness to the
-// engine (identical values across calls and to a fresh system).
+// TestSystemRelatednessReusesEngine pins the facade Relatedness, which
+// caches nothing, to the engine's values bit for bit: every kind, both
+// argument orders, repeated calls.
 func TestSystemRelatednessReusesEngine(t *testing.T) {
 	k := demoKB()
 	sys := New(k)
+	engine := relatedness.NewScorer(k)
 	jimmy, _ := k.EntityByName("Jimmy Page")
 	zep, _ := k.EntityByName("Led Zeppelin")
 	for _, kind := range []RelatednessKind{MW, KWCS, KPCS, KORE, KORELSHG, KORELSHF} {
-		first := sys.Relatedness(kind, jimmy, zep)
-		if again := sys.Relatedness(kind, jimmy, zep); again != first {
-			t.Fatalf("%v: memoized value drifted: %v vs %v", kind, first, again)
+		for _, pr := range [][2]EntityID{{jimmy, zep}, {zep, jimmy}} {
+			want := math.Float64bits(engine.Relatedness(kind, pr[0], pr[1]))
+			for range 2 {
+				if got := math.Float64bits(relate(t, sys, kind, pr[0], pr[1])); got != want {
+					t.Fatalf("%v%v: %#x, engine %#x", kind, pr, got, want)
+				}
+			}
 		}
-		if fresh := New(k).Relatedness(kind, jimmy, zep); fresh != first {
-			t.Fatalf("%v: fresh system disagrees: %v vs %v", kind, first, fresh)
-		}
-	}
-	if sys.Live().Engine.Stats().Hits == 0 {
-		t.Error("repeated Relatedness calls should hit the engine cache")
 	}
 }

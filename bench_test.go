@@ -229,11 +229,9 @@ func batchWorkerCounts() []int {
 	return counts
 }
 
-// BenchmarkAnnotateBatch tracks document-level fan-out over the shared
-// scoring engine across the full worker curve {1, 2, 4, NumCPU}, cold
-// engine vs warm. The warm/1-vs-4 pair is the PR's acceptance metric (≥ 2×
-// throughput); the cold/warm pair isolates what cross-document memoization
-// is worth.
+// BenchmarkAnnotateBatch tracks document-level fan-out across the full
+// worker curve {1, 2, 4, NumCPU}, on a fresh System (cold) and on one that
+// has annotated the corpus once (warm: the KB's keyphrases are compiled).
 func BenchmarkAnnotateBatch(b *testing.B) {
 	s := benchSuite()
 	docs := make([]string, 32)
@@ -260,7 +258,7 @@ func BenchmarkAnnotateBatch(b *testing.B) {
 			b.ReportAllocs()
 			sys := New(s.World.KB, WithMaxCandidates(10))
 			if bc.warm {
-				annotateCorpus(b, sys, docs, WithParallelism(bc.workers)) // fill the engine caches
+				annotateCorpus(b, sys, docs, WithParallelism(bc.workers)) // compile the KB's keyphrases
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					annotateCorpus(b, sys, docs, WithParallelism(bc.workers))
@@ -268,7 +266,7 @@ func BenchmarkAnnotateBatch(b *testing.B) {
 			} else {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					sys = New(s.World.KB, WithMaxCandidates(10)) // fresh engine
+					sys = New(s.World.KB, WithMaxCandidates(10)) // fresh System
 					b.StartTimer()
 					annotateCorpus(b, sys, docs, WithParallelism(bc.workers))
 				}
@@ -279,7 +277,7 @@ func BenchmarkAnnotateBatch(b *testing.B) {
 }
 
 // BenchmarkAnnotateDocAllocs isolates the per-document allocation budget of
-// the hot path — one document, sequential, warm engine — so B/op and
+// the hot path — one document, sequential, warm KB — so B/op and
 // allocs/op are exactly what one AnnotateDoc costs the heap, with no batch
 // machinery in the numbers. TestAnnotateDocAllocBudget asserts a ceiling on
 // the same document; this benchmark is for looking at the number while
@@ -289,7 +287,7 @@ func BenchmarkAnnotateDocAllocs(b *testing.B) {
 	docs := s.World.GenerateCorpus(wiki.CoNLLSpec(4, 123))
 	sys := New(s.World.KB, WithMaxCandidates(10))
 	ctx := context.Background()
-	for _, d := range docs { // warm the engine caches
+	for _, d := range docs { // compile the KB's keyphrases
 		if _, err := sys.AnnotateDoc(ctx, d.Text); err != nil {
 			b.Fatal(err)
 		}

@@ -18,8 +18,8 @@
 //
 // With -batch the input (stdin or a file named by -in) is treated as
 // multiple documents separated by blank lines; documents are annotated
-// concurrently by -j workers over the system's shared scoring engine and
-// printed in input order. Annotation runs under a signal-aware context:
+// concurrently by -j workers, one document per worker, and printed in
+// input order. Annotation runs under a signal-aware context:
 // Ctrl-C cancels in-flight scoring instead of waiting for the corpus.
 //
 // With -context "phrase,phrase,..." the keyphrases are blended into

@@ -22,7 +22,7 @@
 //	                         Accept: application/x-ndjson (or ?stream=1)
 //	                         streams one result line per document
 //	GET  /v1/relatedness     ?kind=KORE&a=1&b=2                entity relatedness
-//	GET  /v1/stats           engine+server counters (incl. per-endpoint,
+//	GET  /v1/stats           server+KB counters (incl. per-endpoint,
 //	                         per-tenant and canceled-request totals);
 //	                         ?format=prometheus for the Prometheus text
 //	                         exposition

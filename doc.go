@@ -54,26 +54,19 @@
 //	docs, err := sys.AnnotateCorpus(ctx, texts, aida.WithParallelism(8))
 //	for doc, err := range sys.AnnotateStream(ctx, feed, aida.UseMethodNamed("prior")) { ... }
 //
-// # Scoring engine and deterministic concurrency
+// # Per-document scoring and deterministic concurrency
 //
-// Every System holds one long-lived, sharded, concurrency-safe scoring
-// engine bound to its KB that interns per-entity keyphrase profiles and
-// memoizes pairwise relatedness for the keyphrase measure kinds (KWCS,
-// KPCS, KORE and its LSH variants) across documents. Annotation,
-// System.Relatedness and coherence scoring all draw from it, so under
-// those measures repeated candidate entities are never re-scored. The
-// default method's
-// Milne–Witten coherence is cheaper to compute than to remember: each
-// document derives it from an inverted index over its in-link lists. The
-// memo is neither bounded nor persisted: a process boots cold.
+// A System caches no scoring state across documents. Each document is
+// annotated on one goroutine, and its coherence is scored from its own
+// candidates: the default method's Milne–Witten values come from an
+// inverted index over the candidates' in-link lists. System.Relatedness
+// computes its one pair from the serving KB on every call. The keyphrase
+// measures (KWCS, KPCS, KORE and its LSH variants) are Chapter 4's offline
+// comparison; no method selectable by name scores coherence with them.
 //
 // AnnotateCorpus and AnnotateStream are deterministic: the output is
 // byte-identical to a sequential AnnotateDoc loop at any parallelism,
-// because the engine memoizes only pure functions of the KB.
-//
-// The engine's state is observable: System.Live().Engine.Stats() returns a
-// snapshot with per-measure-kind cache hit/miss counters and the interned
-// profiles' approximate memory footprint.
+// because no document reads state another one wrote.
 //
 // # Sharded knowledge bases
 //
@@ -94,10 +87,10 @@
 // HTTP service: the KB is loaded once, one System is shared across all
 // requests, and JSON endpoints expose single-document and batch
 // annotation (including an order-preserving NDJSON stream for large
-// batches), entity relatedness, health, and engine statistics in JSON or
-// Prometheus text form. Requests may select a disambiguation method per
-// call, and a client disconnect cancels the request context all the way
-// into the scoring workers (the abort is visible in the service's
+// batches), entity relatedness, health, and server and KB statistics in
+// JSON or Prometheus text form. Requests may select a disambiguation
+// method per call, and a client disconnect cancels the request context all
+// the way into coherence scoring (the abort is visible in the service's
 // canceled-request counter). Because batch annotation is deterministic,
 // service responses are byte-identical to the in-process API at any
 // parallelism, and replicas of the same KB snapshot agree byte-for-byte.
@@ -106,8 +99,8 @@
 //
 // docs/API.md is the full reference for this package's public surface and
 // the HTTP endpoints; docs/ARCHITECTURE.md maps the internal packages,
-// the mention–entity graph algorithm, and where the shared engine sits in
-// the data flow. The package's Examples (example_test.go) are runnable,
-// output-pinned walkthroughs of AnnotateDoc (on recognized and on given
-// mentions), AnnotateCorpus, AnnotateStream and Relatedness.
+// the mention–entity graph algorithm, and the service's data flow. The
+// package's Examples (example_test.go) are runnable, output-pinned
+// walkthroughs of AnnotateDoc (on recognized and on given mentions),
+// AnnotateCorpus, AnnotateStream and Relatedness.
 package aida

@@ -46,9 +46,8 @@ func exampleKB() *aida.KB {
 
 // ExampleSystem_Relatedness compares entity pairs under two measures: the
 // link-based Milne–Witten (MW) and the keyphrase-overlap KORE, which needs
-// no link structure. MW is cheap enough to compute on every call; KORE
-// values are memoized by the system's shared engine, so a repeated query
-// (and coherence scoring over the same entities) is a cache hit.
+// no link structure. Each call computes its pair from the serving KB, so a
+// repeated query returns the same value.
 func ExampleSystem_Relatedness() {
 	k := exampleKB()
 	sys := aida.New(k)
@@ -56,21 +55,30 @@ func ExampleSystem_Relatedness() {
 	larry, _ := k.EntityByName("Larry Page")
 	zep, _ := k.EntityByName("Led Zeppelin")
 
-	fmt.Printf("MW  (Jimmy Page, Led Zeppelin) = %.3f\n", sys.Relatedness(aida.MW, jimmy, zep))
-	fmt.Printf("MW  (Larry Page, Led Zeppelin) = %.3f\n", sys.Relatedness(aida.MW, larry, zep))
-	fmt.Printf("KORE(Jimmy Page, Led Zeppelin) = %.3f\n", sys.Relatedness(aida.KORE, jimmy, zep))
-	fmt.Printf("KORE(Larry Page, Led Zeppelin) = %.3f\n", sys.Relatedness(aida.KORE, larry, zep))
-	fmt.Printf("KORE(Jimmy Page, Led Zeppelin) = %.3f again\n", sys.Relatedness(aida.KORE, jimmy, zep))
-
-	st := sys.Live().Engine.Stats()
-	fmt.Printf("engine: %d pairs memoized, %d hits, %d misses\n", st.Pairs, st.Hits, st.Misses)
+	for _, q := range []struct {
+		kind       aida.RelatednessKind
+		who, again string
+		a          aida.EntityID
+	}{
+		{aida.MW, "Jimmy", "", jimmy},
+		{aida.MW, "Larry", "", larry},
+		{aida.KORE, "Jimmy", "", jimmy},
+		{aida.KORE, "Larry", "", larry},
+		{aida.KORE, "Jimmy", " again", jimmy},
+	} {
+		v, err := sys.Relatedness(q.kind, q.a, zep)
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		fmt.Printf("%-4s(%s Page, Led Zeppelin) = %.3f%s\n", q.kind, q.who, v, q.again)
+	}
 	// Output:
 	// MW  (Jimmy Page, Led Zeppelin) = 0.415
 	// MW  (Larry Page, Led Zeppelin) = 0.000
 	// KORE(Jimmy Page, Led Zeppelin) = 0.018
 	// KORE(Larry Page, Led Zeppelin) = 0.000
 	// KORE(Jimmy Page, Led Zeppelin) = 0.018 again
-	// engine: 2 pairs memoized, 1 hits, 2 misses
 }
 
 // ExampleSystem_AnnotateDoc annotates one document through the
@@ -89,8 +97,8 @@ func ExampleSystem_AnnotateDoc() {
 		fmt.Printf("aida : %-7s → %s\n", a.Mention.Text, a.Label)
 	}
 
-	// Per-request options never touch the System: the same warm engine
-	// serves a different method on the next call.
+	// Per-request options never touch the System: the same System serves
+	// a different method on the next call.
 	prior, err := sys.AnnotateDoc(context.Background(), text, aida.UseMethodNamed("prior"))
 	if err != nil {
 		fmt.Println("annotate:", err)

@@ -2,7 +2,6 @@ package disambig
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 
 	"aida/internal/graph"
@@ -276,11 +275,7 @@ func (a *AIDA) buildGraph(p *Problem, weights [][]float64, fixed []int, scorer *
 		meAvg = meSum / float64(meCount)
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if p.CoherenceWorkers > 0 {
-		workers = p.CoherenceWorkers
-	}
-	if err := scorer.scoreAll(p.Ctx(), workers); err != nil {
+	if err := scorer.scoreAll(p.Ctx()); err != nil {
 		// Canceled: return the graph without entity edges. The caller
 		// (Disambiguate) bails out before solving.
 		return g

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/bits"
-	"sync"
 
 	"aida/internal/kb"
 	"aida/internal/pool"
@@ -19,14 +18,11 @@ import (
 // Coherence works on Candidate features (keyphrases, in-links) rather than
 // KB ids so that emerging-entity placeholders participate transparently.
 //
-// MW is computed per document and remembered nowhere else: one pass over
-// the candidates' in-link lists (countSharedInLinks) leaves every pair's
-// shared in-link count in the triangle, and finishing a pair is O(1). For
-// the keyphrase kinds, where a cold pair costs microseconds, a problem that
-// carries a shared relatedness engine delegates pairs of candidates whose
-// keyphrases are untouched KB features to it, so their values are memoized
-// across documents; candidates with per-problem features (placeholders,
-// enriched entities) keep the local path.
+// Every kind is computed per document and remembered nowhere else. For MW
+// one pass over the candidates' in-link lists (countSharedInLinks) leaves
+// every pair's shared in-link count in the triangle, and finishing a pair is
+// O(1); the keyphrase kinds score each pair from the candidates' own
+// keyphrases.
 //
 // Every distinct candidate (by Label) gets one dense id at construction;
 // ids[i][j] is the id of candidate j of mention i, and everything after
@@ -34,11 +30,8 @@ import (
 // addresses candidates by that id. Ids below graphN are the graph's entity
 // nodes.
 //
-// Only scoreAll runs concurrently, and it gives each pair slot to one
-// goroutine; score is for the single-threaded phases after it.
-// Stats.Comparisons counts each distinct allowed pair of the problem
-// exactly once, so counts and scores are identical at any parallelism and
-// any engine-cache temperature.
+// A scorer belongs to one goroutine. Stats.Comparisons counts each distinct
+// allowed pair of the problem exactly once.
 type cohScorer struct {
 	kind   relatedness.Kind
 	cands  []*Candidate // distinct candidates, indexed by id
@@ -46,17 +39,9 @@ type cohScorer struct {
 	graphN int
 	n      int // |E| for MW
 
-	// For the keyphrase kinds (unset under MW): engine is the shared
-	// cross-document scorer (nil = per-problem only); engineID[id] is the
-	// delegable KB id, or kb.NoEntity for candidates that must be scored
-	// locally.
-	engine   *relatedness.Scorer
-	engineID []kb.EntityID
+	// For the keyphrase kinds (unset under MW): the keyword weight and the
+	// lazily built KORE profiles, by id.
 	weight   relatedness.Weighter
-
-	// pmu guards the lazily built KORE profiles, which scoreAll's workers
-	// share across slots.
-	pmu      sync.Mutex
 	profiles []*relatedness.Profile
 
 	// The pair cache is a dense upper triangle over the ids: vals holds the
@@ -70,8 +55,7 @@ type cohScorer struct {
 	tri     *triangle
 	pending int
 	// comparisons counts exact pairwise relatedness computations: one per
-	// distinct allowed pair requested in this problem (engine cache hits
-	// included, so the count matches the engine-free path).
+	// distinct allowed pair requested in this problem.
 	comparisons int
 }
 
@@ -151,13 +135,8 @@ func newCohScorer(kind relatedness.Kind, p *Problem, fixed []int) *cohScorer {
 		s.countSharedInLinks()
 		return s
 	}
-	s.engine = p.Scorer
 	s.weight = p.wordIDF
 	s.profiles = make([]*relatedness.Profile, nc)
-	s.engineID = make([]kb.EntityID, nc)
-	for id, c := range s.cands {
-		s.engineID[id] = s.delegableID(c)
-	}
 	if kind.IsLSH() {
 		s.buildFilter()
 	}
@@ -170,44 +149,13 @@ func (s *cohScorer) slot(lo, hi int) int {
 	return lo*len(s.cands) - lo*(lo+1)/2 + (hi - lo - 1)
 }
 
-// delegableID returns the KB entity id the shared engine may score this
-// candidate under, or kb.NoEntity when the candidate carries per-problem
-// features. Delegation requires the candidate's keyphrase slice — all the
-// delegated kinds read — to be the KB entity's own (enrichment and
-// placeholder modeling replace it, which this identity check detects);
-// EdgeScale needs no check because it is applied on top of the raw value.
-func (s *cohScorer) delegableID(c *Candidate) kb.EntityID {
-	if s.engine == nil || c.Entity == kb.NoEntity {
-		return kb.NoEntity
-	}
-	k := s.engine.KB()
-	if int(c.Entity) >= k.NumEntities() {
-		return kb.NoEntity
-	}
-	if own := k.Entity(c.Entity).Keyphrases; len(c.Keyphrases) != len(own) || (len(own) > 0 && &c.Keyphrases[0] != &own[0]) {
-		return kb.NoEntity
-	}
-	return c.Entity
-}
-
+// profile returns the KORE profile of the candidate with id, building it on
+// first use.
 func (s *cohScorer) profile(id int) *relatedness.Profile {
-	s.pmu.Lock()
-	p := s.profiles[id]
-	s.pmu.Unlock()
-	if p != nil {
-		return p
-	}
-	// Build outside the lock so concurrent workers construct different
-	// profiles in parallel; first writer wins (duplicates are identical
-	// and immutable).
-	built := relatedness.NewProfile(s.cands[id].Keyphrases, s.weight)
-	s.pmu.Lock()
 	if s.profiles[id] == nil {
-		s.profiles[id] = built
+		s.profiles[id] = relatedness.NewProfile(s.cands[id].Keyphrases, s.weight)
 	}
-	p = s.profiles[id]
-	s.pmu.Unlock()
-	return p
+	return s.profiles[id]
 }
 
 // buildFilter runs the two-stage hashing over all registered candidates.
@@ -226,7 +174,7 @@ func (s *cohScorer) buildFilter() {
 
 // score returns the coherence between the candidates with ids a and b (0 for
 // a == b: one entity does not cohere with itself), computing and caching
-// the pair on first use. Not safe for concurrent use.
+// the pair on first use.
 func (s *cohScorer) score(a, b int) float64 {
 	if a == b {
 		return 0
@@ -240,9 +188,7 @@ func (s *cohScorer) score(a, b int) float64 {
 }
 
 // fill computes the pair into its slot, with the measure's arguments in the
-// order given (the measures are symmetric, but not all to the last bit). It
-// touches nothing else the scorer owns except the locked profile table, so
-// distinct slots may be filled concurrently.
+// order given (the measures are symmetric, but not all to the last bit).
 func (s *cohScorer) fill(idx, ia, ib int) {
 	a, b := s.cands[ia], s.cands[ib]
 	s.vals[idx] = s.relatedness(idx, ia, ib, a, b) * a.edgeScale() * b.edgeScale()
@@ -250,14 +196,11 @@ func (s *cohScorer) fill(idx, ia, ib int) {
 }
 
 // relatedness computes the raw measure value for an interned pair: MW from
-// the shared in-link count in its slot, a keyphrase kind through the shared
-// engine when both sides are untouched KB entities.
+// the shared in-link count in its slot, a keyphrase kind from the two
+// candidates' keyphrases.
 func (s *cohScorer) relatedness(idx, ia, ib int, a, b *Candidate) float64 {
 	if s.kind == relatedness.KindMW {
 		return mwFromShared(s.vals[idx], len(a.InLinks), len(b.InLinks), s.n)
-	}
-	if ea, eb := s.engineID[ia], s.engineID[ib]; ea != kb.NoEntity && eb != kb.NoEntity {
-		return s.engine.Relatedness(s.kind, ea, eb)
 	}
 	switch s.kind {
 	case relatedness.KindKWCS:
@@ -387,33 +330,21 @@ func (s *cohScorer) eachEdge(fn func(lo, hi int, w float64)) {
 	}
 }
 
-// minParallelPairs is the smallest pair batch worth fanning out; below it
-// the goroutine overhead exceeds the scoring work.
-const minParallelPairs = 32
-
-// scoreAll fills the slots marked by need, one triangle row per hand-out so
-// every slot has a single writer: on up to workers goroutines for the
-// keyphrase kinds, inline for MW, whose slots only need finishing. Values
-// are pure per-pair functions and the comparison counter advances by the
-// number of marked pairs, so cache and stats are identical to evaluating
-// the pairs sequentially. ctx is consulted before every row; once it is
-// canceled no further row is taken and ctx.Err() is returned — the caller
-// must then discard the scorer.
-func (s *cohScorer) scoreAll(ctx context.Context, workers int) error {
-	if s.pending < minParallelPairs || s.kind == relatedness.KindMW {
-		workers = 1
-	}
-	err := pool.ForEachCtx(ctx, s.graphN, workers, func(lo int) error {
+// scoreAll fills the slots marked by need, row by row of the triangle, and
+// advances the comparison counter by the number of marked pairs. ctx is
+// consulted before every row; once it is canceled no further row is taken
+// and ctx.Err() is returned — the caller must then discard the scorer.
+func (s *cohScorer) scoreAll(ctx context.Context) error {
+	for lo := 0; lo < s.graphN; lo++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		idx := s.slot(lo, lo+1)
 		for hi := lo + 1; hi < s.graphN; hi, idx = hi+1, idx+1 {
 			if s.flags[idx] == slotNeeded {
 				s.fill(idx, lo, hi)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	s.comparisons += s.pending
 	s.pending = 0

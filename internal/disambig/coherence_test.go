@@ -2,6 +2,7 @@ package disambig
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,125 +12,44 @@ import (
 
 	"aida/internal/kb"
 	"aida/internal/relatedness"
-	"aida/internal/wiki"
 )
 
-// outputsEqual compares two disambiguation outputs bit-for-bit, including
-// the per-candidate score vectors and work stats.
-func outputsEqual(a, b *Output) bool {
-	return reflect.DeepEqual(a, b)
-}
-
-// TestCoherenceEngineMatchesLocal pins the shared-engine coherence path to
-// the engine-free per-problem path: same assignments, same scores, same
-// Stats.Comparisons, for every coherence measure.
-func TestCoherenceEngineMatchesLocal(t *testing.T) {
+// TestScoreAllHonoursCancellation: a canceled context stops scoreAll before
+// its first row, so no slot is filled and no comparison counted; the same
+// scorer then fills every marked slot under a live context.
+func TestScoreAllHonoursCancellation(t *testing.T) {
 	k := buildTestKB()
-	engine := relatedness.NewScorer(k)
-	kinds := []relatedness.Kind{
-		relatedness.KindMW, relatedness.KindKWCS, relatedness.KindKPCS,
-		relatedness.KindKORE, relatedness.KindKORELSHG, relatedness.KindKORELSHF,
-	}
-	for _, kind := range kinds {
-		m := NewAIDAVariant("t", Config{
-			UsePrior: true, PriorTest: true, UseCoherence: true, Measure: kind,
-		})
-		local := m.Disambiguate(NewProblem(k, exampleText, exampleMentions, 0))
-
-		p := NewProblem(k, exampleText, exampleMentions, 0)
-		p.Scorer = engine
-		shared := m.Disambiguate(p)
-		if !outputsEqual(local, shared) {
-			t.Errorf("%v: shared-engine output diverges from local output\nlocal:  %+v\nshared: %+v", kind, local, shared)
-		}
-		// Warm engine cache must not change anything either.
-		p2 := NewProblem(k, exampleText, exampleMentions, 0)
-		p2.Scorer = engine
-		warm := m.Disambiguate(p2)
-		if !outputsEqual(local, warm) {
-			t.Errorf("%v: warm-engine output diverges from local output", kind)
-		}
-	}
-}
-
-// TestCoherenceWorkersDeterministic pins the parallel coherence-edge pool
-// to the sequential path at several worker counts, for a measure that
-// scores every pair and one whose LSH filter pre-empties some slots. The
-// document comes from a generated world because the running example has
-// fewer pairs than minParallelPairs and would never fan out.
-func TestCoherenceWorkersDeterministic(t *testing.T) {
-	world := wiki.Generate(wiki.Config{Seed: 17, Entities: 300})
-	doc := world.GenerateCorpus(wiki.CoNLLSpec(1, 23))[0]
-	engine := relatedness.NewScorer(world.KB)
-	problem := func(workers int, engine *relatedness.Scorer) *Problem {
-		p := NewProblem(world.KB, doc.Text, doc.Surfaces(), 10)
-		p.CoherenceWorkers = workers
-		p.Scorer = engine
-		return p
-	}
-	for _, kind := range []relatedness.Kind{relatedness.KindKORE, relatedness.KindKORELSHG} {
-		m := NewAIDAVariant("t", Config{UsePrior: true, PriorTest: true, UseCoherence: true, Measure: kind})
-		seq := m.Disambiguate(problem(1, nil))
-		if seq.Stats.Comparisons < minParallelPairs {
-			t.Fatalf("%v: %d comparisons, too few to fan out", kind, seq.Stats.Comparisons)
-		}
-		for _, workers := range []int{1, 2, 4, 8, 0} {
-			for _, e := range []*relatedness.Scorer{nil, engine} {
-				if got := m.Disambiguate(problem(workers, e)); !outputsEqual(seq, got) {
-					t.Errorf("%v workers=%d engine=%v: output diverges from sequential", kind, workers, e != nil)
-				}
+	for _, kind := range []relatedness.Kind{relatedness.KindMW, relatedness.KindKORE} {
+		s := newCohScorer(kind, NewProblem(k, exampleText, exampleMentions, 0), nil)
+		for lo := 0; lo < s.graphN; lo++ {
+			for hi := lo + 1; hi < s.graphN; hi++ {
+				s.need(lo, hi)
 			}
 		}
-	}
-}
-
-// TestCohScorerSkipsModifiedCandidates checks that enrichment-style feature
-// replacement routes a candidate back to per-problem scoring rather than
-// the (stale) engine value.
-func TestCohScorerSkipsModifiedCandidates(t *testing.T) {
-	k := buildTestKB()
-	engine := relatedness.NewScorer(k)
-	p := NewProblem(k, exampleText, exampleMentions, 0)
-	p.Scorer = engine
-	// Simulate enrichment: give the first candidate of the first mention a
-	// fresh keyphrase slice (same content, different backing array).
-	c := &p.Mentions[0].Candidates[0]
-	c.Keyphrases = append([]kb.Keyphrase(nil), c.Keyphrases...)
-	last := len(p.Mentions[0].Candidates)
-	p.Mentions[0].Candidates = append(p.Mentions[0].Candidates, Candidate{Entity: kb.NoEntity, Label: "X_EE"})
-	s := newCohScorer(relatedness.KindKORE, p, nil)
-	if id := s.engineID[s.ids[0][0]]; id != kb.NoEntity {
-		t.Fatalf("modified candidate should not be delegable, got engine id %d", id)
-	}
-	// An untouched candidate of the same problem stays delegable.
-	other := &p.Mentions[1].Candidates[0]
-	if id := s.engineID[s.ids[1][0]]; id != other.Entity {
-		t.Fatalf("untouched candidate should delegate as %d, got %d", other.Entity, id)
-	}
-	// Placeholders (out-of-KB) are never delegated.
-	if id := s.engineID[s.ids[0][last]]; id != kb.NoEntity {
-		t.Fatal("placeholder must not be delegable")
-	}
-}
-
-// TestComparisonsStableAcrossEngineTemperature: the comparison counter is a
-// per-problem quantity (Table 4.4) and must not shrink when the engine has
-// already seen the pairs.
-func TestComparisonsStableAcrossEngineTemperature(t *testing.T) {
-	k := buildTestKB()
-	engine := relatedness.NewScorer(k)
-	m := NewAIDAVariant("t", Config{UsePrior: true, UseCoherence: true, Measure: relatedness.KindKORE})
-	var counts []int
-	for i := 0; i < 3; i++ {
-		p := NewProblem(k, exampleText, exampleMentions, 0)
-		p.Scorer = engine
-		counts = append(counts, m.Disambiguate(p).Stats.Comparisons)
-	}
-	if counts[0] == 0 {
-		t.Fatal("expected nonzero comparisons")
-	}
-	if counts[1] != counts[0] || counts[2] != counts[0] {
-		t.Fatalf("comparisons drift across engine temperature: %v", counts)
+		pending := s.pending
+		if pending == 0 {
+			t.Fatalf("%v: no pair marked", kind)
+		}
+		flags, vals := slices.Clone(s.flags), slices.Clone(s.vals)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := s.scoreAll(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: scoreAll on a canceled context = %v, want context.Canceled", kind, err)
+		}
+		if !slices.Equal(s.flags, flags) || !slices.Equal(s.vals, vals) || s.comparisons != 0 {
+			t.Fatalf("%v: canceled scoreAll filled slots or counted %d comparisons", kind, s.comparisons)
+		}
+		if err := s.scoreAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if s.comparisons != pending {
+			t.Fatalf("%v: %d comparisons, want the %d marked pairs", kind, s.comparisons, pending)
+		}
+		for i, f := range s.flags {
+			if f&slotNeeded != 0 && f&slotHave == 0 {
+				t.Fatalf("%v: marked slot %d left unfilled", kind, i)
+			}
+		}
 	}
 }
 
@@ -302,7 +222,7 @@ func TestMWKernelMatchesPairwiseMW(t *testing.T) {
 				s.need(lo, hi)
 			}
 		}
-		if err := s.scoreAll(context.Background(), 4); err != nil {
+		if err := s.scoreAll(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed))

@@ -65,20 +65,10 @@ type Problem struct {
 	WordIDF func(string) float64
 	// TotalEntities is |E| of the underlying KB (for the MW measure).
 	TotalEntities int
-	// Scorer optionally shares a long-lived relatedness engine across
-	// problems: under a keyphrase coherence measure, scoring of candidates
-	// whose keyphrases are untouched KB features is delegated to it,
-	// memoizing pair values across documents (MW never consults it: every
-	// problem computes MW from its candidates' own in-link lists). Setting
-	// it requires WordIDF to be the engine KB's WordIDF (true for problems
-	// built by NewProblem); candidates with modified features (enriched or
-	// placeholder) are always scored per-problem. Nil disables
-	// cross-document sharing.
-	Scorer *relatedness.Scorer
-	// CoherenceWorkers, when > 0, overrides the method's coherence-edge
-	// worker pool for this problem. Batch annotation sets it to 1 so that
-	// document-level fan-out is not compounded by per-document pools
-	// (results are identical at any setting; only scheduling changes).
+	// Scorer and CoherenceWorkers are ignored: coherence is scored per
+	// problem, on the calling goroutine, from the candidates' own features.
+	// The fields remain for callers that still set them.
+	Scorer           *relatedness.Scorer
 	CoherenceWorkers int
 	// Context carries per-request cancellation into the method. Methods
 	// with expensive phases (coherence-edge scoring) observe it and stop
@@ -219,16 +209,14 @@ func fillCandidates(k kb.Store, cands []kb.Candidate, dst []Candidate) {
 // candidate features are shared.
 func (p *Problem) Clone() *Problem {
 	q := &Problem{
-		ContextWords:     p.ContextWords,
-		Mentions:         make([]Mention, len(p.Mentions)),
-		WordIDF:          p.WordIDF,
-		TotalEntities:    p.TotalEntities,
-		Scorer:           p.Scorer,
-		CoherenceWorkers: p.CoherenceWorkers,
-		Context:          p.Context,
-		ContextModel:     p.ContextModel,
-		vocab:            p.vocab,
-		words:            p.words,
+		ContextWords:  p.ContextWords,
+		Mentions:      make([]Mention, len(p.Mentions)),
+		WordIDF:       p.WordIDF,
+		TotalEntities: p.TotalEntities,
+		Context:       p.Context,
+		ContextModel:  p.ContextModel,
+		vocab:         p.vocab,
+		words:         p.words,
 	}
 	for i, m := range p.Mentions {
 		q.Mentions[i] = Mention{

@@ -79,8 +79,8 @@ func (r *recordingMethod) Disambiguate(p *disambig.Problem) *disambig.Output {
 }
 
 // TestEntityPerturbationKeepsRequestState: every perturbation round of
-// CONF runs the request's model — its cancellation context, context prior
-// and worker bound — on its mentions, so a cancelled request stops every
+// CONF runs the request's model — its cancellation context and context
+// prior — on its mentions, so a cancelled request stops every
 // round at once instead of running them all to the end.
 func TestEntityPerturbationKeepsRequestState(t *testing.T) {
 	p := eeProblem(buildEEKB())
@@ -88,7 +88,6 @@ func TestEntityPerturbationKeepsRequestState(t *testing.T) {
 	defer cancel()
 	p.Context = ctx
 	p.ContextModel = &disambig.ContextModel{Words: []string{"intelligence", "officials"}}
-	p.CoherenceWorkers = 1
 	rec := &recordingMethod{Method: disambig.NewAIDA()}
 	base := rec.Method.Disambiguate(p)
 	cfg := PerturbConfig{Iterations: 15, Seed: 1}
@@ -99,9 +98,9 @@ func TestEntityPerturbationKeepsRequestState(t *testing.T) {
 	}
 	linked := 0
 	for r, sub := range rec.problems {
-		if sub.Context != p.Context || sub.ContextModel != p.ContextModel || sub.CoherenceWorkers != p.CoherenceWorkers {
-			t.Fatalf("round %d: sub-problem has Context=%v ContextModel=%p CoherenceWorkers=%d, want the request's %v, %p, %d",
-				r, sub.Context, sub.ContextModel, sub.CoherenceWorkers, p.Context, p.ContextModel, p.CoherenceWorkers)
+		if sub.Context != p.Context || sub.ContextModel != p.ContextModel {
+			t.Fatalf("round %d: sub-problem has Context=%v ContextModel=%p, want the request's %v, %p",
+				r, sub.Context, sub.ContextModel, p.Context, p.ContextModel)
 		}
 		if len(sub.Mentions) != len(p.Mentions) {
 			t.Fatalf("round %d: %d mentions, want all %d", r, len(sub.Mentions), len(p.Mentions))

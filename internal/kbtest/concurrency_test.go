@@ -119,7 +119,7 @@ func TestWarmParallelNotSlowerThanSequential(t *testing.T) {
 			t.Fatalf("AnnotateCorpus: %v", err)
 		}
 	}
-	warm(workers) // fill the engine caches before timing anything
+	warm(workers) // compile the KB's keyphrases before timing anything
 	pass := func(par int) time.Duration {
 		start := time.Now()
 		warm(par)

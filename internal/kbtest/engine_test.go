@@ -9,8 +9,8 @@ import (
 	"aida/internal/kb"
 )
 
-// engineStores are the Store implementations the engine-mode suite runs:
-// the acceptance matrix is 1 and 4 KB shards.
+// engineStores are the Store implementations the traffic-mode suite runs:
+// 1 and 4 KB shards.
 func engineStores() []NamedStore {
 	k := GoldenKB()
 	return []NamedStore{
@@ -19,19 +19,19 @@ func engineStores() []NamedStore {
 	}
 }
 
-// warmKORE drives KORE relatedness over a deterministic entity sample so
-// the engine interns keyphrase profiles. The golden pipeline's default AIDA
-// method scores coherence with MW, which leaves the engine empty, so this is
-// what puts profiles and memoized pairs into play without touching
-// annotation output.
-func warmKORE(sys *aida.System, entities int) {
-	n := sys.KB.NumEntities()
-	if entities > n {
-		entities = n
-	}
-	for i := 0; i < entities; i++ {
-		for j := i + 1; j < entities; j++ {
-			sys.Relatedness(aida.KORE, aida.EntityID(i), aida.EntityID(j))
+// relateAll queries the relatedness of every pair of a deterministic
+// entity sample under every measure kind, the traffic /v1/relatedness
+// serves beside annotation.
+func relateAll(t *testing.T, sys *aida.System, entities int) {
+	t.Helper()
+	entities = min(entities, sys.KB.NumEntities())
+	for _, kind := range []aida.RelatednessKind{aida.MW, aida.KWCS, aida.KPCS, aida.KORE, aida.KORELSHG, aida.KORELSHF} {
+		for i := 0; i < entities; i++ {
+			for j := i + 1; j < entities; j++ {
+				if _, err := sys.Relatedness(kind, aida.EntityID(i), aida.EntityID(j)); err != nil {
+					t.Fatalf("Relatedness: %v", err)
+				}
+			}
 		}
 	}
 }
@@ -53,17 +53,16 @@ func assertGolden(t *testing.T, sys *aida.System, docs []Doc, mode string) {
 	for _, d := range docs {
 		got := AnnotateJSON(t, sys, d.Text)
 		if !bytes.Equal(got, readExpected(t, d.Name)) {
-			t.Errorf("%s (%s engine): output diverges from golden expectation\n got: %s",
+			t.Errorf("%s (%s System): output diverges from golden expectation\n got: %s",
 				d.Name, mode, firstDiff(got, readExpected(t, d.Name)))
 		}
 	}
 }
 
-// TestGoldenCorpusEngineModes is the engine-lifecycle conformance suite:
-// the golden corpus must come out byte-identical in both engine modes —
-// cold (fresh caches) and warm (the same System after the corpus and KORE
-// traffic have filled its memo) — at 1 and 4 KB shards. A warm engine
-// changes only work counters (hits, misses), never a single output byte.
+// TestGoldenCorpusEngineModes pins that a System's output does not depend
+// on what it served before: the golden corpus comes out byte-identical
+// from a cold System (fresh) and a warm one (the same System after the
+// corpus and relatedness queries of every kind), at 1 and 4 KB shards.
 func TestGoldenCorpusEngineModes(t *testing.T) {
 	docs := Docs(t)
 	for _, ns := range engineStores() {
@@ -77,10 +76,7 @@ func TestGoldenCorpusEngineModes(t *testing.T) {
 				for _, d := range docs {
 					AnnotateJSON(t, sys, d.Text)
 				}
-				warmKORE(sys, 40)
-				if st := sys.Live().Engine.Stats(); st.Profiles == 0 || st.Pairs == 0 {
-					t.Fatalf("engine is still cold after KORE traffic: %+v", st)
-				}
+				relateAll(t, sys, 40)
 				assertGolden(t, sys, docs, "warm")
 			})
 		})

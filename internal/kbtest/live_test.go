@@ -312,8 +312,8 @@ func TestApplyDeltaRebasesDomains(t *testing.T) {
 }
 
 // TestOverlayCallersSeeOneGeneration pins the Live() snapshot contract:
-// the pair returned before an apply stays internally consistent (old
-// store, old engine) while the System serves the new generation.
+// the snapshot taken before an apply stays internally consistent (old
+// store, old counters) while the System serves the new generation.
 func TestOverlayCallersSeeOneGeneration(t *testing.T) {
 	sys := NewSystem(GoldenKB())
 	before := sys.Live()
@@ -332,9 +332,6 @@ func TestOverlayCallersSeeOneGeneration(t *testing.T) {
 	}
 	if before.Store.NumEntities() != GoldenKB().NumEntities() {
 		t.Fatal("pre-apply snapshot was mutated by the apply")
-	}
-	if before.Engine == after.Engine {
-		t.Fatal("engine was not swapped with the store")
 	}
 	var _ aida.Store = after.Store // the snapshot exposes the public Store surface
 }

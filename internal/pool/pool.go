@@ -1,12 +1,10 @@
-// Package pool provides the bounded index fan-out primitive shared by the
-// coherence-scoring and chunk-harvesting paths (document fan-out is
-// aida.AnnotateStream's own: it needs input order and a run-ahead bound,
-// not an index range), plus the typed scratch pool that backs the annotate
-// hot path's per-document buffer reuse.
+// Package pool provides the typed scratch pool that backs the annotate hot
+// path's per-document buffer reuse, plus a bounded index fan-out (document
+// fan-out is aida.AnnotateStream's own: it needs input order and a
+// run-ahead bound, not an index range).
 package pool
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -90,69 +88,4 @@ func ForEach(n, workers int, fn func(int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// ForEachCtx is ForEach with cooperative cancellation and error
-// propagation: before each fn call the context is consulted, and once ctx
-// is done or any fn call returns a non-nil error, no further index is
-// handed out. It returns the first error observed (ctx.Err() for a
-// cancellation), or nil when every fn call completed. In-flight fn calls
-// are never interrupted — fn itself decides whether to observe ctx — so on
-// return all started work has finished and it is safe to read anything fn
-// wrote.
-func ForEachCtx(ctx context.Context, n, workers int, fn func(int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next    atomic.Int64
-		stop    atomic.Bool
-		mu      sync.Mutex
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstEr == nil {
-			firstEr = err
-		}
-		mu.Unlock()
-		stop.Store(true)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if stop.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				if err := fn(i); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstEr
 }

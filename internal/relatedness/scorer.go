@@ -67,14 +67,7 @@ type Scorer struct {
 // NewScorer creates a scoring engine over the knowledge base (any Store;
 // every value it computes is identical whichever implementation serves it).
 func NewScorer(k kb.Store) *Scorer {
-	s := &Scorer{kb: k}
-	s.weight = func(w string) float64 {
-		v := k.WordIDF(w)
-		if v <= 0 {
-			return 0.1 // unknown words carry minimal evidence
-		}
-		return v
-	}
+	s := &Scorer{kb: k, weight: idfWeight(k)}
 	for i := range s.profiles {
 		s.profiles[i].m = make(map[kb.EntityID]*Profile)
 	}
@@ -83,9 +76,6 @@ func NewScorer(k kb.Store) *Scorer {
 	}
 	return s
 }
-
-// KB returns the bound knowledge base store.
-func (s *Scorer) KB() kb.Store { return s.kb }
 
 // Profile returns the interned keyphrase profile of a KB entity, building
 // it on first use. Duplicate builds under concurrency are possible but
@@ -170,5 +160,44 @@ func (s *Scorer) compute(kind Kind, a, b kb.EntityID) float64 {
 		return KeyphraseCosine(s.kb.Entity(a).Keyphrases, s.kb.Entity(b).Keyphrases)
 	default: // KORE and its LSH variants
 		return KOREProfiles(s.Profile(a), s.Profile(b))
+	}
+}
+
+// Between computes the relatedness of two entities of store under kind, with
+// no cache and no shared state: Relatedness's float operations, so the value
+// a Scorer over store returns, bit for bit. a == b is 1; MW takes the
+// arguments in the order given; the keyphrase kinds score the pair as
+// (min, max); the LSH kinds and out-of-range kinds are exact KORE.
+func Between(store kb.Store, kind Kind, a, b kb.EntityID) float64 {
+	if a == b {
+		return 1
+	}
+	if kind == KindMW {
+		return MW(store.Entity(a).InLinks, store.Entity(b).InLinks, store.NumEntities())
+	}
+	if a > b {
+		a, b = b, a
+	}
+	pa, pb := store.Entity(a).Keyphrases, store.Entity(b).Keyphrases
+	switch kind {
+	case KindKWCS:
+		return KeywordCosine(pa, pb, idfWeight(store))
+	case KindKPCS:
+		return KeyphraseCosine(pa, pb)
+	default:
+		w := idfWeight(store)
+		return KOREProfiles(NewProfile(pa, w), NewProfile(pb, w))
+	}
+}
+
+// idfWeight is the keyword weight of the keyphrase kinds over store: the
+// store's IDF, with unknown words floored at 0.1 (minimal evidence).
+func idfWeight(store kb.Store) Weighter {
+	return func(w string) float64 {
+		v := store.WordIDF(w)
+		if v <= 0 {
+			return 0.1
+		}
+		return v
 	}
 }

@@ -10,7 +10,50 @@ import (
 	"testing"
 
 	"aida/internal/kb"
+	"aida/internal/wiki"
 )
+
+// TestBetweenIsTheEngine holds the uncached Between to the engine bit for
+// bit: every kind plus an out-of-range one, seeded random pairs of a
+// generated world in both argument orders and as a == b, against a cold
+// engine and then against the same engine warm.
+func TestBetweenIsTheEngine(t *testing.T) {
+	k := wiki.Generate(wiki.Config{Seed: 3, Entities: 400}).KB
+	kinds := []Kind{KindMW, KindKWCS, KindKPCS, KindKORE, KindKORELSHG, KindKORELSHF, Kind(numKinds + 3)}
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]kb.EntityID, 1000)
+	for i := range pairs {
+		a := kb.EntityID(rng.Intn(k.NumEntities()))
+		pairs[i] = [2]kb.EntityID{a, kb.EntityID(rng.Intn(k.NumEntities()))}
+		if i%100 == 0 {
+			pairs[i][1] = a
+		}
+	}
+	engine := NewScorer(k)
+	positive := 0
+	for _, pass := range []string{"cold", "warm"} {
+		for _, kind := range kinds {
+			for _, pr := range pairs {
+				for _, ab := range [][2]kb.EntityID{pr, {pr[1], pr[0]}} {
+					got, want := Between(k, kind, ab[0], ab[1]), engine.Relatedness(kind, ab[0], ab[1])
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s %v(%d,%d): Between %v (%#x), engine %v (%#x)",
+							pass, kind, ab[0], ab[1], got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+					if got > 0 && got < 1 {
+						positive++
+					}
+				}
+			}
+		}
+	}
+	if positive < len(pairs) {
+		t.Fatalf("only %d values strictly between 0 and 1: the draws are too narrow", positive)
+	}
+	if engine.Stats().Hits == 0 {
+		t.Fatal("the warm pass hit no memoized pair")
+	}
+}
 
 // TestScorerMatchesFreshMeasures pins the engine's memoized values to the
 // values a fresh, single-kind engine computes, for every kind and pair of

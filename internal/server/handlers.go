@@ -13,7 +13,6 @@ import (
 	"aida"
 	"aida/internal/kb"
 	"aida/internal/pool"
-	"aida/internal/relatedness"
 )
 
 // Annotation is the wire form of one aida.Annotation. Entity is -1 when
@@ -89,11 +88,11 @@ type annotateStats struct {
 	RequestID     string `json:"request_id,omitempty"`
 }
 
-// writeAnnotateError maps an annotation error onto the wire: request
-// mistakes (aida.InvalidRequestError — unknown method or domain, negative
+// writeAnnotateError maps an annotation or relatedness error onto the
+// wire: request mistakes (aida.InvalidRequestError — unknown method or domain, negative
 // parallelism, oversized context, conflicting options) are the client's
 // 400 with the resolution error's exact text, cancellations are accounted
-// as 499, anything else is a 500.
+// as 499, anything else (a failed remote shard) is a 500.
 func (s *Server) writeAnnotateError(w http.ResponseWriter, r *http.Request, err error) {
 	var bad *aida.InvalidRequestError
 	if errors.As(err, &bad) {
@@ -110,10 +109,10 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	// The parallelism clamp applies to single documents too: the
-	// coherence pool is the only intra-document fan-out, so bounding it
-	// keeps one request within GOMAXPROCS under concurrent requests.
-	// Negative values pass through to resolution and fail with 400.
+	// A single document has no fan-out to bound, but the clamp applies
+	// here too so that /v1/annotate accepts exactly the values the batch
+	// endpoint accepts (above MaxParallelism included). Negative values
+	// pass through to resolution and fail with 400.
 	req.Parallelism = clampParallelism(req.Parallelism)
 	asHTML := wantsHTML(r)
 	if asHTML {
@@ -341,12 +340,12 @@ func (s *Server) handleRelatedness(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "b: "+err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, relatednessResponse{
-		Kind:        kind.String(),
-		A:           a,
-		B:           b,
-		Relatedness: s.sys.Relatedness(kind, a, b),
-	})
+	v, err := s.sys.Relatedness(kind, a, b)
+	if err != nil {
+		s.writeAnnotateError(w, r, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, relatednessResponse{Kind: kind.String(), A: a, B: b, Relatedness: v})
 }
 
 // entityParam parses an entity id query parameter and range-checks it
@@ -368,9 +367,8 @@ func (s *Server) entityParam(raw string) (aida.EntityID, error) {
 
 // statsResponse is the JSON shape of GET /v1/stats.
 type statsResponse struct {
-	Server serverStats       `json:"server"`
-	Engine relatedness.Stats `json:"engine"`
-	KB     kbStats           `json:"kb"`
+	Server serverStats `json:"server"`
+	KB     kbStats     `json:"kb"`
 }
 
 type serverStats struct {
@@ -428,9 +426,9 @@ func (s *Server) statsSnapshot() statsResponse {
 			byLatency[e] = ls
 		}
 	}
-	// One consistent generation snapshot: the store, engine and live
-	// counters reported below all describe the same generation even if a
-	// delta applies mid-request.
+	// One consistent generation snapshot: the store and live counters
+	// reported below describe the same generation even if a delta applies
+	// mid-request.
 	lv := s.sys.Live()
 	kbs := kbStats{
 		Entities:      lv.Store.NumEntities(),
@@ -461,7 +459,6 @@ func (s *Server) statsSnapshot() statsResponse {
 	}
 	return statsResponse{
 		Server: srv,
-		Engine: lv.Engine.Stats(),
 		KB:     kbs,
 	}
 }

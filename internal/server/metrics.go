@@ -102,23 +102,6 @@ func (s *Server) writeMetrics(w http.ResponseWriter) {
 		"Remote fetch attempts relaunched on another replica after an error or fingerprint mismatch.", float64(st.KB.RemoteRetries))
 	writeMetric(w, "aida_kb_remote_failovers_total", "counter",
 		"Remote operations ultimately served by a non-primary replica after the primary failed.", float64(st.KB.RemoteFailovers))
-	writeMetric(w, "aida_engine_profiles", "gauge",
-		"Entity keyphrase profiles interned by the scoring engine.", float64(st.Engine.Profiles))
-	writeMetric(w, "aida_engine_profile_bytes", "gauge",
-		"Approximate heap footprint of the interned profiles.", float64(st.Engine.ProfileBytes))
-	writeMetric(w, "aida_engine_pairs_cached", "gauge",
-		"Memoized entity-pair relatedness values across all measure kinds.", float64(st.Engine.Pairs))
-
-	header(w, "aida_engine_kind_hits_total", "counter",
-		"Pair-cache hits by measure kind.")
-	for _, ks := range st.Engine.ByKind {
-		fmt.Fprintf(w, "aida_engine_kind_hits_total{%s} %d\n", promLabel("kind", ks.Name), ks.Hits)
-	}
-	header(w, "aida_engine_kind_misses_total", "counter",
-		"Pair-cache misses (computed values) by measure kind.")
-	for _, ks := range st.Engine.ByKind {
-		fmt.Fprintf(w, "aida_engine_kind_misses_total{%s} %d\n", promLabel("kind", ks.Name), ks.Misses)
-	}
 }
 
 func header(w io.Writer, name, typ, help string) {

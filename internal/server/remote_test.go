@@ -3,24 +3,27 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 
+	"aida"
 	"aida/internal/kb"
 	"aida/internal/kbtest"
 )
 
 // TestRemoteBackedServer pins the full production topology: an annotation
-// front-end whose KB is a remote shard fleet must answer /v1/annotate with
-// exactly the bytes a local-KB server produces, and /v1/stats must expose
-// the fleet's fetch counters.
+// front-end whose KB is a remote shard fleet must answer /v1/annotate and
+// /v1/relatedness with exactly the bytes a local-KB server produces, and
+// /v1/stats must expose the fleet's fetch counters.
 func TestRemoteBackedServer(t *testing.T) {
 	k, docs := testWorld(t, 3)
 	fleet := kbtest.StartFleet(t, k, 2, 2)
 	remote := fleet.Dial(t, kb.RemoteOptions{})
 
-	localSys, localTS := newTestServer(t, k, Config{})
+	_, localTS := newTestServer(t, k, Config{})
 	_, remoteTS := newTestServer(t, remote, Config{})
 
 	for _, doc := range docs {
@@ -30,7 +33,15 @@ func TestRemoteBackedServer(t *testing.T) {
 			t.Fatalf("remote-backed /v1/annotate diverges from local:\n got %s\nwant %s", got, want)
 		}
 	}
-	_ = localSys
+	for _, kind := range []aida.RelatednessKind{aida.MW, aida.KWCS, aida.KPCS, aida.KORE, aida.KORELSHG, aida.KORELSHF} {
+		for _, pair := range []string{"a=3&b=7", "a=7&b=3", "a=5&b=5"} {
+			query := fmt.Sprintf("/v1/relatedness?kind=%s&%s", kind, pair)
+			want := readAll(t, mustGet(t, localTS.URL+query))
+			if got := readAll(t, mustGet(t, remoteTS.URL+query)); !bytes.Equal(got, want) {
+				t.Fatalf("remote-backed %s diverges from local:\n got %s\nwant %s", query, got, want)
+			}
+		}
+	}
 
 	resp, err := http.Get(remoteTS.URL + "/v1/stats")
 	if err != nil {
@@ -57,6 +68,43 @@ func TestRemoteBackedServer(t *testing.T) {
 	}
 	if st.KB.RemoteShards != 0 || st.KB.RemoteRequests != 0 {
 		t.Fatalf("local server reports remote KB stats: %+v", st.KB)
+	}
+}
+
+// TestRelatednessOnDeadFleet: with every replica of every shard failing,
+// /v1/relatedness answers the remote store's error as a 500, exactly as
+// /v1/annotate does, instead of crashing the handler, and the request is
+// counted in /v1/stats.
+func TestRelatednessOnDeadFleet(t *testing.T) {
+	k, docs := testWorld(t, 1)
+	fleet := kbtest.StartFleet(t, k, 2, 2)
+	remote := fleet.Dial(t, kb.RemoteOptions{})
+	fleet.SetAll(func(int, int) bool { return true }, kbtest.Faults{ErrorEvery: 1})
+	sys, ts := newTestServer(t, remote, Config{})
+
+	resp := postJSON(t, ts.URL+"/v1/annotate", annotateRequest{Text: docs[0]})
+	if readAll(t, resp); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("/v1/annotate on a dead fleet: status %d, want 500", resp.StatusCode)
+	}
+	var re *aida.RemoteError
+	if _, err := sys.Relatedness(aida.MW, 3, 7); !errors.As(err, &re) {
+		t.Fatalf("in-process Relatedness on a dead fleet: err %v, want a *RemoteError", err)
+	}
+	resp = mustGet(t, ts.URL+"/v1/relatedness?kind=MW&a=3&b=7")
+	var body errorResponse
+	if err := json.Unmarshal(readAll(t, resp), &body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || !strings.HasPrefix(body.Error, "kb: remote ") || !strings.Contains(body.Error, "failed on all 2 endpoint(s)") {
+		t.Fatalf("/v1/relatedness on a dead fleet: status %d, error %q; want 500 with the RemoteError text", resp.StatusCode, body.Error)
+	}
+
+	var st statsResponse
+	if err := json.Unmarshal(readAll(t, mustGet(t, ts.URL+"/v1/stats")), &st); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Server.RequestsByEndpoint["/v1/relatedness"]; n != 1 {
+		t.Fatalf("/v1/relatedness counted %d times, want 1", n)
 	}
 }
 

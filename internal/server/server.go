@@ -9,7 +9,7 @@
 //	POST /v1/annotate        annotate one document (JSON or ?format=html)
 //	POST /v1/annotate/batch  annotate many documents (JSON array or NDJSON stream)
 //	GET  /v1/relatedness     entity-entity relatedness under one measure
-//	GET  /v1/stats           engine + server counters (JSON or Prometheus text)
+//	GET  /v1/stats           server + KB counters (JSON or Prometheus text)
 //	POST /v1/admin/kb/delta  apply a live KB delta without restart
 //	GET  /demo               static browser demo driving the API
 //	GET  /healthz            liveness
@@ -116,8 +116,8 @@ type Server struct {
 	byLatency  map[string]*latencyHist
 }
 
-// New wraps a system in a Server. The system's scoring engine is shared
-// across all requests.
+// New wraps a system in a Server; every request is served by that one
+// system.
 func New(sys *aida.System, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{sys: sys, cfg: cfg, log: cfg.Logger, start: time.Now(),

@@ -64,6 +64,15 @@ func postJSON(t testing.TB, url string, body any) *http.Response {
 	return resp
 }
 
+func mustGet(t testing.TB, url string) *http.Response {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 func readAll(t testing.TB, resp *http.Response) []byte {
 	t.Helper()
 	defer resp.Body.Close()
@@ -213,7 +222,7 @@ func TestRelatednessEndpoint(t *testing.T) {
 		if err := json.Unmarshal(readAll(t, resp), &got); err != nil {
 			t.Fatal(err)
 		}
-		if want := sys.Relatedness(kind, 0, 1); got.Relatedness != want {
+		if want, err := sys.Relatedness(kind, 0, 1); err != nil || got.Relatedness != want {
 			t.Errorf("%v: HTTP %v != in-process %v", kind, got.Relatedness, want)
 		}
 		if got.Kind != kind.String() {
@@ -292,13 +301,9 @@ func TestErrorPaths(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	k, docs := testWorld(t, 4)
 	_, ts := newTestServer(t, k, Config{})
-	// Drive traffic so every counter moves: a batch moves the server
-	// counters (its MW coherence leaves the engine empty), a KORE
-	// relatedness lookup interns profiles and memoizes one pair.
+	// Drive traffic so the server counters move.
 	readAll(t, postJSON(t, ts.URL+"/v1/annotate/batch", batchRequest{Docs: docs, RequestSpec: aida.RequestSpec{Parallelism: 2}}))
-	if r, err := http.Get(ts.URL + "/v1/relatedness?kind=KORE&a=0&b=1"); err == nil {
-		readAll(t, r)
-	}
+	readAll(t, mustGet(t, ts.URL+"/v1/relatedness?kind=KORE&a=0&b=1"))
 
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -323,12 +328,6 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.KB.Entities != k.NumEntities() {
 		t.Errorf("kb entities = %d, want %d", st.KB.Entities, k.NumEntities())
 	}
-	if st.Engine.Misses == 0 || st.Engine.Profiles == 0 || st.Engine.ProfileBytes == 0 {
-		t.Errorf("engine stats should reflect annotation traffic: %+v", st.Engine)
-	}
-	if len(st.Engine.ByKind) == 0 {
-		t.Error("per-kind stats missing")
-	}
 
 	promResp, err := http.Get(ts.URL + "/v1/stats?format=prometheus")
 	if err != nil {
@@ -342,62 +341,40 @@ func TestStatsEndpoint(t *testing.T) {
 		`aida_server_endpoint_requests_total{endpoint="/v1/annotate/batch"} 1`,
 		`aida_server_endpoint_requests_total{endpoint="/healthz"}`,
 		"aida_kb_entities",
-		"aida_engine_profiles",
-		"aida_engine_profile_bytes",
-		"aida_engine_pairs_cached",
 		// The tenant families are always present (values only under a
 		// tenanted config), so dashboards can predeclare them.
 		"aida_server_tenant_requests_total",
 		"aida_server_tenant_throttled_total",
 		"aida_server_tenant_in_flight",
-		`aida_engine_kind_hits_total{kind="MW"}`,
-		`aida_engine_kind_hits_total{kind="KORE"}`,
-		`aida_engine_kind_misses_total{kind="MW"}`,
-		`aida_engine_kind_misses_total{kind="KORE-LSH-F"}`,
 	} {
 		if !strings.Contains(prom, metric) {
 			t.Errorf("prometheus output missing %s", metric)
 		}
 	}
-	// The engine has no memory budget, so no budget or eviction families.
-	for _, metric := range []string{
-		"aida_engine_max_profile_bytes",
-		"aida_engine_evictions_total",
-		"aida_engine_pairs_evicted_total",
-	} {
-		if strings.Contains(prom, metric) {
-			t.Errorf("prometheus output still carries %s", metric)
-		}
-	}
 }
 
-// TestStatsWireContract pins the /v1/stats keys clients decode: the engine
-// object is exactly relatedness.Stats' six fields (the repo benchmark
-// decodes it as that type), the kb object carries entities and generation,
-// and the removed engine-snapshot endpoint answers 404.
+// TestStatsWireContract pins the /v1/stats keys clients decode: the top
+// level is exactly server and kb (a serving System has no relatedness
+// engine, so no engine object and no aida_engine_* family), the kb object
+// carries entities and generation, and the removed engine-snapshot
+// endpoint answers 404.
 func TestStatsWireContract(t *testing.T) {
 	k, _ := testWorld(t, 1)
 	_, ts := newTestServer(t, k, Config{})
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
+	var st map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(readAll(t, mustGet(t, ts.URL+"/v1/stats")), &st); err != nil {
 		t.Fatal(err)
 	}
-	var st struct {
-		Engine map[string]json.RawMessage `json:"engine"`
-		KB     map[string]json.RawMessage `json:"kb"`
-	}
-	if err := json.Unmarshal(readAll(t, resp), &st); err != nil {
-		t.Fatal(err)
-	}
-	got := slices.Sorted(maps.Keys(st.Engine))
-	want := []string{"by_kind", "hits", "misses", "pairs", "profile_bytes", "profiles"}
-	if !slices.Equal(got, want) {
-		t.Errorf("engine keys = %v, want %v", got, want)
+	if got, want := slices.Sorted(maps.Keys(st)), []string{"kb", "server"}; !slices.Equal(got, want) {
+		t.Errorf("top-level keys = %v, want %v", got, want)
 	}
 	for _, key := range []string{"entities", "generation"} {
-		if _, ok := st.KB[key]; !ok {
-			t.Errorf("kb object lacks %q: %v", key, slices.Sorted(maps.Keys(st.KB)))
+		if _, ok := st["kb"][key]; !ok {
+			t.Errorf("kb object lacks %q: %v", key, slices.Sorted(maps.Keys(st["kb"])))
 		}
+	}
+	if prom := string(readAll(t, mustGet(t, ts.URL+"/v1/stats?format=prometheus"))); strings.Contains(prom, "aida_engine_") {
+		t.Errorf("prometheus output still carries an aida_engine_* family:\n%s", prom)
 	}
 
 	snap, err := http.Post(ts.URL+"/v1/admin/snapshot", "application/json", nil)
@@ -612,7 +589,7 @@ func TestClientDisconnectCancelsBatch(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchRequests hammers the shared engine through the HTTP
+// TestConcurrentBatchRequests hammers one System through the HTTP
 // layer from many clients at once; under -race this is the service-level
 // race test, and every response must still match the sequential bytes.
 func TestConcurrentBatchRequests(t *testing.T) {
@@ -672,7 +649,7 @@ func TestConcurrentBatchRequests(t *testing.T) {
 }
 
 // BenchmarkServerAnnotate tracks the HTTP overhead and batch scaling over
-// a warm engine: one document per request vs the batch endpoint.
+// a warm KB: one document per request vs the batch endpoint.
 func BenchmarkServerAnnotate(b *testing.B) {
 	k, docs := testWorld(b, 16)
 	_, ts := newTestServer(b, k, Config{})

@@ -278,14 +278,13 @@ func UseMethodNamed(name string) AnnotateOption {
 	}
 }
 
-// WithParallelism bounds the request's concurrency. For AnnotateStream and
+// WithParallelism bounds the request's concurrency: for AnnotateStream and
 // AnnotateCorpus it is the number of documents annotated at once, each on
-// one goroutine (coherence scoring is not fanned out again under document
-// fan-out); for AnnotateDoc it caps the one document's coherence-edge
-// worker pool. n = 0 means GOMAXPROCS; negative values and values above
-// MaxParallelism are rejected during resolution. Parallelism changes
-// scheduling only —
-// the annotations are byte-identical at every setting.
+// one goroutine. AnnotateDoc annotates its one document on the calling
+// goroutine and only validates the value. n = 0 means GOMAXPROCS; negative
+// values and values above MaxParallelism are rejected during resolution.
+// Parallelism changes scheduling only — the annotations are byte-identical
+// at every setting.
 func WithParallelism(n int) AnnotateOption {
 	return func(o *RequestSpec) {
 		o.Parallelism = n

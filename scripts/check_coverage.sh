@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Coverage gate for the KB substrate (local, sharded and remote stores),
-# the disambiguation core and the scoring engine: the packages the
+# the disambiguation core and the relatedness measures: the packages the
 # sharding router, the remote fleet client/host, the scoring layers and
-# the engine's memo, snapshots and generation clone live in — plus the
+# the offline relatedness engine (Chapter 4's experiments) live in — plus the
 # emerging-entity discovery that serves CONF confidence, the
 # live-KB delta journal and the HTTP serving layer (content negotiation,
 # multi-tenant admission, tracing, HTML rendering) — must stay above the

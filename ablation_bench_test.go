@@ -1,10 +1,9 @@
 package aida
 
-// Ablation benchmarks for the design choices called out in DESIGN.md: the
-// robustness tests (Sec. 3.5), the graph pre-pruning factor (Sec. 3.4.2),
-// the candidate cap, and the LSH band geometry (Sec. 4.4.2). Each bench
-// reports the quality impact of removing/varying one choice while holding
-// everything else fixed.
+// Ablation benchmarks for three design choices: the robustness tests
+// (Sec. 3.5), the candidate cap, and the LSH band geometry (Sec. 4.4.2).
+// Each bench reports the quality impact of removing/varying one choice
+// while holding everything else fixed.
 
 import (
 	"fmt"
@@ -12,7 +11,6 @@ import (
 
 	"aida/internal/disambig"
 	"aida/internal/eval"
-	"aida/internal/graph"
 	"aida/internal/kb"
 	"aida/internal/relatedness"
 	"aida/internal/wiki"
@@ -51,22 +49,6 @@ func BenchmarkAblationRobustnessTests(b *testing.B) {
 		b.ReportMetric(100*ablationRun(b, full, 10), "full-%")
 		b.ReportMetric(100*ablationRun(b, noPriorTest, 10), "no-rprior-%")
 		b.ReportMetric(100*ablationRun(b, noCohTest, 10), "no-rcoh-%")
-	}
-}
-
-// BenchmarkAblationPruneFactor varies the graph pre-pruning factor
-// (entities kept per mention before peeling; the paper settles on 5).
-func BenchmarkAblationPruneFactor(b *testing.B) {
-	for _, factor := range []int{1, 5, 20} {
-		factor := factor
-		b.Run(fmt.Sprintf("factor=%d", factor), func(b *testing.B) {
-			cfg := disambig.Config{UsePrior: true, PriorTest: true, UseCoherence: true,
-				CoherenceTest: true, Measure: relatedness.KindMW,
-				Graph: graph.Options{PruneFactor: factor}}
-			for i := 0; i < b.N; i++ {
-				b.ReportMetric(100*ablationRun(b, cfg, 10), "micro-%")
-			}
-		})
 	}
 }
 

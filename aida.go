@@ -165,7 +165,8 @@ type System struct {
 	// (e.g. recognizing a remote fleet client) and compatibility.
 	KB     Store
 	Method Method
-	// MaxCandidates caps candidates per mention (0 = no cap).
+	// MaxCandidates caps candidates per mention (0 = no cap). A request's
+	// max_candidates may lower the cap but never raise it.
 	MaxCandidates int
 
 	recognizer ner.Recognizer
@@ -351,7 +352,8 @@ type Option func(*System)
 // WithMethod selects the disambiguation method (default: full AIDA).
 func WithMethod(m Method) Option { return func(s *System) { s.Method = m } }
 
-// WithMaxCandidates caps the candidates materialized per mention.
+// WithMaxCandidates caps the candidates materialized per mention: a ceiling
+// that a request's max_candidates may lower but never raise.
 func WithMaxCandidates(n int) Option { return func(s *System) { s.MaxCandidates = n } }
 
 // New creates a System over the knowledge base store.

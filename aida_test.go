@@ -5,7 +5,7 @@ import (
 	"context"
 	"testing"
 
-	"aida/internal/emerge"
+	"aida/internal/experiments"
 	"aida/internal/ner"
 )
 
@@ -160,17 +160,18 @@ func TestSystemConfidence(t *testing.T) {
 // a System's serving generation, as the experiments drive it.
 func TestSystemDiscoverEmerging(t *testing.T) {
 	sys := New(demoKB())
-	pl := &emerge.Pipeline{KB: sys.Live().Store}
+	pl := &experiments.Pipeline{KB: sys.Live().Store}
 	surfaces := []string{"Snowden"}
-	var chunk []emerge.ChunkDoc
+	var chunk []experiments.ChunkDoc
 	for _, text := range []string{
 		"The whistleblower Snowden revealed a secret surveillance program.",
 		"Officials said Snowden leaked the intelligence files.",
 	} {
-		chunk = append(chunk, emerge.ChunkDoc{Text: text, Surfaces: surfaces})
+		chunk = append(chunk, experiments.ChunkDoc{Text: text, Surfaces: surfaces})
 	}
 	// "Snowden" is not in the demo KB at all: trivially emerging.
-	disc := pl.Run("Snowden spoke about the surveillance program.", surfaces, chunk, nil)
+	p := pl.Problem("Snowden spoke about the surveillance program.", surfaces, nil)
+	disc := experiments.Discover(sys.Method, p, pl.Models(chunk, surfaces, nil))
 	if !disc.Emerging[0] {
 		t.Fatal("unknown name should be discovered as emerging")
 	}

@@ -105,8 +105,10 @@ func (s *System) resolveSpec(spec *RequestSpec) (annotateOptions, error) {
 		return o, invalidRequestf("too much parallelism: %d exceeds the limit of %d", spec.Parallelism, MaxParallelism)
 	}
 	o.parallelism = spec.Parallelism
-	if spec.MaxCandidates != nil {
-		o.maxCands = *spec.MaxCandidates
+	// A System cap is a ceiling: a request may lower it, never lift it, so
+	// 0, negative and larger values keep it.
+	if n := spec.MaxCandidates; n != nil && (s.MaxCandidates <= 0 || (*n > 0 && *n < s.MaxCandidates)) {
+		o.maxCands = *n
 	}
 	if spec.Expand != nil {
 		o.expand = *spec.Expand

@@ -105,7 +105,7 @@ func main() {
 		seed      = flag.Int64("seed", 42, "seed for -gen")
 		method    = flag.String("method", "aida", "method: "+strings.Join(aida.MethodNames(), ", "))
 		shards    = flag.Int("shards", 1, "report N-shard placement; reads are the KB's own (responses are byte-identical at any count)")
-		maxCand   = flag.Int("max-candidates", 20, "candidates per mention (0 = no cap)")
+		maxCand   = flag.Int("max-candidates", 20, "candidates per mention, a ceiling requests may only lower (0 = no cap)")
 		maxBody   = flag.Int64("max-body", 8<<20, "max request body bytes")
 		maxBatch  = flag.Int("max-batch", 1024, "max documents per batch request")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")

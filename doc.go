@@ -17,7 +17,9 @@
 //     structure.
 //   - NED-EE (Chapter 5): discovery of emerging entities by explicit
 //     placeholder modeling (a global keyphrase model of the name minus the
-//     in-KB model) and perturbation-based disambiguation confidence.
+//     in-KB model) and perturbation-based disambiguation confidence. A
+//     System serves the confidence (IncludeConfidence); the discovery is
+//     an offline evaluation that cmd/experiments runs.
 //
 // # Quick start
 //

@@ -8,10 +8,9 @@ import (
 	"fmt"
 	"testing"
 
-	"aida/internal/analytics"
-	"aida/internal/emerge"
+	"aida/internal/disambig"
 	"aida/internal/eval"
-	"aida/internal/search"
+	"aida/internal/experiments"
 	"aida/internal/tokenizer"
 	"aida/internal/wiki"
 )
@@ -85,13 +84,9 @@ func TestIntegrationEEPipelineOverStream(t *testing.T) {
 	}
 	world := integrationWorld(t)
 	stream := world.NewsStream(wiki.DefaultNewsSpec(4, 8, 3))
-	pl := &emerge.Pipeline{
-		KB:            world.KB,
-		MaxCandidates: 10,
-		HarvestWindow: -1,
-		Model:         emerge.ModelConfig{MaxKeyphrases: 25, MinCount: 2},
-	}
-	var chunk []emerge.ChunkDoc
+	pl := &experiments.Pipeline{KB: world.KB, MaxCandidates: 10}
+	method := disambig.NewAIDAVariant("ee-sim", disambig.Config{UsePrior: true, PriorTest: true})
+	var chunk []experiments.ChunkDoc
 	var today []wiki.Document
 	for _, d := range stream {
 		if d.Day < 4 {
@@ -101,7 +96,7 @@ func TestIntegrationEEPipelineOverStream(t *testing.T) {
 					surfaces = append(surfaces, gm.Surface)
 				}
 			}
-			chunk = append(chunk, emerge.ChunkDoc{Text: d.Text, Surfaces: surfaces})
+			chunk = append(chunk, experiments.ChunkDoc{Text: d.Text, Surfaces: surfaces})
 		} else {
 			today = append(today, d)
 		}
@@ -121,7 +116,8 @@ func TestIntegrationEEPipelineOverStream(t *testing.T) {
 		if len(surfaces) == 0 {
 			continue
 		}
-		disc := pl.Run(d.Text, surfaces, chunk, enricher)
+		p := pl.Problem(d.Text, surfaces, enricher)
+		disc := experiments.Discover(method, p, pl.Models(chunk, surfaces, enricher))
 		row := make([]eval.Label, len(gold))
 		for j, gm := range gold {
 			row[j] = eval.Label{Gold: gm.Entity, Pred: disc.Output.Results[j].Entity}
@@ -165,8 +161,7 @@ func TestIntegrationSearchAndAnalytics(t *testing.T) {
 		t.Run(fmt.Sprintf("world%d-%d", w.seed, w.entities), func(t *testing.T) {
 			world := wiki.Generate(wiki.Config{Seed: w.seed, Entities: w.entities})
 			sys := New(world.KB, WithMaxCandidates(10))
-			ix := search.NewIndex(world.KB)
-			stats := analytics.New()
+			ix := newSearchIndex(world.KB)
 
 			type query struct {
 				surface string
@@ -176,19 +171,19 @@ func TestIntegrationSearchAndAnalytics(t *testing.T) {
 			seen := map[query]bool{}
 			relevant := map[EntityID]map[string]bool{} // entity → documents with a gold mention of it
 			goldDays := map[EntityID]map[int]int{}     // entity → day → gold mentions
+			entityDays := map[EntityID]map[int]int{}   // entity → day → annotations
 			surfaceDays := map[string]map[int]int{}    // surface → day → mentions
-			for _, d := range world.NewsStream(w.news) {
-				var anns []search.Annotation
-				var ents []EntityID
-				for _, a := range annotateDoc(t, sys, d.Text, WithMentions(d.Surfaces()...)) {
-					if a.Entity == NoEntity {
-						continue
+			stream := world.NewsStream(w.news)
+			from, to := stream[0].Day, stream[0].Day // the stream's day range
+			for _, d := range stream {
+				from, to = min(from, d.Day), max(to, d.Day)
+				anns := annotateDoc(t, sys, d.Text, WithMentions(d.Surfaces()...))
+				ix.add(d.ID, d.Text, anns)
+				for _, a := range anns {
+					if a.Entity != NoEntity {
+						bump(entityDays, a.Entity, d.Day)
 					}
-					anns = append(anns, search.Annotation{Entity: a.Entity, Surface: a.Mention.Text})
-					ents = append(ents, a.Entity)
 				}
-				ix.AddDocument(d.ID, d.Text, anns)
-				stats.AddDoc(d.Day, ents)
 
 				for _, gm := range d.Mentions {
 					bump(surfaceDays, gm.Surface, d.Day)
@@ -211,7 +206,6 @@ func TestIntegrationSearchAndAnalytics(t *testing.T) {
 				t.Fatal("no ambiguous (surface, entity) pairs in the stream")
 			}
 
-			from, to, _ := stats.Days()
 			perDay := func(m map[int]int) []int {
 				out := make([]int, to-from+1)
 				for d := from; d <= to; d++ {
@@ -222,11 +216,11 @@ func TestIntegrationSearchAndAnalytics(t *testing.T) {
 			var mapString, mapEntity, l1String, l1Entity float64
 			for _, q := range queries {
 				rel := relevant[q.entity]
-				mapString += averagePrecision(ix.Search(search.Query{Words: tokenizer.ContentWords(q.surface)}, 0), rel)
-				mapEntity += averagePrecision(ix.Search(search.Query{Entities: []EntityID{q.entity}}, 0), rel)
+				mapString += averagePrecision(ix.search(searchQuery{Words: tokenizer.ContentWords(q.surface)}, 0), rel)
+				mapEntity += averagePrecision(ix.search(searchQuery{Entities: []EntityID{q.entity}}, 0), rel)
 				gold := perDay(goldDays[q.entity])
 				l1String += l1(perDay(surfaceDays[q.surface]), gold)
-				l1Entity += l1(stats.Frequency(q.entity, from, to), gold)
+				l1Entity += l1(perDay(entityDays[q.entity]), gold)
 			}
 			n := float64(len(queries))
 			mapString, mapEntity, l1String, l1Entity = mapString/n, mapEntity/n, l1String/n, l1Entity/n
@@ -253,7 +247,7 @@ func bump[K comparable](m map[K]map[int]int, k K, day int) {
 // averagePrecision is the mean of precision@k over the ranks k that hold a
 // relevant document, divided by the number of relevant documents, so
 // relevant documents the ranking misses count as zero.
-func averagePrecision(hits []search.Hit, relevant map[string]bool) float64 {
+func averagePrecision(hits []searchHit, relevant map[string]bool) float64 {
 	found, sum := 0, 0.0
 	for i, h := range hits {
 		if relevant[h.DocID] {

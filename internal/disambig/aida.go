@@ -41,8 +41,6 @@ type Config struct {
 
 	// Measure selects the coherence relatedness measure (default MW).
 	Measure relatedness.Kind
-
-	Graph graph.Options
 }
 
 // AIDA is the dissertation's disambiguation method. Depending on the
@@ -195,7 +193,7 @@ func (a *AIDA) Disambiguate(p *Problem) *Output {
 		out.Stats.Comparisons = scorer.comparisons
 		return out
 	}
-	res := graph.Solve(g, a.Config.Graph)
+	res := graph.Solve(g, graph.Options{})
 
 	out.Stats.Comparisons = scorer.comparisons
 	out.Stats.GraphEntities = g.Entities()

@@ -32,7 +32,7 @@ type Candidate struct {
 	KeywordNPMI map[string]float64
 	InLinks     []kb.EntityID
 	// EdgeScale scales this candidate's edge weights: the γ_EE balance of
-	// Sec. 5.6 for placeholder candidates, which emerge.BuildEEModel sets
+	// Sec. 5.6 for placeholder candidates, which experiments.BuildEEModel sets
 	// to 1. Zero (every KB entity) means 1.
 	EdgeScale float64
 }
@@ -173,19 +173,6 @@ func NewProblemFromWords(k kb.Store, contextWords, surfaces []string, maxCandida
 		p.Mentions = append(p.Mentions, Mention{Surface: s, Candidates: dst})
 	}
 	return p
-}
-
-// MaterializeCandidates looks up a surface form in the KB dictionary and
-// returns candidate structs with all features attached. Entity features
-// are fetched from the shard owning each candidate when k is sharded.
-func MaterializeCandidates(k kb.Store, surface string, maxCandidates int) []Candidate {
-	cands := k.Candidates(surface)
-	if maxCandidates > 0 && len(cands) > maxCandidates {
-		cands = cands[:maxCandidates]
-	}
-	out := make([]Candidate, len(cands))
-	fillCandidates(k, cands, out)
-	return out
 }
 
 // fillCandidates materializes candidate structs into dst (len(cands) long),

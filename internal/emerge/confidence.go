@@ -1,9 +1,8 @@
-// Package emerge implements NED-EE, the emerging-entity discovery of
-// Chapter 5: disambiguation-confidence assessment by score normalization
-// and input perturbation (Sec. 5.4), the explicit keyphrase model of
-// out-of-KB entities built by model difference (Sec. 5.5), and the
-// discovery algorithm that adds placeholder candidates to the NED problem
-// (Sec. 5.6, Algorithm 3).
+// Package emerge implements CONF, the disambiguation-confidence assessment
+// of Chapter 5 (Sec. 5.4): score normalization and input perturbation. The
+// served System computes it for IncludeConfidence. NED-EE's discovery of
+// emerging entities (Sec. 5.5–5.6) is an offline evaluation and lives with
+// its one caller, internal/experiments.
 package emerge
 
 import (

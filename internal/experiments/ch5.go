@@ -186,22 +186,9 @@ type eeDoc struct {
 	eeModels map[string]disambig.Candidate
 }
 
-// eePipeline builds the shared NED-EE pipeline with the suite's
-// scale-appropriate parameters: sentence-local harvesting (evidence in the
-// synthetic stream is sentence-local) and a capped placeholder model (the
-// equivalent of the paper's 3000-phrase cap against a 3M-entity KB — only
-// the best-associated phrases may fuel a placeholder).
-func (s *Suite) eePipeline() *emerge.Pipeline {
-	return &emerge.Pipeline{
-		KB:            s.World.KB,
-		MaxCandidates: s.Sizes.MaxCandidates,
-		HarvestWindow: -1,
-		Model: emerge.ModelConfig{
-			KBSize:        s.World.KB.NumEntities(),
-			MaxKeyphrases: 25,
-			MinCount:      2,
-		},
-	}
+// eePipeline builds the shared NED-EE pipeline over the suite's world.
+func (s *Suite) eePipeline() *Pipeline {
+	return &Pipeline{KB: s.World.KB, MaxCandidates: s.Sizes.MaxCandidates}
 }
 
 // dictSurfaces lists the mention surfaces of a document that have
@@ -217,22 +204,22 @@ func dictSurfaces(k *kb.KB, d *wiki.Document) []string {
 }
 
 // chunkDocs converts stream documents to pipeline chunk docs.
-func (s *Suite) chunkDocs(docs []*wiki.Document) []emerge.ChunkDoc {
-	out := make([]emerge.ChunkDoc, 0, len(docs))
+func (s *Suite) chunkDocs(docs []*wiki.Document) []ChunkDoc {
+	out := make([]ChunkDoc, 0, len(docs))
 	for _, d := range docs {
-		out = append(out, emerge.ChunkDoc{Text: d.Text, Surfaces: dictSurfaces(s.World.KB, d)})
+		out = append(out, ChunkDoc{Text: d.Text, Surfaces: dictSurfaces(s.World.KB, d)})
 	}
 	return out
 }
 
 // buildEnricher harvests keyphrases for existing entities from the chunk
 // via the pipeline (Sec. 5.5.1).
-func (s *Suite) buildEnricher(chunk []*wiki.Document) *emerge.Enricher {
+func (s *Suite) buildEnricher(chunk []*wiki.Document) *Enricher {
 	return s.eePipeline().BuildEnricher(s.chunkDocs(chunk))
 }
 
 // prepareEEDocs builds the problems and EE models for one stream day.
-func (s *Suite) prepareEEDocs(day, window int, enricher *emerge.Enricher) []eeDoc {
+func (s *Suite) prepareEEDocs(day, window int, enricher *Enricher) []eeDoc {
 	pl := s.eePipeline()
 	chunk := s.chunkDocs(s.chunkFor(day, window))
 	var out []eeDoc
@@ -339,8 +326,7 @@ func (s *Suite) runEEMethod(kind eeMethodKind, docs []eeDoc, param float64) []ee
 					models[surf] = c
 				}
 			}
-			disc := &emerge.Discoverer{Method: disambig.NewAIDAVariant("ee", cfg)}
-			res := disc.Discover(d.problem, models)
+			res := Discover(disambig.NewAIDAVariant("ee", cfg), d.problem, models)
 			labels = make([]eval.Label, len(d.mentions))
 			for j, gm := range d.mentions {
 				labels[j] = eval.Label{Gold: gm.Entity, Pred: res.Output.Results[j].Entity}
@@ -528,7 +514,7 @@ func (s *Suite) Figure54() []EEDayPoint {
 	for w := 1; w <= maxWindow; w++ {
 		point := EEDayPoint{Days: w}
 		for _, enrich := range []bool{false, true} {
-			var enricher *emerge.Enricher
+			var enricher *Enricher
 			if enrich {
 				enricher = s.buildEnricher(s.chunkFor(evalDay, w))
 			}

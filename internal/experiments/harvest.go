@@ -1,4 +1,4 @@
-package emerge
+package experiments
 
 import (
 	"strings"
@@ -10,7 +10,9 @@ import (
 
 // Harvest is a name → keyphrase → occurrence-count table mined from a
 // document chunk (Sec. 5.5.1): for every occurrence of a tracked name, the
-// keyphrases of the surrounding sentence window are counted.
+// keyphrases of its sentence are counted. The dissertation counts a window
+// of ±5 sentences; evidence in the synthetic news stream is
+// sentence-local, so the window here is the occurrence's own sentence.
 type Harvest struct {
 	// Counts[name][phrase] = co-occurrence count.
 	Counts map[string]map[string]int
@@ -24,12 +26,6 @@ type Harvest struct {
 // Harvester mines keyphrases around name occurrences. The zero value is
 // ready to use.
 type Harvester struct {
-	// Window is the number of sentences kept on each side of a name
-	// occurrence: 0 (unset) means the dissertation's default of 5
-	// (Sec. 5.5.1); a negative value restricts harvesting to the
-	// occurrence's own sentence, appropriate for corpora whose evidence
-	// is sentence-local.
-	Window int
 	// Lexicon, when set (typically the KB), suppresses occurrences that
 	// are embedded in a longer dictionary name: harvesting "Silva" must
 	// not fire inside "Ingrid Silva", whose context belongs to a
@@ -40,16 +36,6 @@ type Harvester struct {
 	// keyphrase enrichment of Sec. 5.5.1 uses it to harvest only
 	// sentences carrying verbatim evidence for the disambiguated entity.
 	SentenceFilter func(name string, sentenceWords []string) bool
-}
-
-func (h *Harvester) window() int {
-	if h.Window == 0 {
-		return 5
-	}
-	if h.Window < 0 {
-		return 0
-	}
-	return h.Window
 }
 
 // HarvestDocs scans the documents for the tracked names (matched by the
@@ -83,15 +69,9 @@ func (h *Harvester) harvestDoc(doc string, nameKey map[string]string, maxNameTok
 	var tagger postag.Tagger
 	tagged := tagger.TagTokens(toks)
 	phrasesBySentence := map[int][]string{}
-	numSentences := 0
 	for _, span := range postag.ExtractKeyphrases(tagged) {
 		s := span[0].Sentence
 		phrasesBySentence[s] = append(phrasesBySentence[s], postag.PhraseText(span))
-	}
-	for _, t := range toks {
-		if t.Sentence+1 > numSentences {
-			numSentences = t.Sentence + 1
-		}
 	}
 	// Content words per sentence, for the occurrence filter.
 	var wordsBySentence map[int][]string
@@ -130,7 +110,7 @@ func (h *Harvester) harvestDoc(doc string, nameKey map[string]string, maxNameTok
 				break
 			}
 			out.Occurrences[name]++
-			h.countWindow(name, toks[i].Sentence, numSentences, phrasesBySentence, surface, out)
+			countSentence(name, phrasesBySentence[toks[i].Sentence], surface, out)
 			i += l - 1
 			break
 		}
@@ -158,28 +138,18 @@ func (h *Harvester) embedded(doc string, toks []tokenizer.Token, i, l int) bool 
 	return false
 }
 
-// countWindow counts all keyphrases within the sentence window, excluding
-// phrases equal to the name itself.
-func (h *Harvester) countWindow(name string, sentence, numSentences int, phrases map[int][]string, surface string, out *Harvest) {
-	w := h.window()
-	lo, hi := sentence-w, sentence+w
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= numSentences {
-		hi = numSentences - 1
-	}
+// countSentence counts the keyphrases of an occurrence's sentence,
+// excluding phrases equal to the name itself.
+func countSentence(name string, phrases []string, surface string, out *Harvest) {
 	m := out.Counts[name]
 	if m == nil {
 		m = make(map[string]int)
 		out.Counts[name] = m
 	}
-	for s := lo; s <= hi; s++ {
-		for _, p := range phrases[s] {
-			if strings.EqualFold(p, surface) || strings.EqualFold(p, name) {
-				continue
-			}
-			m[p]++
+	for _, p := range phrases {
+		if strings.EqualFold(p, surface) || strings.EqualFold(p, name) {
+			continue
 		}
+		m[p]++
 	}
 }

@@ -1,4 +1,4 @@
-package emerge
+package experiments
 
 import (
 	"math"
@@ -8,27 +8,16 @@ import (
 	"aida/internal/kb"
 )
 
-// ModelConfig tunes the EE keyphrase model construction (Algorithm 2).
-type ModelConfig struct {
-	// KBSize is the number of entities in the knowledge base (the KB
-	// collection size of the balance parameter α).
-	KBSize int
-	// MaxKeyphrases caps the placeholder's keyphrase set (default 3000,
-	// Sec. 5.7.2), keeping popular names from drowning the graph.
-	MaxKeyphrases int
-	// MinCount drops phrases observed fewer times (default 1).
-	MinCount int
-}
-
-func (c ModelConfig) withDefaults() ModelConfig {
-	if c.MaxKeyphrases <= 0 {
-		c.MaxKeyphrases = 3000
-	}
-	if c.MinCount <= 0 {
-		c.MinCount = 1
-	}
-	return c
-}
+// EE keyphrase model limits (Algorithm 2). maxEEKeyphrases caps the
+// placeholder's keyphrase set, keeping popular names from drowning the
+// graph: the dissertation keeps 3 000 phrases against a 3M-entity KB
+// (Sec. 5.7.2), and the synthetic worlds' equivalent is 25, so only the
+// best-associated phrases fuel a placeholder. minPhraseCount drops phrases
+// the chunk shows fewer times.
+const (
+	maxEEKeyphrases int = 25
+	minPhraseCount  int = 2
+)
 
 // BuildEEModel constructs the placeholder candidate for an ambiguous name
 // by model difference (Sec. 5.5.2): the global keyphrase model of the name,
@@ -43,13 +32,15 @@ func (c ModelConfig) withDefaults() ModelConfig {
 // existing entities per Sec. 5.5.1 — pass enriched candidates for that) is
 // removed from the placeholder model. This preserves the mechanism that
 // matters: known evidence can never count for the unknown entity.
-func BuildEEModel(name string, hv *Harvest, kbCands []disambig.Candidate, cfg ModelConfig) disambig.Candidate {
-	cfg = cfg.withDefaults()
+//
+// kbSize is the number of entities in the knowledge base, the KB collection
+// size of the balance parameter α.
+func BuildEEModel(name string, hv *Harvest, kbCands []disambig.Candidate, kbSize int) disambig.Candidate {
 	counts := hv.Counts[name]
 	// Balance parameter α = KB collection size / EE collection size.
 	alpha := 1.0
-	if hv.Docs > 0 && cfg.KBSize > 0 {
-		alpha = float64(cfg.KBSize) / float64(hv.Docs)
+	if hv.Docs > 0 && kbSize > 0 {
+		alpha = float64(kbSize) / float64(hv.Docs)
 	}
 	// The in-KB model: every phrase any candidate entity carries, indexed
 	// by word for overlap lookups. Subtraction matches on word overlap
@@ -96,7 +87,7 @@ func BuildEEModel(name string, hv *Harvest, kbCands []disambig.Candidate, cfg Mo
 	var ws []weighted
 	var maxD float64
 	for p, b := range counts {
-		if b < cfg.MinCount || inKB(p) {
+		if b < minPhraseCount || inKB(p) {
 			continue
 		}
 		idf := math.Log2(1 + float64(numNames)/float64(nameDF[normPhrase(p)]))
@@ -115,8 +106,8 @@ func BuildEEModel(name string, hv *Harvest, kbCands []disambig.Candidate, cfg Mo
 		}
 		return ws[i].phrase < ws[j].phrase
 	})
-	if len(ws) > cfg.MaxKeyphrases {
-		ws = ws[:cfg.MaxKeyphrases]
+	if len(ws) > maxEEKeyphrases {
+		ws = ws[:maxEEKeyphrases]
 	}
 	// Word-level name document frequencies, for keyword weights: a word
 	// co-occurring with most names (generic news vocabulary) must not

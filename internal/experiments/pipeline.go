@@ -1,7 +1,8 @@
-package emerge
+package experiments
 
 import (
 	"aida/internal/disambig"
+	"aida/internal/emerge"
 	"aida/internal/kb"
 )
 
@@ -12,27 +13,23 @@ type ChunkDoc struct {
 	Surfaces []string // recognized mention surfaces with dictionary candidates
 }
 
-// Pipeline wires the NED-EE components (Sec. 5.3) into the end-to-end
-// news-stream workflow: keyphrase harvesting over a recent chunk, in-KB
-// keyphrase enrichment from high-confidence disambiguations, placeholder
-// model construction by model difference, and discovery via Algorithm 3.
+// Pipeline wires the NED-EE components (Sec. 5.3) into the news-stream
+// workflow: keyphrase harvesting over a recent chunk, in-KB keyphrase
+// enrichment from high-confidence disambiguations, and placeholder model
+// construction by model difference. Discover (Algorithm 3) runs on the
+// problems and models it builds.
 type Pipeline struct {
 	// KB is the knowledge base store the pipeline harvests against: any
 	// kb.Store, with identical results for the same content.
 	KB kb.Store
-	// Model tunes placeholder construction.
-	Model ModelConfig
 	// MaxCandidates caps dictionary candidates per mention (0 = no cap).
 	MaxCandidates int
-	// HarvestWindow is the sentence window of the harvester (0 = the
-	// dissertation's ±5; negative = same sentence only).
-	HarvestWindow int
 }
 
-// defaultMethod disambiguates the pipeline's chunk documents and extended
-// problems, and is the Discoverer's method when none is set: prior-backed
-// keyphrase similarity with the prior robustness test (r-prior sim-k).
-func defaultMethod() disambig.Method {
+// chunkMethod disambiguates the chunk documents the enricher harvests:
+// prior-backed keyphrase similarity with the prior robustness test
+// (r-prior sim-k).
+func chunkMethod() disambig.Method {
 	return disambig.NewAIDAVariant("ee-sim", disambig.Config{UsePrior: true, PriorTest: true})
 }
 
@@ -46,16 +43,12 @@ const (
 	minCover      = 0.9
 )
 
-func (pl *Pipeline) harvester() Harvester {
-	return Harvester{Window: pl.HarvestWindow, Lexicon: pl.KB}
-}
-
 // BuildEnricher mines keyphrases for existing entities from the chunk
 // (Sec. 5.5.1): each document is disambiguated, and sentences around
 // high-confidence mentions that carry verbatim keyphrase evidence for the
 // chosen entity are harvested and attributed to it, in document order.
 func (pl *Pipeline) BuildEnricher(chunk []ChunkDoc) *Enricher {
-	m := defaultMethod()
+	m := chunkMethod()
 	enricher := NewEnricher()
 	for _, d := range chunk {
 		enricher.Apply(pl.harvestChunkDoc(m, d))
@@ -71,14 +64,14 @@ func (pl *Pipeline) harvestChunkDoc(m disambig.Method, d ChunkDoc) *HarvestContr
 	}
 	p := disambig.NewProblem(pl.KB, d.Text, d.Surfaces, pl.MaxCandidates)
 	out := m.Disambiguate(p)
-	conf := NormConfidence(out)
+	conf := emerge.NormConfidence(out)
 	chosen := map[string]*disambig.Candidate{}
 	for j, r := range out.Results {
 		if r.CandidateIndex >= 0 {
 			chosen[r.Surface] = &p.Mentions[j].Candidates[r.CandidateIndex]
 		}
 	}
-	h := pl.harvester()
+	h := Harvester{Lexicon: pl.KB}
 	h.SentenceFilter = func(name string, sentenceWords []string) bool {
 		c := chosen[name]
 		if c == nil {
@@ -98,12 +91,8 @@ func (pl *Pipeline) Models(chunk []ChunkDoc, surfaces []string, enricher *Enrich
 	for i, d := range chunk {
 		texts[i] = d.Text
 	}
-	h := pl.harvester()
+	h := Harvester{Lexicon: pl.KB}
 	hv := h.HarvestDocs(texts, surfaces)
-	cfg := pl.Model
-	if cfg.KBSize == 0 {
-		cfg.KBSize = pl.KB.NumEntities()
-	}
 	models := make(map[string]disambig.Candidate)
 	for _, surf := range surfaces {
 		if _, done := models[surf]; done {
@@ -112,11 +101,11 @@ func (pl *Pipeline) Models(chunk []ChunkDoc, surfaces []string, enricher *Enrich
 		if len(hv.Counts[surf]) == 0 {
 			continue
 		}
-		cands := disambig.MaterializeCandidates(pl.KB, surf, 0)
+		cands := disambig.NewProblemFromWords(pl.KB, nil, []string{surf}, 0).Mentions[0].Candidates
 		if enricher != nil {
 			enricher.EnrichCandidates(cands)
 		}
-		models[surf] = BuildEEModel(surf, hv, cands, cfg)
+		models[surf] = BuildEEModel(surf, hv, cands, pl.KB.NumEntities())
 	}
 	return models
 }
@@ -129,13 +118,4 @@ func (pl *Pipeline) Problem(text string, surfaces []string, enricher *Enricher) 
 		enricher.Enrich(p)
 	}
 	return p
-}
-
-// Run executes the full per-document flow: enriched problem, placeholder
-// models, Algorithm 3.
-func (pl *Pipeline) Run(text string, surfaces []string, chunk []ChunkDoc, enricher *Enricher) *Discovery {
-	p := pl.Problem(text, surfaces, enricher)
-	models := pl.Models(chunk, surfaces, enricher)
-	d := &Discoverer{Method: defaultMethod()}
-	return d.Discover(p, models)
 }

@@ -1,4 +1,4 @@
-package emerge
+package experiments
 
 import (
 	"strings"
@@ -10,9 +10,10 @@ import (
 
 // pipelineChunk is a small news chunk: the town of Snowden appears in
 // normal gazette copy, while the whistleblower (out-of-KB) appears in
-// surveillance stories.
+// surveillance stories. Every document shows twice, so its phrases reach
+// minPhraseCount.
 func pipelineChunk() []ChunkDoc {
-	return []ChunkDoc{
+	chunk := []ChunkDoc{
 		{Text: "The rural county town of Snowden held its fair. Snowden, a Washington town, expects visitors.",
 			Surfaces: []string{"Snowden", "Snowden"}},
 		{Text: "The whistleblower Snowden revealed the secret surveillance program.",
@@ -20,14 +21,18 @@ func pipelineChunk() []ChunkDoc {
 		{Text: "Snowden leaked intelligence files describing the surveillance program.",
 			Surfaces: []string{"Snowden"}},
 	}
+	return append(chunk, chunk...)
 }
 
 func testPipeline() *Pipeline {
-	return &Pipeline{
-		KB:            buildEEKB(),
-		HarvestWindow: -1,
-		Model:         ModelConfig{MinCount: 1},
-	}
+	return &Pipeline{KB: buildEEKB()}
+}
+
+// discoverOne runs NED-EE on one document as the Chapter 5 experiments do:
+// the pipeline's problem and placeholder models, then Algorithm 3.
+func discoverOne(pl *Pipeline, text string, surfaces []string, chunk []ChunkDoc, enricher *Enricher) *Discovery {
+	p := pl.Problem(text, surfaces, enricher)
+	return Discover(chunkMethod(), p, pl.Models(chunk, surfaces, enricher))
 }
 
 func TestPipelineModels(t *testing.T) {
@@ -55,17 +60,17 @@ func TestPipelineModels(t *testing.T) {
 	}
 }
 
-func TestPipelineRunSeparatesEEFromKB(t *testing.T) {
+func TestPipelineSeparatesEEFromKB(t *testing.T) {
 	pl := testPipeline()
 	chunk := pipelineChunk()
 	// Emerging-entity context: the placeholder must win.
-	disc := pl.Run("Snowden spoke about the surveillance program and the leaked files.",
+	disc := discoverOne(pl, "Snowden spoke about the surveillance program and the leaked files.",
 		[]string{"Snowden"}, chunk, nil)
 	if !disc.Emerging[0] {
 		t.Fatalf("surveillance context should be emerging, got %+v", disc.Output.Results[0])
 	}
 	// Town context: the KB entity must win.
-	disc2 := pl.Run("The rural county town of Snowden in the pacific northwest held a fair.",
+	disc2 := discoverOne(pl, "The rural county town of Snowden in the pacific northwest held a fair.",
 		[]string{"Snowden"}, chunk, nil)
 	if disc2.Emerging[0] {
 		t.Fatalf("town context should stay in-KB, got %+v", disc2.Output.Results[0])
@@ -124,16 +129,5 @@ func TestPipelineEnrichedSubtraction(t *testing.T) {
 	}
 	if contains(withEnrich, "riverside") {
 		t.Fatal("enrichment should subtract the claimed phrase from the placeholder")
-	}
-}
-
-func TestPipelineDefaults(t *testing.T) {
-	pl := &Pipeline{KB: buildEEKB()}
-	if defaultMethod() == nil {
-		t.Fatal("default method missing")
-	}
-	p := pl.Problem("Snowden spoke.", []string{"Snowden"}, nil)
-	if len(p.Mentions) != 1 {
-		t.Fatal("problem construction broken")
 	}
 }

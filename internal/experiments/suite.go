@@ -3,6 +3,11 @@
 // TableXY/FigureXY method returns structured rows; Format helpers render
 // them the way the paper prints them. cmd/experiments and the repository's
 // bench_test.go are thin wrappers around this package.
+//
+// NED-EE's emerging-entity discovery (Chapter 5: keyphrase harvesting,
+// placeholder models by model difference, Algorithm 3 and the news-stream
+// pipeline) lives here too, because only Tables 5.3/5.4 and Figure 5.4 run
+// it; the served CONF confidence is package emerge.
 package experiments
 
 import (

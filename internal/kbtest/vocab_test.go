@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"aida/internal/disambig"
-	"aida/internal/emerge"
+	"aida/internal/experiments"
 	"aida/internal/kb"
 	"aida/internal/ner"
 	"aida/internal/textstat"
@@ -277,7 +277,7 @@ func TestLocalCandidatesScoreAsReference(t *testing.T) {
 		}
 	}
 	enriched := p.Mentions[mi].Candidates[0].Entity
-	enricher := emerge.NewEnricher()
+	enricher := experiments.NewEnricher()
 	enricher.Add(enriched, map[string]int{lateWord + " gravity": 3, "unheard phrase": 1})
 	enricher.Enrich(p)
 	p.Mentions[mi].Candidates = append(p.Mentions[mi].Candidates, disambig.Candidate{

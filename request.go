@@ -26,8 +26,10 @@ type RequestSpec struct {
 	// Parallelism bounds the request's concurrency (see WithParallelism).
 	// 0 means the default; negative values are rejected.
 	Parallelism int `json:"parallelism,omitempty"`
-	// MaxCandidates overrides the System's candidate cap when non-nil
-	// (0 or less removes the cap).
+	// MaxCandidates, when non-nil, caps the candidates per mention. A
+	// System cap (WithMaxCandidates) is a ceiling: a value below it lowers
+	// the cap, and 0, negative or larger values keep it. On a System
+	// without a cap, 0 or less means no cap.
 	MaxCandidates *int `json:"max_candidates,omitempty"`
 	// Expand, when true, turns on the within-document coreference
 	// heuristic: single-word mentions are expanded to a longer mention of

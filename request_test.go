@@ -264,6 +264,34 @@ func TestAnnotateStreamSlotBound(t *testing.T) {
 	}
 }
 
+// TestMaxCandidatesIsACeiling: a System's candidate cap bounds every
+// request. max_candidates may lower it; 0, a negative value or a larger one
+// keeps it. A System without a cap takes 0 as no cap.
+func TestMaxCandidatesIsACeiling(t *testing.T) {
+	k, docs := batchWorld(t, 1)
+	widest := func(sys *System, req int) int {
+		t.Helper()
+		doc, err := sys.AnnotateDoc(context.Background(), docs[0], append((&RequestSpec{MaxCandidates: &req}).Options(), IncludeCandidates())...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		most := 0
+		for _, cands := range doc.Candidates {
+			most = max(most, len(cands))
+		}
+		return most
+	}
+	sys := New(k, WithMaxCandidates(3))
+	for _, c := range []struct{ req, want int }{{0, 3}, {-1, 3}, {50, 3}, {2, 2}} {
+		if got := widest(sys, c.req); got != c.want {
+			t.Errorf("max_candidates %d under a cap of 3: up to %d candidates per mention, want %d", c.req, got, c.want)
+		}
+	}
+	if got := widest(New(k), 0); got <= 3 {
+		t.Errorf("max_candidates 0 without a System cap: up to %d candidates per mention, want more than 3", got)
+	}
+}
+
 // TestAnnotateOptionsPerRequest checks that options change one request
 // without touching the System, and that the opt-in extras are populated.
 func TestAnnotateOptionsPerRequest(t *testing.T) {

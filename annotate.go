@@ -218,10 +218,7 @@ func (s *System) annotateOne(ctx context.Context, text string, o annotateOptions
 		rec.Lexicon = lv.store
 		mentions = rec.RecognizeTokens(text, tokens)
 	}
-	surfaces := make([]string, len(mentions))
-	for i, m := range mentions {
-		surfaces[i] = m.Text
-	}
+	surfaces := ner.MentionSurfaces(mentions)
 	if o.expand {
 		surfaces = disambig.ExpandSurfaces(lv.store, surfaces)
 	}

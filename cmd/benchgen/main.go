@@ -1,15 +1,12 @@
-// Command benchgen generates and persists the synthetic world used by the
-// experiments: the knowledge base snapshot plus annotated corpora (the
-// CoNLL-like news-wire split, the KORE50-like hard split, the WP-like
-// slice, and the day-stamped news stream with emerging entities).
+// Command benchgen generates the synthetic world and persists its knowledge
+// base snapshot as kb.gob, which cmd/aida and cmd/aidaserver load with -kb.
 //
 // Usage:
 //
-//	benchgen -out data -entities 2000 -docs 200 -seed 42
+//	benchgen -out data -entities 2000 -seed 42
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -25,9 +22,6 @@ func main() {
 	var (
 		out      = flag.String("out", "data", "output directory")
 		entities = flag.Int("entities", 2000, "number of KB entities")
-		docs     = flag.Int("docs", 200, "documents per corpus")
-		days     = flag.Int("days", 6, "news stream days")
-		perDay   = flag.Int("perday", 15, "news documents per day")
 		seed     = flag.Int64("seed", 42, "generation seed")
 	)
 	flag.Parse()
@@ -49,34 +43,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (%d entities, %d dictionary names)\n", kbPath, w.KB.NumEntities(), len(w.KB.Names()))
-
-	corpora := map[string][]wiki.Document{
-		"conll.json": w.GenerateCorpus(wiki.CoNLLSpec(*docs, *seed+2)),
-		"hard.json":  w.GenerateCorpus(wiki.HardSpec(*docs, *seed+3)),
-		"wp.json":    w.GenerateCorpus(wiki.WPSpec(*docs, *seed+4)),
-		"news.json":  w.NewsStream(wiki.DefaultNewsSpec(*days, *perDay, *seed+5)),
-	}
-	for name, c := range corpora {
-		path := filepath.Join(*out, name)
-		if err := writeJSON(path, c); err != nil {
-			log.Fatal(err)
-		}
-		stats := w.Stats(c)
-		fmt.Printf("wrote %s (%d docs, %d mentions, %d out-of-KB)\n",
-			path, stats.Docs, stats.Mentions, stats.MentionsNoEntity)
-	}
-}
-
-func writeJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -7,10 +7,9 @@ import (
 )
 
 // RawSimScores exposes the unnormalized keyphrase similarity mass per
-// candidate (Eq. 3.6). Unlike the per-mention normalized scores used for
-// ranking, the raw mass carries evidence *magnitude*: the keyphrase
-// harvester of Chapter 5 gates on it so that mentions matching only
-// scattered words never count as high-confidence disambiguations.
+// candidate (Eq. 3.6), before the per-mention normalization used for
+// ranking. No program scores with it: the benchmark's layer probe times it
+// and tests compare it against a reference (ROADMAP item 1a).
 func RawSimScores(p *Problem) [][]float64 {
 	return simScores(p)
 }

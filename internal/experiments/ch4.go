@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -213,7 +215,9 @@ func (s *Suite) Table43() []NEDByMeasure {
 }
 
 // linkAveragedAccuracy groups mentions by the in-link count of their true
-// entity and averages the per-group accuracies (the Link Avg. rows).
+// entity and averages the per-group accuracies (the Link Avg. rows). The
+// groups are summed in ascending in-link count, so the float does not
+// depend on map iteration order.
 func (s *Suite) linkAveragedAccuracy(docs []wiki.Document, labels [][]eval.Label) float64 {
 	correct := map[int]int{}
 	total := map[int]int{}
@@ -233,8 +237,8 @@ func (s *Suite) linkAveragedAccuracy(docs []wiki.Document, labels [][]eval.Label
 		return 0
 	}
 	var sum float64
-	for links, t := range total {
-		sum += float64(correct[links]) / float64(t)
+	for _, links := range slices.Sorted(maps.Keys(total)) {
+		sum += float64(correct[links]) / float64(total[links])
 	}
 	return sum / float64(len(total))
 }

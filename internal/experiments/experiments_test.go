@@ -1,8 +1,15 @@
 package experiments
 
 import (
+	"maps"
+	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"aida/internal/eval"
+	"aida/internal/kb"
+	"aida/internal/wiki"
 )
 
 // tinySuite keeps the test workload small; the real scale is exercised by
@@ -198,6 +205,46 @@ func TestSuiteDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestLinkAveragedAccuracyDeterministic sums Link Avg.'s per-bucket
+// accuracies many times: the float is bit-identical from run to run only
+// if the buckets are summed in one fixed order, ascending in-link count.
+func TestLinkAveragedAccuracyDeterministic(t *testing.T) {
+	w := wiki.Generate(wiki.Config{Seed: 3, Entities: 3000})
+	s := &Suite{World: w}
+	// One document mentions every entity; every third mention is wrong.
+	var doc wiki.Document
+	var labels []eval.Label
+	correct, total := map[int]int{}, map[int]int{}
+	for e := range w.KB.NumEntities() {
+		id := kb.EntityID(e)
+		pred := id
+		if e%3 == 0 {
+			pred = kb.NoEntity
+		}
+		doc.Mentions = append(doc.Mentions, wiki.GoldMention{Entity: id})
+		labels = append(labels, eval.Label{Gold: id, Pred: pred})
+		links := len(w.KB.Entity(id).InLinks)
+		total[links]++
+		if pred == id {
+			correct[links]++
+		}
+	}
+	if len(total) < 30 {
+		t.Fatalf("%d in-link buckets, want at least 30 for the summation order to show", len(total))
+	}
+	var want float64
+	for _, links := range slices.Sorted(maps.Keys(total)) {
+		want += float64(correct[links]) / float64(total[links])
+	}
+	want /= float64(len(total))
+	for run := range 200 {
+		got := s.linkAveragedAccuracy([]wiki.Document{doc}, [][]eval.Label{labels})
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("run %d: Link Avg. %v, want the ascending-order sum %v (%d buckets)", run, got, want, len(total))
 		}
 	}
 }

@@ -128,42 +128,26 @@ func (g *Graph) EntityEdge(a, b int) float64 {
 	return g.coh[g.slot(a, b)]
 }
 
-// Options tunes the solver. The zero value uses the dissertation defaults.
-type Options struct {
-	// PruneFactor k keeps k·#mentions entities in the pre-processing
-	// phase (default 5, Sec. 3.4.2).
-	PruneFactor int
-	// MaxEnumerate bounds the number of assignments the exhaustive
-	// post-processing may enumerate before switching to local search
-	// (default 1<<16).
-	MaxEnumerate int
-	// LocalSearchIters is the iteration budget of the randomized local
-	// search fallback (default 500).
-	LocalSearchIters int
-	// Seed makes the local search reproducible.
-	Seed int64
-}
+// The solver's settings are the dissertation's (Sec. 3.4.2).
+const (
+	// pruneFactor k keeps k·#mentions entities in the pre-processing
+	// phase.
+	pruneFactor int = 5
+	// maxEnumerate bounds the number of assignments the exhaustive
+	// post-processing may enumerate before switching to local search.
+	maxEnumerate int = 1 << 16
+	// localSearchIters is the iteration budget of the randomized local
+	// search fallback.
+	localSearchIters int = 500
+	// localSearchSeed seeds the local search, so a graph always solves to
+	// the same assignment.
+	localSearchSeed int64 = 1
+)
 
-func (o Options) pruneFactor() int {
-	if o.PruneFactor <= 0 {
-		return 5
-	}
-	return o.PruneFactor
-}
-
-func (o Options) maxEnumerate() int {
-	if o.MaxEnumerate <= 0 {
-		return 1 << 16
-	}
-	return o.MaxEnumerate
-}
-
-func (o Options) localSearchIters() int {
-	if o.LocalSearchIters <= 0 {
-		return 500
-	}
-	return o.LocalSearchIters
-}
+// Options is empty: the solver has no settings. It stays only because
+// benchmark/layers.go and disambig/aida.go pass graph.Options{} to Solve;
+// ROADMAP item 1a deletes it together with the parameter.
+type Options struct{}
 
 // Result is the solver output.
 type Result struct {
@@ -177,13 +161,13 @@ type Result struct {
 }
 
 // Solve runs Algorithm 1 on the graph.
-func Solve(g *Graph, opts Options) Result {
+func Solve(g *Graph, _ Options) Result {
 	s := newSolverState(g)
-	s.prune(opts.pruneFactor())
+	s.prune()
 	removalOrder, bestStep := s.greedyPeel()
 	s.restoreTo(removalOrder, bestStep)
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
-	assignment, total := s.finalAssignment(opts.maxEnumerate(), opts.localSearchIters(), rng)
+	rng := rand.New(rand.NewSource(localSearchSeed))
+	assignment, total := s.finalAssignment(rng)
 	return Result{Assignment: assignment, Objective: s.bestObjective, TotalWeight: total}
 }
 
@@ -249,14 +233,14 @@ func distance(w float64) float64 {
 	return d
 }
 
-// prune implements the pre-processing phase: keep the k·#mentions entities
-// with the smallest sum of squared shortest-path distances to the mention
-// set. Paths are approximated by the dominant two-hop routes (direct
+// prune implements the pre-processing phase: keep the pruneFactor·#mentions
+// entities with the smallest sum of squared shortest-path distances to the
+// mention set. Paths are approximated by the dominant two-hop routes (direct
 // candidate edge, or coherence edge to a candidate of the target mention),
 // which is exact for the dense candidate graphs AIDA builds. The best
 // candidate of every mention is always retained.
-func (s *solverState) prune(factor int) {
-	keep := factor * s.g.mentions
+func (s *solverState) prune() {
+	keep := pruneFactor * s.g.mentions
 	if s.numPresent <= keep {
 		return
 	}
@@ -478,14 +462,14 @@ func (s *solverState) assignmentWeight(assign []int) float64 {
 // finalAssignment resolves mentions that still have several candidates,
 // either exhaustively (when the combination count is feasible) or by
 // weighted-degree-guided local search (Sec. 3.4.2 post-processing).
-func (s *solverState) finalAssignment(maxEnum, iters int, rng *rand.Rand) ([]int, float64) {
+func (s *solverState) finalAssignment(rng *rand.Rand) ([]int, float64) {
 	cands := make([][]Edge, s.g.mentions)
 	combos := 1
 	feasible := true
 	for m := 0; m < s.g.mentions; m++ {
 		cands[m] = s.remainingCandidates(m)
 		if n := len(cands[m]); n > 0 {
-			if combos > maxEnum/n {
+			if combos > maxEnumerate/n {
 				feasible = false
 			} else {
 				combos *= n
@@ -495,7 +479,7 @@ func (s *solverState) finalAssignment(maxEnum, iters int, rng *rand.Rand) ([]int
 	if feasible {
 		return s.enumerate(cands)
 	}
-	return s.localSearch(cands, iters, rng)
+	return s.localSearch(cands, rng)
 }
 
 // enumerate tries all combinations and returns the best.
@@ -537,7 +521,7 @@ func (s *solverState) enumerate(cands [][]Edge) ([]int, float64) {
 // localSearch starts from the greedy assignment and improves it by
 // re-drawing mentions' entities with probability proportional to their
 // weighted degree, keeping the best configuration found.
-func (s *solverState) localSearch(cands [][]Edge, iters int, rng *rand.Rand) ([]int, float64) {
+func (s *solverState) localSearch(cands [][]Edge, rng *rand.Rand) ([]int, float64) {
 	assign := make([]int, s.g.mentions)
 	for m := range assign {
 		assign[m] = -1
@@ -556,7 +540,7 @@ func (s *solverState) localSearch(cands [][]Edge, iters int, rng *rand.Rand) ([]
 	if len(multi) == 0 {
 		return best, bestW
 	}
-	for it := 0; it < iters; it++ {
+	for it := 0; it < localSearchIters; it++ {
 		m := multi[rng.Intn(len(multi))]
 		e := s.sampleByDegree(cands[m], rng)
 		if e == assign[m] {

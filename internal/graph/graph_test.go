@@ -106,8 +106,11 @@ func TestSolveDominantLocalWeight(t *testing.T) {
 }
 
 func TestPruneKeepsBestCandidates(t *testing.T) {
-	// A large graph of unrelated entities: pruning must keep at least one
-	// candidate per mention (the protected best).
+	// 80 entities for 4 mentions is more than the pruneFactor·4 = 20 the
+	// pre-processing keeps. Mentions 0–2 have 20 candidates each, all
+	// coherent across mentions, so every one of their 60 entities lies
+	// closer to the mention set than any candidate of the isolated mention
+	// 3. Pruning must still keep mention 3's best candidate (entity 60).
 	g := New(4, 80)
 	for m := 0; m < 4; m++ {
 		for c := 0; c < 20; c++ {
@@ -118,7 +121,19 @@ func TestPruneKeepsBestCandidates(t *testing.T) {
 			g.AddMentionEdge(m, m*20+c, w)
 		}
 	}
-	res := Solve(g, Options{PruneFactor: 1})
+	for a := 0; a < 60; a++ {
+		for b := a + 1; b < 60; b++ {
+			if a/20 != b/20 {
+				g.AddEntityEdge(a, b, 0.9)
+			}
+		}
+	}
+	s := newSolverState(g)
+	s.prune()
+	if want := pruneFactor*4 + 1; s.numPresent != want {
+		t.Fatalf("%d entities survive pruning, want pruneFactor·mentions plus the protected best = %d", s.numPresent, want)
+	}
+	res := Solve(g, Options{})
 	for m := 0; m < 4; m++ {
 		if res.Assignment[m] != m*20 {
 			t.Fatalf("mention %d: got %d, want protected best %d", m, res.Assignment[m], m*20)
@@ -140,41 +155,59 @@ func TestTabooPreservesLastCandidate(t *testing.T) {
 	}
 }
 
-func TestLocalSearchFallback(t *testing.T) {
-	// Enumeration limit forces local search; it must still produce a full
-	// valid assignment.
+// localSearchGraph has 8 mentions with 5 candidates each: no more than the
+// pruneFactor·8 entities pruning keeps. Every pair of entities is coherent,
+// more strongly than any mention edge weighs, so the normalized minimum
+// degree shrinks with every removal and the peel's best subgraph is the
+// whole graph. So 5^8 = 390 625 assignments survive, more than
+// maxEnumerate, and the solver falls back to local search.
+func localSearchGraph() *Graph {
 	rng := rand.New(rand.NewSource(7))
-	m, c := 6, 6
+	m, c := 8, 5
 	g := New(m, m*c)
 	for i := 0; i < m; i++ {
 		for j := 0; j < c; j++ {
-			g.AddMentionEdge(i, i*c+j, 0.1+float64(rng.Float64()))
+			g.AddMentionEdge(i, i*c+j, 0.1+float64(0.4*rng.Float64()))
 		}
 	}
-	for i := 0; i < m*c; i++ {
-		for j := i + 1; j < m*c; j++ {
-			if rng.Float64() < 0.2 {
-				g.AddEntityEdge(i, j, rng.Float64())
-			}
+	for a := 0; a < m*c; a++ {
+		for b := a + 1; b < m*c; b++ {
+			g.AddEntityEdge(a, b, 0.85+float64(0.1*rng.Float64()))
 		}
 	}
-	res := Solve(g, Options{MaxEnumerate: 10, LocalSearchIters: 300, Seed: 3, PruneFactor: 100})
+	return g
+}
+
+func TestLocalSearchFallback(t *testing.T) {
+	g := localSearchGraph()
+	s := newSolverState(g)
+	s.prune()
+	removal, best := s.greedyPeel()
+	s.restoreTo(removal, best)
+	combos := 1
+	for m := 0; m < g.mentions; m++ {
+		combos *= len(s.remainingCandidates(m))
+	}
+	if combos <= maxEnumerate {
+		t.Fatalf("%d assignments survive the peel, want more than maxEnumerate = %d", combos, maxEnumerate)
+	}
+	res := Solve(g, Options{})
 	for i, e := range res.Assignment {
-		if e < 0 || e/c != i {
+		if e < 0 || e/5 != i {
 			t.Fatalf("mention %d got invalid entity %d", i, e)
 		}
 	}
 }
 
+// TestSolveDeterministic solves the local-search graph twice: the fallback
+// draws from a random source, which is seeded the same way every time.
 func TestSolveDeterministic(t *testing.T) {
-	g1 := twoClusterGraph(0.5)
-	g2 := twoClusterGraph(0.5)
-	r1 := Solve(g1, Options{Seed: 42})
-	r2 := Solve(g2, Options{Seed: 42})
-	for m := range r1.Assignment {
-		if r1.Assignment[m] != r2.Assignment[m] {
-			t.Fatal("solver is not deterministic")
-		}
+	r1 := Solve(localSearchGraph(), Options{})
+	r2 := Solve(localSearchGraph(), Options{})
+	if !slices.Equal(r1.Assignment, r2.Assignment) ||
+		math.Float64bits(r1.TotalWeight) != math.Float64bits(r2.TotalWeight) {
+		t.Fatalf("solver is not deterministic: %v (%v) then %v (%v)",
+			r1.Assignment, r1.TotalWeight, r2.Assignment, r2.TotalWeight)
 	}
 }
 
@@ -277,9 +310,9 @@ func TestSolveBitIdenticalAcrossRuns(t *testing.T) {
 		}
 		return g
 	}
-	first := Solve(build(), Options{Seed: 5})
+	first := Solve(build(), Options{})
 	for run := 1; run < 200; run++ {
-		res := Solve(build(), Options{Seed: 5})
+		res := Solve(build(), Options{})
 		if math.Float64bits(res.Objective) != math.Float64bits(first.Objective) ||
 			math.Float64bits(res.TotalWeight) != math.Float64bits(first.TotalWeight) ||
 			!slices.Equal(res.Assignment, first.Assignment) {
@@ -310,7 +343,7 @@ func TestSolveValidityProperty(t *testing.T) {
 				}
 			}
 		}
-		res := Solve(g, Options{Seed: seed})
+		res := Solve(g, Options{})
 		for i, e := range res.Assignment {
 			if e < 0 {
 				return false
@@ -370,6 +403,6 @@ func BenchmarkSolveMedium(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Solve(g, Options{Seed: int64(i)})
+		Solve(g, Options{})
 	}
 }

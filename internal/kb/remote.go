@@ -36,8 +36,15 @@ import (
 // surfaces as a panic carrying *RemoteError; aida.System converts that
 // panic into a request error at the annotation boundary.
 
-// attemptTimeout bounds each individual endpoint attempt.
-const attemptTimeout = 10 * time.Second
+const (
+	// attemptTimeout bounds each individual endpoint attempt.
+	attemptTimeout = 10 * time.Second
+	// retryBackoff is the delay before retrying on another endpoint after
+	// an error; it doubles per retry.
+	retryBackoff = 10 * time.Millisecond
+	// namesPageSize bounds the dictionary-mirror pages fetched at dial.
+	namesPageSize = 8192
+)
 
 // RemoteOptions tune a DialFleet connection. The zero value is usable.
 type RemoteOptions struct {
@@ -48,16 +55,6 @@ type RemoteOptions struct {
 	// HedgeAfter is how long a request may go unanswered before it is
 	// raced against the next replica (default 50ms; < 0 disables hedging).
 	HedgeAfter time.Duration
-	// RetryBackoff is the base delay before retrying on another endpoint
-	// after an error; it doubles per retry (default 10ms; < 0 disables).
-	RetryBackoff time.Duration
-	// ExpectFingerprint, when non-zero, is the KB content hash the fleet
-	// must serve; a host reporting any other hash is a dial error. Zero
-	// learns the fingerprint from the fleet (all hosts must still agree).
-	ExpectFingerprint uint64
-	// NamesPageSize bounds the dictionary-mirror pages fetched at dial
-	// (default 8192; tests shrink it to exercise pagination).
-	NamesPageSize int
 }
 
 func (o RemoteOptions) withDefaults() RemoteOptions {
@@ -71,12 +68,6 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 	}
 	if o.HedgeAfter == 0 {
 		o.HedgeAfter = 50 * time.Millisecond
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 10 * time.Millisecond
-	}
-	if o.NamesPageSize <= 0 {
-		o.NamesPageSize = 8192
 	}
 	return o
 }
@@ -151,8 +142,8 @@ var _ BulkCandidateStore = (*RemoteStore)(nil)
 // topology (every endpoint reachable, reporting the right shard position
 // and one agreed-on content fingerprint), then mirrors the dictionary key
 // set and the global IDF tables so recognition and context weighting run
-// locally. A fingerprint disagreement anywhere in the fleet — or with
-// ExpectFingerprint — is a dial error naming the offending endpoint.
+// locally. A fingerprint disagreement anywhere in the fleet is a dial error
+// naming the offending endpoint.
 func DialFleet(ctx context.Context, m ShardMap, opts RemoteOptions) (*RemoteStore, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -171,7 +162,6 @@ func DialFleet(ctx context.Context, m ShardMap, opts RemoteOptions) (*RemoteStor
 
 	// Verify every endpoint of every shard before trusting any of them:
 	// the whole fleet must serve one repository, at the right positions.
-	want := o.ExpectFingerprint
 	for shard, eps := range r.eps {
 		for _, ep := range eps {
 			meta, err := r.fetchMeta(ctx, ep)
@@ -182,15 +172,12 @@ func DialFleet(ctx context.Context, m ShardMap, opts RemoteOptions) (*RemoteStor
 				return nil, fmt.Errorf("kb: dial shard %d endpoint %s: host serves shard %d/%d, want %d/%d (mis-wired shard map?)",
 					shard, ep, meta.Shard, meta.Shards, shard, len(r.eps))
 			}
-			if want == 0 {
-				want = meta.Fingerprint
-			}
-			if meta.Fingerprint != want {
-				return nil, fmt.Errorf("kb: dial shard %d endpoint %s: KB fingerprint %016x does not match the fleet's %016x — the host serves different repository content",
-					shard, ep, meta.Fingerprint, want)
-			}
 			if shard == 0 && ep == eps[0] {
-				r.numEntities = meta.NumEntities
+				r.fp, r.numEntities = meta.Fingerprint, meta.NumEntities
+			}
+			if meta.Fingerprint != r.fp {
+				return nil, fmt.Errorf("kb: dial shard %d endpoint %s: KB fingerprint %016x does not match the fleet's %016x — the host serves different repository content",
+					shard, ep, meta.Fingerprint, r.fp)
 			}
 			if meta.NumEntities != r.numEntities {
 				return nil, fmt.Errorf("kb: dial shard %d endpoint %s: %d entities, fleet has %d",
@@ -198,7 +185,6 @@ func DialFleet(ctx context.Context, m ShardMap, opts RemoteOptions) (*RemoteStor
 			}
 		}
 	}
-	r.fp = want
 
 	var idf wireIDF
 	if err := r.do(ctx, "idf", 0, http.MethodGet, "/idf", nil, nil, &idf); err != nil {
@@ -214,7 +200,7 @@ func DialFleet(ctx context.Context, m ShardMap, opts RemoteOptions) (*RemoteStor
 		after := ""
 		for {
 			var page wireNames
-			q := url.Values{"after": {after}, "limit": {strconv.Itoa(o.NamesPageSize)}}
+			q := url.Values{"after": {after}, "limit": {strconv.Itoa(namesPageSize)}}
 			if err := r.do(ctx, "names", shard, http.MethodGet, "/names", q, nil, &page); err != nil {
 				return nil, fmt.Errorf("kb: dial: mirror dictionary of shard %d: %v", shard, err)
 			}
@@ -302,7 +288,7 @@ func (r *RemoteStore) do(ctx context.Context, op string, shard int, method, path
 	var errs []error
 	primaryFailed := false
 	outstanding := 1
-	backoff := r.opts.RetryBackoff
+	backoff := retryBackoff
 	for {
 		select {
 		case res := <-results:
@@ -319,10 +305,8 @@ func (r *RemoteStore) do(ctx context.Context, op string, shard int, method, path
 			errs = append(errs, fmt.Errorf("%s: %w", eps[res.idx], res.err))
 			if next < len(eps) {
 				r.retries.Add(1)
-				if backoff > 0 {
-					time.Sleep(backoff)
-					backoff *= 2
-				}
+				time.Sleep(backoff)
+				backoff *= 2
 				launch()
 				outstanding++
 			} else if outstanding == 0 {

@@ -2,9 +2,11 @@ package kb
 
 import (
 	"context"
+	"encoding/gob"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -43,15 +45,12 @@ func startFleet(t testing.TB, k Store, shards, replicas int, wrap func(shard, re
 	return m
 }
 
-// dialFleet dials with test-friendly defaults (no hedging, no backoff so
-// failures are deterministic and fast unless a test opts in).
+// dialFleet dials with hedging disabled unless a test opts in, so
+// failures are deterministic.
 func dialFleet(t testing.TB, m ShardMap, opts RemoteOptions) *RemoteStore {
 	t.Helper()
 	if opts.HedgeAfter == 0 {
 		opts.HedgeAfter = -1
-	}
-	if opts.RetryBackoff == 0 {
-		opts.RetryBackoff = -1
 	}
 	r, err := DialFleet(context.Background(), m, opts)
 	if err != nil {
@@ -312,20 +311,6 @@ func TestDialRejectsFingerprintMismatch(t *testing.T) {
 	}
 }
 
-func TestDialRejectsExpectFingerprintMismatch(t *testing.T) {
-	k := buildShardKB(t)
-	m := startFleet(t, k, 1, 1, nil)
-	_, err := DialFleet(context.Background(), m, RemoteOptions{ExpectFingerprint: k.Fingerprint() + 1})
-	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("DialFleet = %v, want a fingerprint rejection", err)
-	}
-	if r, err := DialFleet(context.Background(), m, RemoteOptions{ExpectFingerprint: k.Fingerprint()}); err != nil {
-		t.Fatalf("DialFleet with the matching fingerprint: %v", err)
-	} else if r.Fingerprint() != k.Fingerprint() {
-		t.Fatalf("Fingerprint = %016x, want %016x", r.Fingerprint(), k.Fingerprint())
-	}
-}
-
 func TestDialRejectsMisWiredShardMap(t *testing.T) {
 	k := buildShardKB(t)
 	m := startFleet(t, k, 2, 1, nil)
@@ -400,12 +385,56 @@ func TestFailoverRejectsStaleFingerprint(t *testing.T) {
 	})
 }
 
-func TestDialNamesPagination(t *testing.T) {
+// TestHostNamesPagination pages a host's dictionary two names at a time:
+// each page resumes strictly after the previous page's last name, and the
+// last page says there is no more.
+func TestHostNamesPagination(t *testing.T) {
 	k := buildShardKB(t)
-	m := startFleet(t, k, 2, 1, nil)
-	r := dialFleet(t, m, RemoteOptions{NamesPageSize: 2})
-	if got, want := r.Names(), k.Names(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("paginated Names diverge:\n got %v\nwant %v", got, want)
+	host, err := NewStoreHost(k, 0, 1)
+	if err != nil {
+		t.Fatalf("NewStoreHost: %v", err)
+	}
+	srv := httptest.NewServer(host.Handler())
+	defer srv.Close()
+	var got []string
+	for after, more := "", true; more; {
+		resp, err := http.Get(srv.URL + StorePathPrefix + "/names?" + url.Values{"after": {after}, "limit": {"2"}}.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var page wireNames
+		err = gob.NewDecoder(resp.Body).Decode(&page)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("decode names page: %v", err)
+		}
+		if len(page.Names) == 0 || len(page.Names) > 2 {
+			t.Fatalf("page after %q holds %d names, want 1 or 2", after, len(page.Names))
+		}
+		got = append(got, page.Names...)
+		after, more = page.Names[len(page.Names)-1], page.More
+	}
+	if want := k.Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("paged names diverge:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestDialNamesPagination dials a host whose dictionary needs two mirror
+// pages.
+func TestDialNamesPagination(t *testing.T) {
+	b := NewBuilder()
+	id := b.AddEntity("Namesake", "misc", "thing")
+	for i := 0; i <= namesPageSize; i++ {
+		b.AddName(fmt.Sprintf("Namesake %05d", i), id, 1)
+	}
+	k := b.Build()
+	r := dialFleet(t, startFleet(t, k, 1, 1, nil), RemoteOptions{})
+	if got, want := r.Names(), k.Names(); len(got) <= namesPageSize || !reflect.DeepEqual(got, want) {
+		t.Fatalf("mirrored %d names, want the KB's %d", len(got), len(want))
+	}
+	// One request replicates the IDF tables, two mirror the dictionary.
+	if got := r.Stats().Requests; got != 3 {
+		t.Fatalf("dial sent %d store requests, want 3", got)
 	}
 }
 

@@ -19,8 +19,6 @@ type Faults struct {
 	// Hang blocks every operation for the full duration — a stuck replica.
 	// Unlike Latency it is meant to exceed any reasonable hedge threshold.
 	Hang time.Duration
-	// FailNext makes the next N operations fail with a transient error.
-	FailNext int
 	// ErrorEvery makes every Nth operation fail with a transient error
 	// (0 disables).
 	ErrorEvery int
@@ -77,9 +75,6 @@ func (s *FaultStore) HostFault(ctx context.Context, op string) error {
 	n := s.ops.Add(1)
 	s.mu.Lock()
 	f := s.f
-	if f.FailNext > 0 {
-		s.f.FailNext--
-	}
 	s.mu.Unlock()
 	for _, d := range []time.Duration{f.Latency, f.Hang} {
 		if d <= 0 {
@@ -91,7 +86,7 @@ func (s *FaultStore) HostFault(ctx context.Context, op string) error {
 			return ctx.Err()
 		}
 	}
-	if f.FailNext > 0 || (f.ErrorEvery > 0 && n%int64(f.ErrorEvery) == 0) {
+	if f.ErrorEvery > 0 && n%int64(f.ErrorEvery) == 0 {
 		return errInjected
 	}
 	return nil

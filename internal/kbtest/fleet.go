@@ -69,17 +69,13 @@ func startFleet(t testing.TB, s kb.Store, shards, replicas int, http2 bool) *Fle
 	return f
 }
 
-// Dial connects a RemoteStore to the fleet. Unset options get
-// test-friendly defaults: hedging and retry backoff disabled, so tests
-// that want them opt in explicitly and everything else stays deterministic
-// and fast.
+// Dial connects a RemoteStore to the fleet. Hedging is disabled unless
+// opts sets HedgeAfter, so tests that want it opt in explicitly and
+// everything else stays deterministic.
 func (f *Fleet) Dial(t testing.TB, opts kb.RemoteOptions) *kb.RemoteStore {
 	t.Helper()
 	if opts.HedgeAfter == 0 {
 		opts.HedgeAfter = -1
-	}
-	if opts.RetryBackoff == 0 {
-		opts.RetryBackoff = -1
 	}
 	if f.http2 && opts.Client == nil {
 		// httptest's HTTP/2 certificates are self-signed; a custom

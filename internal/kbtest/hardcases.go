@@ -5,9 +5,9 @@ import (
 	"fmt"
 
 	"aida"
-	"aida/internal/eval"
 	"aida/internal/kb"
 	"aida/internal/ner"
+	"aida/internal/tokenizer"
 )
 
 // Hard-ambiguity corpus generators (the Namesakes regime): documents
@@ -19,7 +19,29 @@ import (
 // dictionary layer (re-weighting each surface toward its gold sense) are
 // the two mechanisms under measurement. Everything here is a pure,
 // deterministic function of the store — Names() is sorted — so the
-// corpora are stable across runs and shard layouts.
+// corpora are stable across runs and shard layouts. RunHardWorkload
+// measures a corpus under the baseline and the two mechanisms.
+
+// HardDoc is one document of a hard-ambiguity workload: the text, the
+// mention surfaces expected to be recognized (in text order) with their
+// gold entities, and the request context that discriminates the gold
+// senses (interest keyphrases unique to the gold entities, plus the gold
+// ids themselves as an interest set).
+type HardDoc struct {
+	Name string
+	Text string
+	// Surfaces are the expected recognized mention surfaces, in text
+	// order, aligned with Gold. A run whose recognition disagrees counts
+	// every mention of the document as wrong — recognition drift must
+	// show up as lost accuracy, not as silently skipped documents.
+	Surfaces []string
+	Gold     []kb.EntityID
+	// Context are the interest keyphrases of the context-prior run
+	// (aida.WithContext); ContextEntities the interest entity set
+	// (aida.WithContextEntities).
+	Context         []string
+	ContextEntities []kb.EntityID
+}
 
 // hardFiller is the lowercase padding around the mention. Lowercase
 // tokens can never become mentions (recognition only fires on
@@ -44,9 +66,9 @@ type hardCase struct {
 // mention per document, minimal lowercase padding, gold = the family's
 // second sense (beaten by the head sense on prior alone). max ≤ 0 means
 // no limit.
-func ShortTextCorpus(store kb.Store, max int) []eval.HardDoc {
+func ShortTextCorpus(store kb.Store, max int) []HardDoc {
 	cases := hardCases(store, max, func(cands []kb.Candidate) int { return 1 })
-	docs := make([]eval.HardDoc, 0, len(cases))
+	docs := make([]HardDoc, 0, len(cases))
 	for i, c := range cases {
 		text := fmt.Sprintf("%s %s %s.", c.surface, hardFiller[i%len(hardFiller)], hardFiller[(i+3)%len(hardFiller)])
 		docs = append(docs, hardDoc(store, fmt.Sprintf("short-%03d", i), text, c))
@@ -58,9 +80,9 @@ func ShortTextCorpus(store kb.Store, max int) []eval.HardDoc {
 // entity families where gold = the least popular family member — the
 // hardest case for a prior-driven system — padded with two filler
 // sentences. max ≤ 0 means no limit.
-func HardAmbiguityCorpus(store kb.Store, max int) []eval.HardDoc {
+func HardAmbiguityCorpus(store kb.Store, max int) []HardDoc {
 	cases := hardCases(store, max, func(cands []kb.Candidate) int { return len(cands) - 1 })
-	docs := make([]eval.HardDoc, 0, len(cases))
+	docs := make([]HardDoc, 0, len(cases))
 	for i, c := range cases {
 		// All-lowercase padding on purpose: a capitalized filler word
 		// could be shape-recognized as a spurious mention.
@@ -72,10 +94,10 @@ func HardAmbiguityCorpus(store kb.Store, max int) []eval.HardDoc {
 	return docs
 }
 
-// hardDoc assembles the eval doc for one case, verifying recognition of
+// hardDoc assembles the workload doc for one case, verifying recognition of
 // the final text reproduces exactly the one expected mention.
-func hardDoc(store kb.Store, name, text string, c hardCase) eval.HardDoc {
-	return eval.HardDoc{
+func hardDoc(store kb.Store, name, text string, c hardCase) HardDoc {
+	return HardDoc{
 		Name:            name,
 		Text:            text,
 		Surfaces:        []string{c.surface},
@@ -170,7 +192,7 @@ func discriminatingKeyphrases(store kb.Store, gold kb.EntityID, cands []kb.Candi
 // anything else the recognizer's shape rules reject).
 func recognizableAlone(rec *ner.Recognizer, surface string) bool {
 	text := surface + " " + hardFiller[0] + "."
-	ms := rec.Recognize(text)
+	ms := rec.RecognizeTokens(text, tokenizer.Tokenize(text))
 	return len(ms) == 1 && ms[0].Text == surface
 }
 
@@ -192,20 +214,24 @@ func familyUsesFiller(store kb.Store, cands []kb.Candidate) bool {
 	return false
 }
 
-// annotateFunc adapts a System with per-document options into the eval
-// harness's aida-free AnnotateFunc shape.
-func annotateFunc(sys *aida.System, opts func(d eval.HardDoc) []aida.AnnotateOption) eval.AnnotateFunc {
-	return func(ctx context.Context, d eval.HardDoc) ([]eval.Annotated, error) {
-		doc, err := sys.AnnotateDoc(ctx, d.Text, opts(d)...)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]eval.Annotated, len(doc.Annotations))
-		for i, a := range doc.Annotations {
-			out[i] = eval.Annotated{Surface: a.Mention.Text, Entity: a.Entity}
-		}
-		return out, nil
-	}
+// WorkloadRun is the measured outcome of one variant over a workload.
+type WorkloadRun struct {
+	Name     string
+	Correct  int
+	Total    int
+	Accuracy float64
+}
+
+// HardWorkloadReport is the full result of RunHardWorkload: the same
+// corpus measured under the baseline, context-prior and domain-layer
+// variants.
+type HardWorkloadReport struct {
+	Corpus       string
+	Docs         int
+	Mentions     int
+	Baseline     WorkloadRun
+	ContextPrior WorkloadRun
+	DomainLayer  WorkloadRun
 }
 
 // RunHardWorkload measures a hard-ambiguity corpus under the standard
@@ -215,21 +241,71 @@ func annotateFunc(sys *aida.System, opts func(d eval.HardDoc) []aida.AnnotateOpt
 // through the named registered domain layer (aida.WithDomain; skipped when
 // domain is empty). The System's method and candidate cap apply to all
 // three runs, so the deltas isolate the request-context machinery.
-func RunHardWorkload(ctx context.Context, sys *aida.System, corpus string, docs []eval.HardDoc, domain string) (eval.HardWorkloadReport, error) {
-	baseline := annotateFunc(sys, func(eval.HardDoc) []aida.AnnotateOption { return nil })
-	contextPrior := annotateFunc(sys, func(d eval.HardDoc) []aida.AnnotateOption {
+func RunHardWorkload(ctx context.Context, sys *aida.System, corpus string, docs []HardDoc, domain string) (HardWorkloadReport, error) {
+	rep := HardWorkloadReport{Corpus: corpus, Docs: len(docs)}
+	for _, d := range docs {
+		rep.Mentions += len(d.Gold)
+	}
+	var err error
+	rep.Baseline, err = runVariant(ctx, sys, "baseline", docs, func(HardDoc) []aida.AnnotateOption { return nil })
+	if err != nil {
+		return rep, err
+	}
+	rep.ContextPrior, err = runVariant(ctx, sys, "context-prior", docs, func(d HardDoc) []aida.AnnotateOption {
 		return []aida.AnnotateOption{
 			aida.WithContext(d.Context...),
 			aida.WithContextEntities(d.ContextEntities...),
 		}
 	})
-	var domainLayer eval.AnnotateFunc
+	if err != nil {
+		return rep, err
+	}
 	if domain != "" {
-		domainLayer = annotateFunc(sys, func(eval.HardDoc) []aida.AnnotateOption {
+		rep.DomainLayer, err = runVariant(ctx, sys, "domain-layer", docs, func(HardDoc) []aida.AnnotateOption {
 			return []aida.AnnotateOption{aida.WithDomain(domain)}
 		})
 	}
-	return eval.RunHardWorkload(ctx, corpus, docs, baseline, contextPrior, domainLayer)
+	return rep, err
+}
+
+// runVariant annotates every document with the variant's options and
+// scores the mentions against gold. Misaligned recognition (wrong mention
+// count or surfaces) scores the whole document as wrong.
+func runVariant(ctx context.Context, sys *aida.System, name string, docs []HardDoc, opts func(HardDoc) []aida.AnnotateOption) (WorkloadRun, error) {
+	run := WorkloadRun{Name: name}
+	for _, d := range docs {
+		doc, err := sys.AnnotateDoc(ctx, d.Text, opts(d)...)
+		if err != nil {
+			return run, fmt.Errorf("workload %s, doc %s: %w", name, d.Name, err)
+		}
+		run.Total += len(d.Gold)
+		if !aligned(doc.Annotations, d.Surfaces) {
+			continue
+		}
+		for i, a := range doc.Annotations {
+			if a.Entity == d.Gold[i] {
+				run.Correct++
+			}
+		}
+	}
+	if run.Total > 0 {
+		run.Accuracy = float64(run.Correct) / float64(run.Total)
+	}
+	return run, nil
+}
+
+// aligned reports whether recognition produced exactly the expected
+// surfaces, in order.
+func aligned(anns []aida.Annotation, surfaces []string) bool {
+	if len(anns) != len(surfaces) {
+		return false
+	}
+	for i, a := range anns {
+		if a.Mention.Text != surfaces[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // DomainDictionaryFor builds the per-domain dictionary that makes each
@@ -238,7 +314,7 @@ func RunHardWorkload(ctx context.Context, sys *aida.System, corpus string, docs 
 // with 5× the surface's total anchor mass. Registering it as a domain
 // layer flips the prior baseline's answer to the gold sense without
 // touching the base KB.
-func DomainDictionaryFor(store kb.Store, name string, docs []eval.HardDoc) kb.DomainDictionary {
+func DomainDictionaryFor(store kb.Store, name string, docs []HardDoc) kb.DomainDictionary {
 	dict := kb.DomainDictionary{Name: name}
 	seen := make(map[string]bool)
 	for _, d := range docs {

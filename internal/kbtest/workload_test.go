@@ -1,11 +1,8 @@
-package eval_test
+package kbtest
 
 import (
 	"context"
 	"testing"
-
-	"aida/internal/eval"
-	"aida/internal/kbtest"
 )
 
 // The hard-ambiguity gates. Both corpora are deterministic functions of
@@ -14,19 +11,19 @@ import (
 // (short: base=0.000 ctx=0.865 dom=0.892 over 37 docs; hard: base=0.021
 // ctx=0.894 dom=0.936 over 47 docs) so the gate survives small KB-world
 // adjustments while still failing loudly if the context prior or domain
-// layers stop working. The ISSUE acceptance bar — context-prior strictly
+// layers stop working. The headline bar — context-prior strictly
 // beats the coherence-only baseline on the short-text corpus — is
 // asserted directly, not via floors.
 
-func runWorkload(t *testing.T, corpus string, docs []eval.HardDoc) eval.HardWorkloadReport {
+func runWorkload(t *testing.T, corpus string, docs []HardDoc) HardWorkloadReport {
 	t.Helper()
-	store := kbtest.GoldenKB()
-	sys := kbtest.NewSystem(store)
+	store := GoldenKB()
+	sys := NewSystem(store)
 	domain := corpus + "-gold"
-	if err := sys.RegisterDomain(kbtest.DomainDictionaryFor(store, domain, docs)); err != nil {
+	if err := sys.RegisterDomain(DomainDictionaryFor(store, domain, docs)); err != nil {
 		t.Fatalf("RegisterDomain(%s): %v", domain, err)
 	}
-	rep, err := kbtest.RunHardWorkload(context.Background(), sys, corpus, docs, domain)
+	rep, err := RunHardWorkload(context.Background(), sys, corpus, docs, domain)
 	if err != nil {
 		t.Fatalf("RunHardWorkload(%s): %v", corpus, err)
 	}
@@ -36,7 +33,7 @@ func runWorkload(t *testing.T, corpus string, docs []eval.HardDoc) eval.HardWork
 	return rep
 }
 
-func checkRuns(t *testing.T, rep eval.HardWorkloadReport, minDocs int, maxBase, minCtx, minDom float64) {
+func checkRuns(t *testing.T, rep HardWorkloadReport, minDocs int, maxBase, minCtx, minDom float64) {
 	t.Helper()
 	if rep.Docs < minDocs {
 		t.Fatalf("%s corpus too small: %d docs, want >= %d", rep.Corpus, rep.Docs, minDocs)
@@ -44,7 +41,7 @@ func checkRuns(t *testing.T, rep eval.HardWorkloadReport, minDocs int, maxBase, 
 	if rep.Mentions != rep.Docs {
 		t.Errorf("%s: mentions = %d, want one per doc (%d)", rep.Corpus, rep.Mentions, rep.Docs)
 	}
-	for _, run := range []eval.WorkloadRun{rep.Baseline, rep.ContextPrior, rep.DomainLayer} {
+	for _, run := range []WorkloadRun{rep.Baseline, rep.ContextPrior, rep.DomainLayer} {
 		if run.Total != rep.Mentions {
 			t.Errorf("%s %s: scored %d mentions, want %d", rep.Corpus, run.Name, run.Total, rep.Mentions)
 		}
@@ -72,13 +69,13 @@ func checkRuns(t *testing.T, rep eval.HardWorkloadReport, minDocs int, maxBase, 
 }
 
 func TestShortTextWorkloadGate(t *testing.T) {
-	docs := kbtest.ShortTextCorpus(kbtest.GoldenKB(), 0)
+	docs := ShortTextCorpus(GoldenKB(), 0)
 	rep := runWorkload(t, "short", docs)
 	checkRuns(t, rep, 20, 0.20, 0.80, 0.85)
 }
 
 func TestHardAmbiguityWorkloadGate(t *testing.T) {
-	docs := kbtest.HardAmbiguityCorpus(kbtest.GoldenKB(), 0)
+	docs := HardAmbiguityCorpus(GoldenKB(), 0)
 	rep := runWorkload(t, "hard", docs)
 	checkRuns(t, rep, 20, 0.20, 0.85, 0.90)
 }
@@ -86,14 +83,14 @@ func TestHardAmbiguityWorkloadGate(t *testing.T) {
 // TestWorkloadSkipsDomainWhenUnnamed pins the domain == "" contract: the
 // domain-layer run is skipped and left zero-valued.
 func TestWorkloadSkipsDomainWhenUnnamed(t *testing.T) {
-	store := kbtest.GoldenKB()
-	sys := kbtest.NewSystem(store)
-	docs := kbtest.ShortTextCorpus(store, 3)
-	rep, err := kbtest.RunHardWorkload(context.Background(), sys, "short", docs, "")
+	store := GoldenKB()
+	sys := NewSystem(store)
+	docs := ShortTextCorpus(store, 3)
+	rep, err := RunHardWorkload(context.Background(), sys, "short", docs, "")
 	if err != nil {
 		t.Fatalf("RunHardWorkload: %v", err)
 	}
-	if rep.DomainLayer != (eval.WorkloadRun{}) {
+	if rep.DomainLayer != (WorkloadRun{}) {
 		t.Errorf("domain-layer run not skipped: %+v", rep.DomainLayer)
 	}
 	if rep.Baseline.Total != 3 {
@@ -105,11 +102,11 @@ func TestWorkloadSkipsDomainWhenUnnamed(t *testing.T) {
 // document whose expected surfaces disagree with recognition contributes
 // its mentions to Total but never to Correct.
 func TestWorkloadPenalizesMisalignedRecognition(t *testing.T) {
-	store := kbtest.GoldenKB()
-	sys := kbtest.NewSystem(store)
-	docs := kbtest.ShortTextCorpus(store, 1)
+	store := GoldenKB()
+	sys := NewSystem(store)
+	docs := ShortTextCorpus(store, 1)
 	docs[0].Surfaces = []string{"No Such Surface"}
-	rep, err := kbtest.RunHardWorkload(context.Background(), sys, "short", docs, "")
+	rep, err := RunHardWorkload(context.Background(), sys, "short", docs, "")
 	if err != nil {
 		t.Fatalf("RunHardWorkload: %v", err)
 	}
@@ -125,9 +122,9 @@ func TestWorkloadPenalizesMisalignedRecognition(t *testing.T) {
 // dictionary: one row per distinct surface, each resolving to the doc's
 // gold entity with enough mass to dominate the family.
 func TestDomainDictionaryForTargetsGold(t *testing.T) {
-	store := kbtest.GoldenKB()
-	docs := kbtest.ShortTextCorpus(store, 5)
-	dict := kbtest.DomainDictionaryFor(store, "gate", docs)
+	store := GoldenKB()
+	docs := ShortTextCorpus(store, 5)
+	dict := DomainDictionaryFor(store, "gate", docs)
 	if dict.Name != "gate" {
 		t.Fatalf("dict name = %q", dict.Name)
 	}

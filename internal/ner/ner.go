@@ -81,12 +81,8 @@ func isNameJoiner(t tokenizer.Token) bool {
 	return false
 }
 
-// Recognize returns the mentions of text, in document order.
-func (r *Recognizer) Recognize(text string) []Mention {
-	return r.RecognizeTokens(text, tokenizer.Tokenize(text))
-}
-
-// RecognizeTokens is Recognize on a pre-tokenized document.
+// RecognizeTokens returns the mentions of text, in document order, given
+// its tokens (tokenizer.Tokenize(text)).
 func (r *Recognizer) RecognizeTokens(text string, tokens []tokenizer.Token) []Mention {
 	var mentions []Mention
 	prevSentence := -1

@@ -5,13 +5,20 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"aida/internal/tokenizer"
 )
 
 func surfaces(ms []Mention) []string { return MentionSurfaces(ms) }
 
+// recognize tokenizes text and recognizes its mentions.
+func recognize(r Recognizer, text string) []Mention {
+	return r.RecognizeTokens(text, tokenizer.Tokenize(text))
+}
+
 func TestRecognizeShapeOnly(t *testing.T) {
 	var r Recognizer
-	ms := r.Recognize("They performed Kashmir, written by Page and Plant.")
+	ms := recognize(r, "They performed Kashmir, written by Page and Plant.")
 	want := []string{"Kashmir", "Page", "Plant"}
 	if !reflect.DeepEqual(surfaces(ms), want) {
 		t.Fatalf("got %v want %v", surfaces(ms), want)
@@ -20,7 +27,7 @@ func TestRecognizeShapeOnly(t *testing.T) {
 
 func TestRecognizeMultiToken(t *testing.T) {
 	var r Recognizer
-	ms := r.Recognize("He met Robert Plant in New York yesterday.")
+	ms := recognize(r, "He met Robert Plant in New York yesterday.")
 	want := []string{"Robert Plant", "New York"}
 	if !reflect.DeepEqual(surfaces(ms), want) {
 		t.Fatalf("got %v want %v", surfaces(ms), want)
@@ -29,7 +36,7 @@ func TestRecognizeMultiToken(t *testing.T) {
 
 func TestRecognizeJoiner(t *testing.T) {
 	var r Recognizer
-	ms := r.Recognize("officials at the Bank of England intervened")
+	ms := recognize(r, "officials at the Bank of England intervened")
 	want := []string{"Bank of England"}
 	if !reflect.DeepEqual(surfaces(ms), want) {
 		t.Fatalf("got %v want %v", surfaces(ms), want)
@@ -38,7 +45,7 @@ func TestRecognizeJoiner(t *testing.T) {
 
 func TestRecognizeAcronym(t *testing.T) {
 	var r Recognizer
-	ms := r.Recognize("the NSA and the FBI traded files")
+	ms := recognize(r, "the NSA and the FBI traded files")
 	want := []string{"NSA", "FBI"}
 	if !reflect.DeepEqual(surfaces(ms), want) {
 		t.Fatalf("got %v want %v", surfaces(ms), want)
@@ -48,7 +55,7 @@ func TestRecognizeAcronym(t *testing.T) {
 func TestRecognizeOffsets(t *testing.T) {
 	var r Recognizer
 	text := "Japan began the defence of their Asian Cup title against Syria."
-	for _, m := range r.Recognize(text) {
+	for _, m := range recognize(r, text) {
 		if text[m.Start:m.End] != m.Text {
 			t.Errorf("offsets of %q do not match slice %q", m.Text, text[m.Start:m.End])
 		}
@@ -64,7 +71,7 @@ func TestLexiconLongestMatch(t *testing.T) {
 		return false
 	})
 	r := Recognizer{Lexicon: lex}
-	ms := r.Recognize("Dylan played at the Newport Folk Festival there.")
+	ms := recognize(r, "Dylan played at the Newport Folk Festival there.")
 	found := false
 	for _, m := range ms {
 		if m.Text == "Newport Folk Festival" {
@@ -93,7 +100,7 @@ func TestCaseSensitiveShortNames(t *testing.T) {
 
 func TestSentenceInitialStopword(t *testing.T) {
 	var r Recognizer
-	ms := r.Recognize("The game ended. Most fans left early.")
+	ms := recognize(r, "The game ended. Most fans left early.")
 	for _, m := range ms {
 		if m.Text == "The" || m.Text == "Most" {
 			t.Errorf("sentence-initial stopword %q recognized as mention", m.Text)
@@ -103,7 +110,7 @@ func TestSentenceInitialStopword(t *testing.T) {
 
 func TestMaxTokens(t *testing.T) {
 	var r Recognizer
-	ms := r.Recognize("the Royal Bank Holding Company Trust Limited building")
+	ms := recognize(r, "the Royal Bank Holding Company Trust Limited building")
 	want := []string{"Royal Bank Holding Company Trust", "Limited"}
 	if !reflect.DeepEqual(surfaces(ms), want) {
 		t.Fatalf("got %v want %v: a six-token run must split after %d tokens", surfaces(ms), want, maxTokens)
@@ -116,7 +123,7 @@ func TestRecognizeInvariants(t *testing.T) {
 	f := func(words []string) bool {
 		text := strings.Join(words, " ")
 		prevEnd := -1
-		for _, m := range r.Recognize(text) {
+		for _, m := range recognize(r, text) {
 			if m.Start < prevEnd || m.End <= m.Start {
 				return false
 			}
@@ -137,6 +144,6 @@ func BenchmarkRecognize(b *testing.B) {
 	text := strings.Repeat("Italy recalled Marcello Cuttitta for their friendly against Scotland at Murrayfield. ", 20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Recognize(text)
+		recognize(r, text)
 	}
 }

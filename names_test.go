@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -120,24 +121,46 @@ func receiver(fd *ast.FuncDecl) string {
 	return name
 }
 
+// testSupport reports whether dir holds test support (internal/kbtest and
+// its gen command): code only tests run, which keeps no other code alive.
+func testSupport(dir string) bool {
+	return dir == "internal/kbtest" || strings.HasPrefix(dir, "internal/kbtest/")
+}
+
+// benchmarkDir reports whether dir is the frozen benchmark/, whose callers
+// are logged apart.
+func benchmarkDir(dir string) bool {
+	return dir == "benchmark" || strings.HasPrefix(dir, "benchmark/")
+}
+
 // TestInternalNamesHaveCallers fails on code under internal/ that only
 // tests reach, which is deleted rather than kept:
 //   - an exported top-level function or type, or an exported method, whose
-//     name no non-test file of the module uses besides its declaration;
-//   - a non-main package that no non-test package of the module imports.
+//     name no program file uses besides its declaration;
+//   - a non-main package that no program package of the module imports.
 //
-// internal/kbtest is test support and is skipped. Names are matched by
-// identifier, across packages, so the check can miss a dead name but never
-// flags a live one.
+// Program files are the module's non-test files outside internal/kbtest:
+// test support is skipped both as a declarer and as a caller. Names are
+// matched by identifier, across packages, so the check can miss a dead
+// name but never flags a live one. It logs the names that only the frozen
+// benchmark/ reaches, which go with the benchmark's re-cut.
 func TestInternalNamesHaveCallers(t *testing.T) {
 	decls := map[*ast.Ident]string{} // declaration ident → "dir.Name" or "dir.Recv.Name"
-	uses := map[string]int{}         // identifier → occurrences, declarations included
+	uses := map[string]int{}         // identifier → occurrences in program files, declarations included
+	benchUses := map[string]int{}    // identifier → occurrences under benchmark/
 	pkgs := map[string]string{}      // internal import path → package name
-	imported := map[string]bool{}    // import path → imported by another non-test package
+	imported := map[string]bool{}    // import path → imported by another program package
 	for _, gf := range parseModule(t) {
+		if testSupport(gf.dir) {
+			continue
+		}
+		bench := benchmarkDir(gf.dir)
 		ast.Inspect(gf.f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
 				uses[id.Name]++
+				if bench {
+					benchUses[id.Name]++
+				}
 			}
 			return true
 		})
@@ -146,7 +169,7 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 				imported[path] = true
 			}
 		}
-		if !strings.HasPrefix(gf.dir, "internal/") || strings.HasPrefix(gf.dir, "internal/kbtest") {
+		if !strings.HasPrefix(gf.dir, "internal/") {
 			continue
 		}
 		pkgs[gf.pkg] = gf.f.Name.Name
@@ -167,14 +190,19 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 			}
 		}
 	}
-	var dead []string
+	var dead, benchOnly []string
 	uncalled := map[string]bool{}
 	for id, name := range decls {
-		if id.IsExported() && uses[id.Name] == 1 {
-			uncalled[name] = true
-			if referenceOnly[name] == "" {
-				dead = append(dead, name)
-			}
+		if !id.IsExported() || uses[id.Name]-benchUses[id.Name] > 1 {
+			continue
+		}
+		if benchUses[id.Name] > 0 {
+			benchOnly = append(benchOnly, name)
+			continue
+		}
+		uncalled[name] = true
+		if referenceOnly[name] == "" {
+			dead = append(dead, name)
 		}
 	}
 	sort.Strings(dead)
@@ -196,6 +224,196 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 	for _, path := range unimported {
 		t.Errorf("package %s is imported by no program: move it beside the tests that use it, or delete it", path)
 	}
+	sort.Strings(benchOnly)
+	t.Logf("internal names only benchmark/ reaches: %s", strings.Join(benchOnly, ", "))
+}
+
+// unwrittenSettings lists exported fields that no program writes but that
+// stay, each with its reason.
+var unwrittenSettings = map[string]string{
+	"internal/kb.RemoteOptions.Client": "kbtest.StartFleetHTTP2 needs it for httptest's self-signed TLS, and kbtest's remote_test counts requests through it",
+}
+
+// TestSettingsHaveProgramWriters fails on an exported field, without a json
+// tag, of an exported struct type in the root package or under internal/
+// (test support excluded) that no program file writes: a field only tests
+// set is a constant (one value in use) or dead. A write is a key, or a
+// position, in a composite literal of the type, or an assignment or
+// inc/dec to a selector of the field's name outside a withDefaults method.
+// Selectors are matched by name alone, so the check can miss a dead field
+// but never flags a live one. Program files are the module's non-test
+// files outside internal/kbtest. It logs the fields that only the frozen
+// benchmark/ writes.
+func TestSettingsHaveProgramWriters(t *testing.T) {
+	files := parseModule(t)
+	fields := map[string][]string{} // "dir.Type" → its field names in order, "" for unexported or embedded
+	tagged := map[string]bool{}     // "dir.Type.Field" with a json tag
+	for _, gf := range files {
+		if testSupport(gf.dir) || (gf.dir != "." && !strings.HasPrefix(gf.dir, "internal/")) {
+			continue
+		}
+		for _, decl := range gf.f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok || !ts.Name.IsExported() {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				typ := gf.dir + "." + ts.Name.Name
+				for _, fl := range st.Fields.List {
+					json := fl.Tag != nil && strings.Contains(fl.Tag.Value, `json:"`)
+					if len(fl.Names) == 0 {
+						fields[typ] = append(fields[typ], "")
+					}
+					for _, name := range fl.Names {
+						if !name.IsExported() {
+							fields[typ] = append(fields[typ], "")
+							continue
+						}
+						fields[typ] = append(fields[typ], name.Name)
+						tagged[typ+"."+name.Name] = json
+					}
+				}
+			}
+		}
+	}
+
+	written := map[string]bool{}      // "dir.Type.Field" or ".Field" (a selector write)
+	benchWritten := map[string]bool{} // the same, written under benchmark/
+	for _, gf := range files {
+		if testSupport(gf.dir) {
+			continue
+		}
+		w := written
+		if benchmarkDir(gf.dir) {
+			w = benchWritten
+		}
+		imports := map[string]string{} // local package name → dir
+		for _, imp := range gf.f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			if path != "aida" && !strings.HasPrefix(path, "aida/") {
+				continue
+			}
+			dir := strings.TrimPrefix(strings.TrimPrefix(path, "aida"), "/")
+			if dir == "" {
+				dir = "."
+			}
+			name := dir[strings.LastIndex(dir, "/")+1:]
+			if path == "aida" {
+				name = "aida"
+			}
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = dir
+		}
+		// typeKey resolves a literal's type expression to "dir.Type".
+		typeKey := func(e ast.Expr) string {
+			switch ix := e.(type) {
+			case *ast.IndexExpr:
+				e = ix.X
+			case *ast.IndexListExpr:
+				e = ix.X
+			}
+			switch e := e.(type) {
+			case *ast.Ident:
+				return gf.dir + "." + e.Name
+			case *ast.SelectorExpr:
+				if pkg, ok := e.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
+					return imports[pkg.Name] + "." + e.Sel.Name
+				}
+			}
+			return ""
+		}
+		elided := map[*ast.CompositeLit]ast.Expr{} // element literal → its elided type
+		for _, decl := range gf.f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == "withDefaults" {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							w["."+sel.Sel.Name] = true
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := n.X.(*ast.SelectorExpr); ok {
+						w["."+sel.Sel.Name] = true
+					}
+				case *ast.CompositeLit:
+					typ := n.Type
+					if typ == nil {
+						typ = elided[n]
+					}
+					var elt ast.Expr
+					switch tt := typ.(type) {
+					case *ast.ArrayType:
+						elt = tt.Elt
+					case *ast.MapType:
+						elt = tt.Value
+					}
+					if star, ok := elt.(*ast.StarExpr); ok {
+						elt = star.X
+					}
+					key := typeKey(typ)
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok && key != "" {
+								w[key+"."+id.Name] = true
+							}
+							el = kv.Value
+						} else if i < len(fields[key]) {
+							w[key+"."+fields[key][i]] = true
+						}
+						if u, ok := el.(*ast.UnaryExpr); ok {
+							el = u.X
+						}
+						if lit, ok := el.(*ast.CompositeLit); ok && lit.Type == nil && elt != nil {
+							elided[lit] = elt
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unwritten, benchOnly []string
+	for typ, names := range fields {
+		for _, name := range names {
+			key := typ + "." + name
+			if name == "" || tagged[key] || written[key] || written["."+name] {
+				continue
+			}
+			if benchWritten[key] || benchWritten["."+name] {
+				benchOnly = append(benchOnly, key)
+				continue
+			}
+			unwritten = append(unwritten, key)
+		}
+	}
+	sort.Strings(unwritten)
+	for _, key := range unwritten {
+		if unwrittenSettings[key] == "" {
+			t.Errorf("%s is written by no program: make it a constant or delete it, or allowlist it with a reason", key)
+		}
+	}
+	for key := range unwrittenSettings {
+		if !slices.Contains(unwritten, key) {
+			t.Errorf("allowlist entry %s is stale: the field is gone or a program writes it", key)
+		}
+	}
+	sort.Strings(benchOnly)
+	t.Logf("fields only benchmark/ writes: %s", strings.Join(benchOnly, ", "))
 }
 
 // TestServerLinksOnlyWhatItServes walks cmd/aidaserver's imports through
